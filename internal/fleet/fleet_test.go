@@ -106,6 +106,12 @@ func testGateway(t *testing.T, cfg GatewayConfig) (*Gateway, *httptest.Server, n
 // (the serve server keeps running, like a socd whose network died).
 func testWorker(t *testing.T, name, gwAddr string, cfg serve.Config) (*serve.Server, context.CancelFunc) {
 	t.Helper()
+	return testWorkerBeat(t, name, gwAddr, cfg, 50*time.Millisecond)
+}
+
+// testWorkerBeat is testWorker with the given heartbeat interval.
+func testWorkerBeat(t *testing.T, name, gwAddr string, cfg serve.Config, beat time.Duration) (*serve.Server, context.CancelFunc) {
+	t.Helper()
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
 	}
@@ -122,7 +128,7 @@ func testWorker(t *testing.T, name, gwAddr string, cfg serve.Config) (*serve.Ser
 	wk, err := NewWorker(srv, WorkerConfig{
 		Name:      name,
 		Gateway:   gwAddr,
-		Heartbeat: 50 * time.Millisecond,
+		Heartbeat: beat,
 		Redial:    50 * time.Millisecond,
 	})
 	if err != nil {
@@ -481,6 +487,27 @@ func TestAllSaturated429(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
+	}
+}
+
+// TestResultUndoesDispatchBump: a job's result must return the depth
+// its dispatch optimistically added, so a stream of short sequential
+// jobs inside one heartbeat interval is never refused as saturated.
+func TestResultUndoesDispatchBump(t *testing.T) {
+	_, ts, ln := testGateway(t, GatewayConfig{DeadAfter: time.Minute})
+	testWorkerBeat(t, "w1", ln.Addr().String(),
+		serve.Config{Workers: 1, QueueDepth: 2}, time.Hour)
+	waitRegistered(t, ts.URL, 1)
+
+	for i := 0; i < 6; i++ {
+		code, body, _ := submitWait(t, ts.URL,
+			fmt.Sprintf(`{"kind":"fleettest","messages":%d}`, 200+i))
+		if code != http.StatusOK {
+			t.Fatalf("job %d of sequential stream on an idle worker: status %d: %s", i, code, body)
+		}
+	}
+	if d := getWorkers(t, ts.URL).Workers[0].Depth; d != 0 {
+		t.Errorf("gateway depth after the stream drained = %d, want 0", d)
 	}
 }
 

@@ -74,7 +74,8 @@ type Gateway struct {
 
 // remoteWorker is one registered worker connection. Load fields mirror
 // the latest heartbeat (optimistically bumped on dispatch so a burst
-// between heartbeats cannot dogpile one worker); assigned tracks the
+// between heartbeats cannot dogpile one worker, and unbumped when the
+// job's result arrives before the next heartbeat); assigned tracks the
 // jobs whose results this connection owes.
 type remoteWorker struct {
 	name string
@@ -85,6 +86,7 @@ type remoteWorker struct {
 
 	// Guarded by Gateway.mu.
 	depth, inFlight, capacity int
+	loadEpoch                 uint64 // bumped whenever depth is reset from worker truth
 	assigned                  map[string]*gwJob
 	gone                      bool
 }
@@ -103,9 +105,11 @@ type gwJob struct {
 	owner   string // worker currently responsible, "" while parked
 	retries int
 	shedBy  map[string]bool // workers that refused this job
-	body    []byte
-	errMsg  string
-	cached  bool // worker served the body from its LRU
+	// bumpEpoch is the owner's loadEpoch when dispatch bumped its depth.
+	bumpEpoch uint64
+	body      []byte
+	errMsg    string
+	cached    bool // worker served the body from its LRU
 }
 
 func (j *gwJob) terminal() bool {
@@ -135,9 +139,9 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		cfg.Logf = func(string, ...any) {}
 	}
 	g := &Gateway{
-		cfg:      cfg,
-		reg:      stats.New(),
-		mux:      http.NewServeMux(),
+		cfg:       cfg,
+		reg:       stats.New(),
+		mux:       http.NewServeMux(),
 		workers:   make(map[string]*remoteWorker),
 		jobs:      make(map[string]*gwJob),
 		cacheBody: make(map[uint64][]byte),
@@ -298,6 +302,7 @@ func (g *Gateway) handleConn(conn net.Conn) {
 		case *wire.Heartbeat:
 			g.mu.Lock()
 			rw.depth = int(m.Depth)
+			rw.loadEpoch++
 			rw.inFlight = int(m.InFlight)
 			rw.capacity = int(m.Capacity)
 			g.mu.Unlock()
@@ -384,7 +389,14 @@ func (g *Gateway) handleResult(rw *remoteWorker, m *wire.Result) {
 		g.mu.Unlock()
 		return
 	}
-	delete(rw.assigned, j.id)
+	if rw.assigned[j.id] == j {
+		// Undo dispatch's optimistic bump unless a heartbeat or shed
+		// has already replaced depth with the worker's own count.
+		if j.bumpEpoch == rw.loadEpoch && rw.depth > 0 {
+			rw.depth--
+		}
+		delete(rw.assigned, j.id)
+	}
 	if j.terminal() {
 		// A slow worker finishing a job the gateway already failed over.
 		// Results are content-addressed, so the duplicate is byte-
@@ -444,6 +456,7 @@ func (g *Gateway) handleShed(rw *remoteWorker, m *wire.Shed) {
 	j.owner = ""
 	j.shedBy[rw.name] = true
 	rw.depth = int(m.Depth) // the shed carries fresher load truth than the last heartbeat
+	rw.loadEpoch++
 	g.mu.Unlock()
 	g.routedAround.Add(1)
 	g.cfg.Logf("fleet: %s shed by %s: rerouting", j.id, rw.name)
@@ -542,8 +555,10 @@ func (g *Gateway) dispatch(j *gwJob) error {
 	j.status = "queued"
 	rw.assigned[j.id] = j
 	// Optimistic bump so a burst between heartbeats spreads instead of
-	// dogpiling the first worker; the next heartbeat restores truth.
+	// dogpiling the first worker; the job's result or the next heartbeat,
+	// whichever comes first, restores truth.
 	rw.depth++
+	j.bumpEpoch = rw.loadEpoch
 	g.mu.Unlock()
 	if err := g.send(rw, &wire.Submit{Job: j.id, Hash: j.hash, Spec: j.specBytes}); err != nil {
 		// The connection died mid-send; dropWorker reassigns everything

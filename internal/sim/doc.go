@@ -16,19 +16,21 @@
 //     register-transfer semantics of the cycle.
 //  5. Monitor  — observation-only hooks (statistics, traces).
 //
-// Threads are Go goroutines synchronized so that exactly one runs at a
-// time, in deterministic registration order; simulations are therefore
-// reproducible. A thread performing several latency-insensitive port
-// operations in one loop iteration pays one Wait per operation in the
-// signal-accurate channel model and one Wait total in the sim-accurate
-// model — the distinction at the heart of the paper's Figure 3.
+// Threads are runtime coroutines (iter.Pull), not goroutines synchronized
+// over channels: the kernel switches into a thread and the thread's Wait
+// switches back, so exactly one runs at a time, in deterministic
+// registration order, and simulations are reproducible. A thread
+// performing several latency-insensitive port operations in one loop
+// iteration pays one Wait per operation in the signal-accurate channel
+// model and one Wait total in the sim-accurate model — the distinction at
+// the heart of the paper's Figure 3.
 //
 // A thread that would otherwise poll an idle latency-insensitive endpoint
 // can park on a predicate (Thread.WaitFor) or a countdown (Thread.WaitN):
 // the kernel evaluates the condition at the thread's scheduling slot each
-// edge and skips the two-channel goroutine handoff entirely until it
-// holds. Parking is an execution optimization only — a parked thread
-// observes exactly the cycle it would have observed by polling.
+// edge and skips the coroutine switch entirely until it holds. Parking is
+// an execution optimization only — a parked thread observes exactly the
+// cycle it would have observed by polling.
 //
 // Every simulated component can register into a hierarchical component
 // tree (Simulator.Component) whose paths ("soc/pe[3]/inject") key the

@@ -546,110 +546,6 @@ func (s *Simulator) Processes() []ProcessInfo {
 	return out
 }
 
-// Thread is the handle a coroutine process uses to synchronize with its
-// clock. All methods must be called only from the goroutine running the
-// thread body.
-type Thread struct {
-	t *thread
-}
-
-type thread struct {
-	name     string
-	clock    *Clock
-	resume   chan struct{}
-	yield    chan struct{}
-	finished bool
-	started  bool
-	body     func(*Thread)
-
-	// Parking state, owned by the kernel while the thread is yielded. A
-	// parked thread is skipped — no goroutine handoff — until its
-	// condition holds at its scheduling slot.
-	parkN    uint64      // countdown parking (WaitN); resumes when it hits 0
-	parkPred func() bool // predicate parking (WaitFor); nil when not parked
-}
-
-// Spawn registers a coroutine process on clock c. The body starts running
-// at the first rising edge and is resumed once per edge after each Wait.
-// When the body returns the thread retires.
-func (c *Clock) Spawn(name string, body func(*Thread)) {
-	th := &thread{
-		name:   name,
-		clock:  c,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-		body:   body,
-	}
-	c.threads = append(c.threads, th)
-}
-
-// Wait suspends the thread until the next rising edge of its clock.
-func (t *Thread) Wait() {
-	t.t.yield <- struct{}{}
-	<-t.t.resume
-}
-
-// WaitN suspends the thread for n rising edges. The kernel counts the
-// edges down without resuming the goroutine, so a long WaitN costs one
-// handoff instead of n.
-func (t *Thread) WaitN(n int) {
-	if n <= 0 {
-		return
-	}
-	t.t.parkN = uint64(n)
-	t.Wait()
-}
-
-// WaitFor parks the thread until pred holds. The kernel evaluates pred at
-// the thread's scheduling slot on each subsequent edge and resumes the
-// goroutine only when it returns true, skipping the handoff entirely on
-// idle edges. Like Wait, it always suspends for at least one edge, so
-//
-//	th.WaitFor(ready)
-//
-// observes exactly the same cycle as the polling loop
-//
-//	for { th.Wait(); if ready() { break } }
-//
-// pred runs on the kernel goroutine between thread resumptions; it must
-// only read simulation state and must not panic.
-func (t *Thread) WaitFor(pred func() bool) {
-	if pred == nil {
-		panic("sim: WaitFor(nil) by thread " + t.t.name)
-	}
-	t.t.parkPred = pred
-	t.Wait()
-}
-
-// Clock returns the clock the thread is bound to.
-func (t *Thread) Clock() *Clock { return t.t.clock }
-
-// Cycle returns the current cycle count of the thread's clock.
-func (t *Thread) Cycle() uint64 { return t.t.clock.cycle.Load() }
-
-// Sim returns the owning simulator.
-func (t *Thread) Sim() *Simulator { return t.t.clock.sim }
-
-// Name returns the thread name.
-func (t *Thread) Name() string { return t.t.name }
-
-func (th *thread) start() {
-	th.started = true
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c := th.clock
-				c.sim.recordPanic(packKey(c.now, c.ord),
-					fmt.Errorf("sim: thread %q panicked: %v", th.name, r))
-			}
-			th.finished = true
-			th.yield <- struct{}{}
-		}()
-		<-th.resume
-		th.body(&Thread{t: th})
-	}()
-}
-
 // recordPanic stops the simulation and merges err under the panic mutex,
 // so racing shards keep the deterministic earliest-edge panic.
 func (s *Simulator) recordPanic(key uint64, err error) {
@@ -683,7 +579,7 @@ func (c *Clock) runEdgeAt(t Time) {
 	}
 
 	// Phase 1: threads, in registration order. Parked threads are
-	// serviced at their slot without a goroutine handoff.
+	// serviced at their slot without a coroutine switch.
 	for _, th := range c.threads {
 		if th.finished {
 			continue
@@ -700,8 +596,7 @@ func (c *Clock) runEdgeAt(t Time) {
 			}
 			th.parkPred = nil
 		}
-		th.resume <- struct{}{}
-		<-th.yield
+		th.next()
 	}
 
 	// Phase 2: drive.
