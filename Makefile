@@ -16,7 +16,7 @@ test: build
 # over the untraced primitives), and hold the compiled RTL backend's
 # throughput floor over the interpreter.
 check: vet
-	$(GO) test -race ./internal/sim ./internal/psim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
+	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
 	TRACE_OVERHEAD_GUARD=1 $(GO) test -run TestDisarmedOverheadGuard -v ./internal/connections
 	RTL_PERF_GATE=1 $(GO) test -count=1 -run TestRTLPerfGate -v .

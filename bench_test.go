@@ -244,44 +244,6 @@ func BenchmarkSoCConv1DGALS(b *testing.B) {
 	benchSoCTest(b, 3, connections.ModeSimAccurate, true)
 }
 
-// --- Partition-parallel engine: sequential vs sharded GALS SoC ---
-//
-// The same 20-clock GALS memcpy system test, run on the sequential
-// kernel (Partitions=0) and on the partition engine at increasing shard
-// counts. Results are bit-identical at every width >= 1 (the engine's
-// core invariant, pinned by internal/soc's partition tests), so the
-// cycles metric must not move across the sharded benchmarks — only wall
-// time may. The sequential run stops at the firmware's exit edge rather
-// than the next epoch boundary, so its cycle count sits up to one epoch
-// below the sharded ones. Recorded baselines live in BENCH_partition.json.
-
-func benchSoCPartitioned(b *testing.B, partitions int) {
-	tc := soc.Tests()[0] // memcpy: traffic spread across the mesh
-	var cycles, edges uint64
-	for i := 0; i < b.N; i++ {
-		cfg := soc.DefaultConfig()
-		cfg.GALS = true
-		cfg.Partitions = partitions
-		s, verify := tc.Build(cfg)
-		c, err := s.Run(5_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := verify(s); err != nil {
-			b.Fatal(err)
-		}
-		cycles = c
-		edges += s.Sim.TotalEdges()
-	}
-	reportSimRates(b, cycles, edges)
-}
-
-func BenchmarkPartitionSoCSequential(b *testing.B) { benchSoCPartitioned(b, 0) }
-func BenchmarkPartitionSoCShards1(b *testing.B)    { benchSoCPartitioned(b, 1) }
-func BenchmarkPartitionSoCShards2(b *testing.B)    { benchSoCPartitioned(b, 2) }
-func BenchmarkPartitionSoCShards4(b *testing.B)    { benchSoCPartitioned(b, 4) }
-func BenchmarkPartitionSoCShards8(b *testing.B)    { benchSoCPartitioned(b, 8) }
-
 // --- Figure 6: TLM vs RTL-cosim wall time (the speedup axis) ---
 
 func BenchmarkFig6TLMModel(b *testing.B) { benchSoCTest(b, 1, connections.ModeSimAccurate, false) }

@@ -1,7 +1,7 @@
 // Command detvet is the repo's determinism vet: a syntactic analyzer
 // over the simulation-kernel packages whose results must be bit-identical
 // across runs and machines (internal/sim, internal/connections,
-// internal/gals, internal/noc, internal/psim, internal/rtl). It flags the three ways
+// internal/gals, internal/noc, internal/rtl). It flags the three ways
 // nondeterminism usually leaks into a Go simulator:
 //
 //   - importing "time" (wall-clock reads in simulated-time code),
@@ -45,7 +45,6 @@ var checkedDirs = []string{
 	"internal/connections",
 	"internal/gals",
 	"internal/noc",
-	"internal/psim",
 	"internal/rtl",
 	// The fleet layer's result bytes must be spec-determined: the wire
 	// codec admits no wall-clock or map-order at all, and the gateway's

@@ -6,7 +6,6 @@
 //	socsim -test conv1d -mode rtl
 //	socsim -test all -gals
 //	socsim -test vecadd -stall 0.2 -seed 3
-//	socsim -test memcpy -gals -partitions 4   # partition-parallel, bit-identical
 //	socsim -test memcpy -vcd out.vcd      # per-channel waveforms, GTKWave-ready
 //	socsim -test memcpy -trace            # backpressure/deadlock report
 //	socsim -test all -lint                # static design-rule check, no simulation
@@ -42,7 +41,6 @@ func main() {
 	traceF := flag.Bool("trace", false, "arm channel tracing and print the per-channel backpressure/deadlock report")
 	horizon := flag.Uint64("horizon", 1000, "deadlock bound for -trace, in cycles of each channel's clock")
 	maxCycles := flag.Uint64("maxcycles", 10_000_000, "cycle budget")
-	partitions := flag.Int("partitions", 0, "shard the clocks onto this many parallel workers (0 = sequential kernel; any N >= 1 gives bit-identical results)")
 	lintF := flag.Bool("lint", false, "statically lint the selected designs (CDC/deadlock/connectivity rules) and exit without simulating")
 	lintJSON := flag.String("lintjson", "", "write the combined lint diagnostics as JSON to this file (implies -lint)")
 	rateF := flag.Bool("rateck", false, "statically check communication rates (SDF balance, buffer sizing, throughput bounds) and exit without simulating")
@@ -69,7 +67,6 @@ func main() {
 	cfg.ShadowNetlists = *shadow
 	cfg.StallP = *stall
 	cfg.StallSeed = *seed
-	cfg.Partitions = *partitions
 	cfg.Trace = *vcd != "" || *traceF
 
 	if *lintJSON != "" {

@@ -397,7 +397,7 @@ func (c *core[T]) emitPush(ok bool) {
 	if ok {
 		k = trace.KindPush
 	}
-	c.sub.EmitOn(c.clk.Lane(), k, uint64(c.clk.Now()), c.clk.Cycle(), c.netCount())
+	c.sub.Emit(k, uint64(c.clk.Now()), c.clk.Cycle(), c.netCount())
 }
 
 // emitPop records a port pop outcome on an armed channel; see emitPush
@@ -407,7 +407,7 @@ func (c *core[T]) emitPop(ok bool) {
 	if ok {
 		k = trace.KindPop
 	}
-	c.sub.EmitOn(c.clk.Lane(), k, uint64(c.clk.Now()), c.clk.Cycle(), c.netCount())
+	c.sub.Emit(k, uint64(c.clk.Now()), c.clk.Cycle(), c.netCount())
 }
 
 // traceMonitor samples the channel's committed handshake state once per
@@ -415,7 +415,6 @@ func (c *core[T]) emitPop(ok bool) {
 // stalls). Registered only when the simulation is armed.
 func (c *core[T]) traceMonitor() {
 	now, cyc := uint64(c.clk.Now()), c.clk.Cycle()
-	lane := c.clk.Lane()
 	var valid, ready uint64
 	if _, ok := c.peek(); ok {
 		valid = 1
@@ -432,19 +431,19 @@ func (c *core[T]) traceMonitor() {
 		stall |= 2
 	}
 	if !c.tInit || valid != c.tLastValid {
-		c.sub.EmitOn(lane, trace.KindValid, now, cyc, valid)
+		c.sub.Emit(trace.KindValid, now, cyc, valid)
 		c.tLastValid = valid
 	}
 	if !c.tInit || ready != c.tLastReady {
-		c.sub.EmitOn(lane, trace.KindReady, now, cyc, ready)
+		c.sub.Emit(trace.KindReady, now, cyc, ready)
 		c.tLastReady = ready
 	}
 	if !c.tInit || occ != c.tLastOcc {
-		c.sub.EmitOn(lane, trace.KindOcc, now, cyc, occ)
+		c.sub.Emit(trace.KindOcc, now, cyc, occ)
 		c.tLastOcc = occ
 	}
 	if c.rng != nil && (!c.tInit || stall != c.tLastStall) {
-		c.sub.EmitOn(lane, trace.KindStall, now, cyc, stall)
+		c.sub.Emit(trace.KindStall, now, cyc, stall)
 		c.tLastStall = stall
 	}
 	c.tInit = true

@@ -30,10 +30,6 @@ type Ctx struct {
 	// It depends only on the campaign seed and job name, never on
 	// worker count or scheduling order.
 	Seed int64
-	// Partitions is the campaign's simulator shard-count hint (see the
-	// Partitions option). Jobs that build partitionable simulations
-	// thread it into their engine config; jobs may ignore it.
-	Partitions int
 
 	ctx       context.Context
 	statsJSON []byte
@@ -92,13 +88,12 @@ type Summary struct {
 
 // config collects the campaign options.
 type config struct {
-	name       string
-	parallel   int
-	partitions int
-	seed       int64
-	timeout    time.Duration
-	ctx        context.Context
-	progress   func(done, total int, r Result)
+	name     string
+	parallel int
+	seed     int64
+	timeout  time.Duration
+	ctx      context.Context
+	progress func(done, total int, r Result)
 }
 
 // Option configures a campaign run.
@@ -114,15 +109,6 @@ func Parallel(n int) Option { return func(c *config) { c.parallel = n } }
 
 // Seed sets the campaign seed that every per-job seed is derived from.
 func Seed(s int64) Option { return func(c *config) { c.seed = s } }
-
-// Partitions sets the shard-count hint handed to every job via
-// Ctx.Partitions: jobs that run partitionable simulations (internal/psim)
-// execute on that many parallel shards. Like Parallel it trades wall time
-// only — any count >= 1 is bit-identical to 1 — but unlike Parallel it is
-// visible to job bodies, because engaging the partition engine at all
-// (0 vs >= 1) changes how a simulation's stop condition is quantized.
-// Negative values are treated as zero.
-func Partitions(n int) Option { return func(c *config) { c.partitions = n } }
 
 // Timeout bounds each job's wall time. A job exceeding it is reported
 // as a timed-out failure; its goroutine is abandoned (it keeps whatever
@@ -245,9 +231,6 @@ func runOne(j Job, i int, cfg config) Result {
 		return r
 	}
 	ctx := &Ctx{Name: j.Name, Seed: r.Seed, ctx: cfg.ctx}
-	if cfg.partitions > 0 {
-		ctx.Partitions = cfg.partitions
-	}
 	ch := make(chan outcome, 1) // buffered: an abandoned body must not block forever
 	start := time.Now()
 	go func() {

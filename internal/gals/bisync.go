@@ -88,15 +88,16 @@ func (f *PausibleBisyncFIFO[T]) pauseIfConflict(c, from *sim.Clock) {
 	// modulo test pauses at the wrong phase or misses conflicts.
 	//
 	// The toggle happens on from's current edge, so from.Now is the
-	// crossing instant (identical to Simulator.Now sequentially, and the
-	// only defined time in a partitioned run). CrossingPause carries the
-	// instant so the kernel can reproduce its due-list-freeze semantics
-	// across shards.
+	// crossing instant. When c is due at that same instant its edge still
+	// fires (the kernel fixed the step's due set before any edge ran);
+	// the pause moves the edge after it.
 	now := from.Now()
-	if c.CrossingPause(from, now, now+f.window) {
+	until := now + f.window
+	if c.NextEdge() < until {
+		c.Pause(until)
 		f.Pauses++
 		if f.sub != nil {
-			f.sub.EmitOn(from.Lane(), trace.KindStall, uint64(now), c.Cycle(), 1)
+			f.sub.Emit(trace.KindStall, uint64(now), c.Cycle(), 1)
 		}
 	}
 }
@@ -106,9 +107,8 @@ func (f *PausibleBisyncFIFO[T]) pauseIfConflict(c, from *sim.Clock) {
 // events, consumer clock for pop-side events).
 func (f *PausibleBisyncFIFO[T]) record(k trace.Kind, c *sim.Clock) {
 	now, cyc := uint64(c.Now()), c.Cycle()
-	lane := c.Lane()
 	occ := uint64(f.Occupancy())
-	f.sub.EmitOn(lane, k, now, cyc, occ)
+	f.sub.Emit(k, now, cyc, occ)
 	var valid, ready uint64
 	if f.rptr != f.wptr {
 		valid = 1
@@ -117,15 +117,15 @@ func (f *PausibleBisyncFIFO[T]) record(k trace.Kind, c *sim.Clock) {
 		ready = 1
 	}
 	if !f.tInit || valid != f.tLastValid {
-		f.sub.EmitOn(lane, trace.KindValid, now, cyc, valid)
+		f.sub.Emit(trace.KindValid, now, cyc, valid)
 		f.tLastValid = valid
 	}
 	if !f.tInit || ready != f.tLastReady {
-		f.sub.EmitOn(lane, trace.KindReady, now, cyc, ready)
+		f.sub.Emit(trace.KindReady, now, cyc, ready)
 		f.tLastReady = ready
 	}
 	if k == trace.KindPush || k == trace.KindPop {
-		f.sub.EmitOn(lane, trace.KindOcc, now, cyc, occ)
+		f.sub.Emit(trace.KindOcc, now, cyc, occ)
 	}
 	f.tInit = true
 }
@@ -240,18 +240,6 @@ func NewBruteForceSyncFIFO[T any](s *sim.Simulator, name string, prod, cons *sim
 	})
 	s.Design().AddSync(sim.SyncDecl{Name: name, Style: "brute-force", Prod: prod, Cons: cons, Depth: depth})
 	return f
-}
-
-// NewBruteForceSyncFIFOAnon builds the baseline FIFO without an explicit
-// name, deriving the simulator from the producer clock and a stable name
-// from the clock pair and synchronizer count.
-//
-// Deprecated: use NewBruteForceSyncFIFO, which takes the simulator and a
-// component name like the pausible sibling.
-func NewBruteForceSyncFIFOAnon[T any](prod, cons *sim.Clock, depth int) *BruteForceSyncFIFO[T] {
-	s := prod.Sim()
-	name := fmt.Sprintf("bfsync[%s-%s][%d]", prod.Name(), cons.Name(), s.Design().SyncCount())
-	return NewBruteForceSyncFIFO[T](s, name, prod, cons, depth)
 }
 
 // Occupancy returns the number of buffered entries as the producer

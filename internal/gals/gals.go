@@ -85,9 +85,6 @@ func NewClockGen(s *sim.Simulator, name string, nominalPS float64, noise *Supply
 	if adaptive {
 		clk := g.Clock
 		clk.AtCommit(func() {
-			// clk.Now, not s.Now: commit hooks run inside the clock's own
-			// edge, where clock-local time is the defined (and, in a
-			// partitioned run, the only shard-safe) time source.
 			v := noise.At(clk.Now())
 			g.Clock.SetPeriod(sim.Time(g.safePeriod(v)))
 		})

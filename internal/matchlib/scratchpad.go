@@ -90,8 +90,8 @@ func NewScratchpad[T any](clk *sim.Clock, name string, lanes, size int) *Scratch
 }
 
 // ArbitratedScratchpad is the banked memory with arbitration and queuing
-// (paper Table 2): per-lane request queues feed per-bank round-robin
-// arbiters, so conflicting lanes share bank bandwidth fairly while each
+// (paper Table 2): per-lane request queues feed a round-robin arbiter
+// per bank, so conflicting lanes share bank bandwidth fairly while each
 // lane observes its own responses in request order.
 type ArbitratedScratchpad[T any] struct {
 	Req []*connections.In[SPReq[T]]

@@ -99,7 +99,7 @@ func (r *WHVCRouter) DeclareSplit(port int, num, den int64) *WHVCRouter {
 func (r *WHVCRouter) run(th *sim.Thread) {
 	inUsed := make([]bool, r.nPorts)
 	// With every input VC empty the loop body below is a no-op (req stays
-	// zero for every output, so neither the arbiters nor the counters are
+	// zero for every output, so neither the arbiter state nor the counters are
 	// touched), so the thread parks until a flit is peekable. Peek never
 	// charges a wait in any cost model, making this safe even under
 	// ModeSignalAccurate.
@@ -171,7 +171,7 @@ func (r *WHVCRouter) forward(th *sim.Thread, o, i, v int) bool {
 		if r.sub != nil {
 			// Router-level back-pressure: the crossbar had a flit for
 			// output o but the downstream VC buffer refused it.
-			r.sub.EmitOn(r.clk.Lane(), trace.KindFull, uint64(r.clk.Now()), r.clk.Cycle(), uint64(o))
+			r.sub.Emit(trace.KindFull, uint64(r.clk.Now()), r.clk.Cycle(), uint64(o))
 		}
 		return false
 	}

@@ -101,7 +101,6 @@ func simConfig(spec Spec) soc.Config {
 	cfg.GALS = spec.GALS
 	cfg.StallP = spec.Stall
 	cfg.StallSeed = spec.Seed
-	cfg.Partitions = spec.Partitions
 	return cfg
 }
 

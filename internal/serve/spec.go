@@ -49,18 +49,15 @@ type Spec struct {
 	// submissions differing only here are the same content address.
 	Parallel int `json:"parallel,omitempty"`
 
-	// Partitions runs sim jobs on the partition-parallel engine with this
-	// many shards (internal/psim). Zero keeps the sequential kernel and —
-	// so pre-partition clients keep their content addresses — is absent
-	// from the canonical encoding. Any count >= 1 produces bit-identical
-	// results (the engine's core invariant), so the canonical form keeps
-	// only the fact that the epoch-quantized engine ran, not the width:
-	// partitions=2 and partitions=8 are the same content address.
+	// Partitions is accepted so that specs written for the removed
+	// partition-parallel engine still decode. Every kind runs on the one
+	// sequential kernel, so Normalize zeroes it and it never reaches the
+	// canonical encoding.
 	Partitions int `json:"partitions,omitempty"`
 
-	// Depth is the verify kind's unrolling bound. Like Partitions it is
-	// appended to the canonical encoding only when set, so every spec
-	// hash minted before the verify kind existed is unchanged.
+	// Depth is the verify kind's unrolling bound. It is appended to the
+	// canonical encoding only when set, so every spec hash minted before
+	// the verify kind existed is unchanged.
 	Depth int `json:"depth,omitempty"`
 }
 
@@ -92,6 +89,7 @@ func knownTest(name string, withFixtures bool) bool {
 // admission so equal work hashes equally however sparsely the client
 // spelled it.
 func (s *Spec) Normalize() error {
+	s.Partitions = 0 // decode-only; no runner reads it
 	switch s.Kind {
 	case KindSim:
 		if s.Test == "" {
@@ -117,9 +115,6 @@ func (s *Spec) Normalize() error {
 		}
 		if s.Stall == 0 {
 			s.Seed = 0 // unread without injection; don't fork the hash
-		}
-		if s.Partitions < 0 {
-			s.Partitions = 0
 		}
 		s.Messages, s.Seeds = 0, 0
 	case KindLint:
@@ -213,9 +208,6 @@ func (s *Spec) Normalize() error {
 		}
 		return fmt.Errorf("serve: unknown job kind %q", s.Kind)
 	}
-	if s.Kind != KindSim {
-		s.Partitions = 0 // only the sim runner reads it; don't fork hashes
-	}
 	if s.Kind != KindVerify {
 		s.Depth = 0 // only the verify runner reads it; don't fork hashes
 	}
@@ -229,7 +221,7 @@ func (s *Spec) Normalize() error {
 // every result-relevant field, always present, in fixed order. This is
 // the service's content address; two specs requesting the same work
 // produce the same bytes regardless of client-side field spelling,
-// omission, or shard width.
+// omission, or worker-pool width.
 func (s *Spec) Canonical() []byte {
 	var b strings.Builder
 	b.WriteString(`{"kind":`)
@@ -250,17 +242,10 @@ func (s *Spec) Canonical() []byte {
 	b.WriteString(strconv.Itoa(s.Messages))
 	b.WriteString(`,"seeds":`)
 	b.WriteString(strconv.Itoa(s.Seeds))
-	// Appended only when the partition engine is engaged, so every spec
-	// hash minted before the field existed is unchanged; and always as 1,
-	// because every shard count yields bit-identical results (the shard
-	// width is load-balancing, not content — like Parallel above).
-	if s.Partitions > 0 {
-		b.WriteString(`,"partitions":1`)
-	}
-	// Same append-only discipline for the verify bound: present only when
-	// the verify kind set it, so pre-verify spec hashes never move. The
-	// bound is content (a depth-64 proof and a depth-8 proof are different
-	// results), so unlike partitions the value itself is encoded.
+	// Append-only discipline for the verify bound: present only when the
+	// verify kind set it, so pre-verify spec hashes never move. The bound
+	// is content (a depth-64 proof and a depth-8 proof are different
+	// results), so the value itself is encoded.
 	if s.Depth > 0 {
 		b.WriteString(`,"depth":`)
 		b.WriteString(strconv.Itoa(s.Depth))

@@ -139,7 +139,7 @@ const (
 	// produces a fixed token count on every declared port, so the actor
 	// participates in the balance equations.
 	ActorSDF ActorClass = iota
-	// ActorSwitch moves tokens data-dependently (routers, arbiters, NIs):
+	// ActorSwitch moves tokens data-dependently (routers, arbiter muxes, NIs):
 	// per-port rates are not fixed per firing, so the balance equations
 	// skip it and only the hardware port limit bounds its channels.
 	ActorSwitch
@@ -186,18 +186,6 @@ type SyncDecl struct {
 	Depth int
 }
 
-// Coupling records a cross-domain interaction that is not a declared
-// synchronizer: two clocks whose components read or write shared state
-// directly (a bus master addressing another region's memory, a
-// brute-force CDC probe, a testbench peeking across domains). The
-// partition planner treats couplings exactly like syncs when it decides
-// which shards must synchronize, so an undeclared one is the only way to
-// break the partition-parallel engine — declare them.
-type Coupling struct {
-	A, B *Clock
-	Why  string // human-readable provenance, e.g. "axi: rv reads gml.mem"
-}
-
 // Partition labels a component subtree as one clock region; the SoC
 // builder marks each node partition so CDC diagnostics can name the
 // regions a bad crossing joins.
@@ -222,7 +210,6 @@ type Design struct {
 	ports      []*PortDecl
 	channels   []*ChannelDecl
 	syncs      []*SyncDecl
-	couplings  []Coupling
 	partitions []Partition
 	actors     []*ActorDecl
 	splits     []SplitDecl
@@ -275,19 +262,6 @@ func (d *Design) AddSync(s SyncDecl) *SyncDecl {
 	return &ss
 }
 
-// AddCoupling records a direct cross-domain interaction between clocks
-// a and b (see Coupling). Same-clock and nil entries are ignored so
-// callers can declare unconditionally.
-func (d *Design) AddCoupling(a, b *Clock, why string) {
-	if a == nil || b == nil || a == b {
-		return
-	}
-	d.couplings = append(d.couplings, Coupling{A: a, B: b, Why: why})
-}
-
-// Couplings returns the declared direct couplings in declaration order.
-func (d *Design) Couplings() []Coupling { return d.couplings }
-
 // MarkPartition labels the component subtree at path as one clock
 // region.
 func (d *Design) MarkPartition(path string, clk *Clock) {
@@ -326,10 +300,6 @@ func (d *Design) Channels() []*ChannelDecl { return d.channels }
 
 // Syncs returns the registered synchronizers in registration order.
 func (d *Design) Syncs() []*SyncDecl { return d.syncs }
-
-// SyncCount returns the number of registered synchronizers; the
-// deprecated anonymous FIFO constructor uses it to derive stable names.
-func (d *Design) SyncCount() int { return len(d.syncs) }
 
 // Partitions returns the labelled clock regions in marking order.
 func (d *Design) Partitions() []Partition { return d.partitions }

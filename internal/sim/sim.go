@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/stats"
@@ -20,18 +19,12 @@ const Infinity Time = math.MaxUint64
 
 // Simulator owns clocks, threads, components, and simulated time.
 type Simulator struct {
-	clocks  []*Clock
-	now     Time
+	clocks []*Clock
+	now    Time
+	// stopped is atomic so that Stop may be called from a goroutine
+	// other than the one stepping the kernel.
 	stopped atomic.Bool
-	// aborted is the hard-stop flag: set only on thread panics, it
-	// terminates partition workers mid-window. Cooperative Stop sets
-	// only stopped, which partitioned runs honour at window barriers —
-	// a mid-window stop would truncate shards at whatever key each had
-	// reached, making the result depend on the shard count.
-	aborted atomic.Bool
-	errMu   sync.Mutex
 	err     error
-	errKey  uint64 // edge key of err, for deterministic first-panic merge
 
 	// ordered caches s.clocks sorted by name for deterministic coincident
 	// edge firing; due is the reusable scratch list of clocks firing at
@@ -46,10 +39,6 @@ type Simulator struct {
 	design  *Design
 
 	tracer *trace.Recorder
-
-	// engine is non-nil while a partition-parallel run (see partition.go)
-	// is executing; the sequential kernel never sets it.
-	engine *Engine
 }
 
 // New returns an empty simulator at time zero.
@@ -57,37 +46,29 @@ func New() *Simulator {
 	return &Simulator{}
 }
 
-// Now returns the current simulated time. During a partition-parallel
-// run global time is only defined at window barriers; components that
-// execute inside clock edges must use Clock.Now instead, which is the
-// same value in a sequential run and the shard-local time in a
-// partitioned one.
+// Now returns the current simulated time: the instant of the edge (or
+// coincident group of edges) being processed or last processed.
 func (s *Simulator) Now() Time { return s.now }
 
 // TotalEdges returns the number of clock edges processed so far, a proxy
-// for total simulation work across all domains. It is the sum of every
-// clock's cycle count, so sequential and partitioned runs agree.
+// for total simulation work across all domains: the sum of every clock's
+// cycle count.
 func (s *Simulator) TotalEdges() uint64 {
 	var t uint64
 	for _, c := range s.clocks {
-		t += c.cycle.Load()
+		t += c.cycle
 	}
 	return t
 }
 
-// Clocks returns the simulator's clocks in creation order. The partition
-// planner chunks this order into shards, so builders that create clocks
-// in spatial order (the SoC mesh is row-major) get spatially contiguous
-// shards for free.
+// Clocks returns the simulator's clocks in creation order.
 func (s *Simulator) Clocks() []*Clock {
 	return append([]*Clock(nil), s.clocks...)
 }
 
-// Stop requests that the simulation stop after the current edge completes.
-// It is safe to call from threads and hooks on any shard. A sequential
-// run stops before the next edge; a partition-parallel run finishes its
-// current window first (see Engine.Run), so the stopping point does not
-// depend on the shard count.
+// Stop requests that the simulation stop after the current edge completes;
+// no further edge runs until the stop is cleared (Drain steps past it). It
+// is safe to call from threads, hooks and other goroutines.
 func (s *Simulator) Stop() { s.stopped.Store(true) }
 
 // Stopped reports whether Stop has been called.
@@ -95,18 +76,6 @@ func (s *Simulator) Stopped() bool { return s.stopped.Load() }
 
 // Err returns the first error raised by a thread panic, if any.
 func (s *Simulator) Err() error { return s.err }
-
-// setErrAt records a thread-panic error stamped with the edge key (time,
-// clock order) it occurred at, keeping the error with the smallest key —
-// the one a sequential run would have hit first. Partitioned shards may
-// race to report panics from different edges; the merge makes the
-// surviving error deterministic. Callers must hold the engine lock in
-// partitioned mode; the sequential kernel is single-threaded.
-func (s *Simulator) setErrAt(key uint64, err error) {
-	if s.err == nil || key < s.errKey {
-		s.err, s.errKey = err, key
-	}
-}
 
 // Metrics returns the simulator's metrics registry, creating it on first
 // use. The kernel publishes its own counters under the "sim" component.
@@ -118,7 +87,7 @@ func (s *Simulator) Metrics() *stats.Registry {
 			emit("sim", "now_ps", float64(s.now))
 			for _, c := range s.clocks {
 				p := "sim/clk[" + c.name + "]"
-				emit(p, "cycles", float64(c.cycle.Load()))
+				emit(p, "cycles", float64(c.cycle))
 				emit(p, "period_ps", float64(c.period))
 				emit(p, "processes", float64(len(c.threads)))
 			}
@@ -260,48 +229,22 @@ func (c *Component) Source(fn func(stats.Emit)) {
 }
 
 // Clock is a clock domain. Processes and threads attach to exactly one
-// clock and observe its rising edges.
-//
-// The scheduling fields (next, cycle, pausedUntil, pauseImmuneAt) are
-// atomics because a partition-parallel run lets the far side of a
-// pausible bisync FIFO read and pause a clock owned by another shard;
-// the sequential kernel uses the same fields single-threaded. The
-// partition protocol (see partition.go) guarantees every cross-shard
-// access observes exactly the value a sequential run would, so the
-// atomics are for memory safety, not for ordering decisions.
+// clock and observe its rising edges. All clocks of a simulator are
+// stepped by one kernel goroutine, so the scheduling state is plain data.
 type Clock struct {
 	sim    *Simulator
 	name   string
 	period Time
-	next   atomic.Uint64 // time of next rising edge
-	cycle  atomic.Uint64
+	next   Time // time of next rising edge
+	cycle  uint64
 
-	// pausedUntil postpones edges (pausible clocking); pauseImmuneAt
-	// marks one edge time that fires despite a covering pause, because
-	// the pause was issued at that very instant — the moment the
-	// sequential kernel freezes its due list, making the edge immune.
-	pausedUntil   atomic.Uint64
-	pauseImmuneAt atomic.Uint64
+	// pausedUntil postpones edges (pausible clocking): while it lies
+	// beyond next, the next edge fires at pausedUntil instead.
+	pausedUntil Time
 
 	// now is the time of the clock's current (or most recent) rising
-	// edge. It is written only by the goroutine executing the clock's
-	// edges, and is the simulated-time source for everything that runs
-	// inside them.
+	// edge.
 	now Time
-
-	// ord is the clock's index in the simulator's name-sorted clock
-	// list, assigned when a partition plan is built; it tie-breaks
-	// coincident cross-shard edges exactly like the sequential kernel's
-	// name-ordered due list. shard and lane are set by the partition
-	// engine for the duration of a partitioned run.
-	ord   int
-	shard *Shard
-	lane  *trace.Lane
-
-	// arbiters are the shards that can pause this clock across a
-	// partition boundary; CrossingPause serializes racing pause
-	// decisions against them (see Engine.arbitratePause).
-	arbiters []*Shard
 
 	threads  []*thread
 	drives   []namedHook
@@ -329,9 +272,7 @@ func (s *Simulator) AddClock(name string, period, phase Time) *Clock {
 	if period == 0 {
 		panic("sim: zero clock period")
 	}
-	c := &Clock{sim: s, name: name, period: period}
-	c.next.Store(uint64(phase))
-	c.pauseImmuneAt.Store(uint64(Infinity))
+	c := &Clock{sim: s, name: name, period: period, next: phase}
 	s.clocks = append(s.clocks, c)
 	s.orderedDirty = true
 	return c
@@ -353,71 +294,33 @@ func (c *Clock) SetPeriod(p Time) {
 }
 
 // Cycle returns the number of rising edges seen so far.
-func (c *Clock) Cycle() uint64 { return c.cycle.Load() }
+func (c *Clock) Cycle() uint64 { return c.cycle }
 
 // Sim returns the owning simulator.
 func (c *Clock) Sim() *Simulator { return c.sim }
 
-// Now returns the time of the clock's current rising edge. Inside a
-// clock's edge it equals Simulator.Now in a sequential run; in a
-// partition-parallel run it is the only correct simulated-time source
-// for code executing in the clock's domain, because shards advance
-// their local times independently.
+// Now returns the time of the clock's current (or most recent) rising
+// edge. Inside the clock's edge it equals Simulator.Now.
 func (c *Clock) Now() Time { return c.now }
-
-// Lane returns the trace lane edge-local emissions should append to:
-// the owning shard's lane during a partitioned run, nil (the recorder's
-// default stream) otherwise.
-func (c *Clock) Lane() *trace.Lane { return c.lane }
 
 // Pause postpones the clock's next rising edge until at least t. Pausible
 // bisynchronous FIFOs use this to stretch a receiver clock while a
-// synchronization conflict window is open.
-//
-// Pause alone cannot express the sequential kernel's due-list freeze
-// (an edge due at the instant the pause is issued still fires); callers
-// that may pause a clock coincident with its own edge — the GALS FIFOs —
-// must use CrossingPause, which carries the issuing instant.
+// synchronization conflict window is open. An edge already due at the
+// instant of the pause still fires: the kernel fixes each step's due set
+// before any edge runs, so the pause moves the edge after it.
 func (c *Clock) Pause(until Time) {
-	maxStore(&c.pausedUntil, uint64(until))
-}
-
-// maxStore raises a to at least v (monotonic CAS max).
-func maxStore(a *atomic.Uint64, v uint64) {
-	for {
-		old := a.Load()
-		if v <= old || a.CompareAndSwap(old, v) {
-			return
-		}
+	if until > c.pausedUntil {
+		c.pausedUntil = until
 	}
 }
 
-// nextEdge returns the effective time of the next rising edge as the
-// sequential kernel's due-list scan sees it: the scheduled edge, or the
-// pause deadline when a pause covers it.
+// nextEdge returns the effective time of the next rising edge: the
+// scheduled edge, or the pause deadline when a pause covers it.
 func (c *Clock) nextEdge() Time {
-	next := c.next.Load()
-	if pu := c.pausedUntil.Load(); pu > next {
-		return Time(pu)
+	if c.pausedUntil > c.next {
+		return c.pausedUntil
 	}
-	return Time(next)
-}
-
-// dueEdge returns the time of the next edge honouring pause immunity:
-// an edge at pauseImmuneAt fires at its original instant even though a
-// pause covers it, reproducing the sequential kernel's frozen due list
-// without needing a global snapshot. The partition scheduler uses this;
-// the sequential kernel's snapshot achieves the same thing structurally.
-func (c *Clock) dueEdge() Time {
-	next := c.next.Load()
-	e := next
-	if pu := c.pausedUntil.Load(); pu > e {
-		e = pu
-	}
-	if im := c.pauseImmuneAt.Load(); im >= next && im < e {
-		e = im
-	}
-	return Time(e)
+	return c.next
 }
 
 // NextEdge returns the time of the clock's next scheduled rising edge,
@@ -426,52 +329,6 @@ func (c *Clock) dueEdge() Time {
 // it, which a naive now-modulo-period phase test gets wrong as soon as
 // the clock has been paused or carries a phase offset.
 func (c *Clock) NextEdge() Time { return c.nextEdge() }
-
-// CrossingPause implements the receiver-side half of a pausible clock
-// crossing: called from an edge of another domain at instant now, it
-// pauses c until `until` when c's next sampling edge falls inside the
-// conflict window [now, until), and reports whether it did — the
-// caller's cue to count the pause and emit its stall event.
-//
-// Sequentially this is exactly the old "if NextEdge() < until { Pause }"
-// sequence. In a partition-parallel run it additionally
-//
-//   - waits until every shard that could issue an earlier-keyed pause on
-//     c has advanced past the caller's edge key, so the pause-or-not
-//     decision reads the same pausedUntil value a sequential run would
-//     (the Engine's pause arbitration — the only cross-shard slow path);
-//   - marks c's edge immune when the pause lands at the edge's own
-//     instant, reproducing the sequential kernel's frozen due list.
-//
-// The fast path — no conflict — is two atomic loads and no locking:
-// c's schedule can only move later while its shard is blocked, so a
-// stale read errs toward entering the slow path, never toward skipping
-// a pause.
-func (c *Clock) CrossingPause(from *Clock, now, until Time) bool {
-	if c.nextEdge() >= until {
-		return false
-	}
-	if e := c.sim.engine; e != nil && from.shard != nil && c.shard != from.shard {
-		e.arbitratePause(c, from, now)
-	}
-	// Decision re-read: in partitioned mode every earlier-keyed pause on
-	// c has now been applied, so this is the sequential value.
-	paused := c.nextEdge() < until
-	if paused {
-		if uint64(now) == c.dueEdge().asU64() {
-			// The pause lands at c's own due instant: that edge was
-			// already committed to fire (sequential due lists freeze
-			// before edges run), so mark it immune before deferring
-			// later ones.
-			c.pauseImmuneAt.Store(uint64(now))
-		}
-		maxStore(&c.pausedUntil, uint64(until))
-	}
-	return paused
-}
-
-// asU64 is a readability helper for packing times into atomics.
-func (t Time) asU64() uint64 { return uint64(t) }
 
 // AtDrive registers f to run in the drive phase of every edge.
 func (c *Clock) AtDrive(f func()) { c.AtDriveNamed("", f) }
@@ -546,37 +403,19 @@ func (s *Simulator) Processes() []ProcessInfo {
 	return out
 }
 
-// recordPanic stops the simulation and merges err under the panic mutex,
-// so racing shards keep the deterministic earliest-edge panic.
-func (s *Simulator) recordPanic(key uint64, err error) {
-	s.errMu.Lock()
-	s.setErrAt(key, err)
-	s.errMu.Unlock()
-	s.stopped.Store(true)
-	s.aborted.Store(true)
-}
-
-// packKey packs an edge instant and its clock's name-order index into one
-// comparable word: (time << 8) | ord. Comparing packed keys reproduces the
-// sequential kernel's (time, then clock name) edge ordering in a single
-// atomic load, which is what the partition protocol runs on. Times within
-// 8 bits of saturation (only Infinity in practice) collapse to MaxUint64.
-func packKey(t Time, ord int) uint64 {
-	if t >= Time(math.MaxUint64>>8) {
-		return math.MaxUint64
+// recordPanic stops the simulation and records err; the first recorded
+// error wins.
+func (s *Simulator) recordPanic(err error) {
+	if s.err == nil {
+		s.err = err
 	}
-	return uint64(t)<<8 | uint64(ord)&0xff
+	s.stopped.Store(true)
 }
 
-// runEdgeAt executes one full rising edge of c at instant t. The caller
-// (sequential step loop or partition shard) guarantees t is the edge the
-// global (time, clock-name) order fires next among c's coupled clocks.
+// runEdgeAt executes one full rising edge of c at instant t.
 func (c *Clock) runEdgeAt(t Time) {
 	c.now = t
-	c.cycle.Add(1)
-	if c.lane != nil {
-		c.lane.BeginEdge(uint64(t), uint32(c.ord))
-	}
+	c.cycle++
 
 	// Phase 1: threads, in registration order. Parked threads are
 	// serviced at their slot without a coroutine switch.
@@ -633,12 +472,10 @@ func (c *Clock) runEdgeAt(t Time) {
 		c.monitors[i].fn()
 	}
 
-	c.next.Store(uint64(t + c.period))
-	if pu := c.pausedUntil.Load(); pu != 0 && Time(pu) <= t {
-		c.pausedUntil.Store(0)
+	c.next = t + c.period
+	if c.pausedUntil != 0 && c.pausedUntil <= t {
+		c.pausedUntil = 0
 	}
-	// Any immunity was for this edge; the next one starts unprotected.
-	c.pauseImmuneAt.Store(uint64(Infinity))
 }
 
 // nextEventTime returns the earliest pending edge time across all clocks
@@ -730,8 +567,8 @@ func (s *Simulator) Run(maxTime Time) {
 
 // RunCycles runs until clock c has advanced n more rising edges, or Stop.
 func (s *Simulator) RunCycles(c *Clock, n uint64) {
-	target := c.cycle.Load() + n
-	for c.cycle.Load() < target && s.Step() {
+	target := c.cycle + n
+	for c.cycle < target && s.Step() {
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -118,6 +119,58 @@ func TestPausePostponesEdge(t *testing.T) {
 	s.RunCycles(c, 2)
 	if len(edges) != 3 || edges[1] != 2500 || edges[2] != 3500 {
 		t.Fatalf("edges = %v, want [0 2500 3500]", edges)
+	}
+}
+
+// TestCrossClockPause pins the multi-clock pause semantics the pausible
+// FIFOs rely on. Clock "a" (name-earlier, so first in a coincident step)
+// runs the FIFOs' conflict test against clock "b" at its edge at 200:
+// pause b until 200+window when b's next edge falls inside the window.
+func TestCrossClockPause(t *testing.T) {
+	cases := []struct {
+		name           string
+		bPhase, window Time
+		paused         bool
+		wantB          []Time
+	}{
+		// b is due at 200 too: that edge was in the step's due set
+		// before a's edge ran, so it still fires at 200, and the edge
+		// after it lands on the pause deadline instead of at 300.
+		{"coincident edge fires, next lands on deadline", 0, 130, true, []Time{0, 100, 200, 330, 430}},
+		// b's next edge (250) lies outside [200, 240): no pause, no shift.
+		{"window short of next edge is a no-op", 50, 40, false, []Time{50, 150, 250, 350, 450}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			a := s.AddClock("a", 100, 0)
+			b := s.AddClock("b", 100, tc.bPhase)
+			var aEdges, bEdges []Time
+			paused := false
+			a.AtCommit(func() {
+				aEdges = append(aEdges, a.Now())
+				if a.Now() != 200 {
+					return
+				}
+				if until := a.Now() + tc.window; b.NextEdge() < until {
+					b.Pause(until)
+					paused = true
+				} else {
+					b.Pause(until) // an uncovered pause must change nothing
+				}
+			})
+			b.AtCommit(func() { bEdges = append(bEdges, b.Now()) })
+			s.Run(500)
+			if paused != tc.paused {
+				t.Fatalf("conflict test paused=%v, want %v", paused, tc.paused)
+			}
+			if !reflect.DeepEqual(bEdges, tc.wantB) {
+				t.Errorf("b edges = %v, want %v", bEdges, tc.wantB)
+			}
+			if want := []Time{0, 100, 200, 300, 400}; !reflect.DeepEqual(aEdges, want) {
+				t.Errorf("a edges = %v, want %v", aEdges, want)
+			}
+		})
 	}
 }
 

@@ -88,7 +88,7 @@ func (t *Thread) WaitFor(pred func() bool) {
 func (t *Thread) Clock() *Clock { return t.t.clock }
 
 // Cycle returns the current cycle count of the thread's clock.
-func (t *Thread) Cycle() uint64 { return t.t.clock.cycle.Load() }
+func (t *Thread) Cycle() uint64 { return t.t.clock.cycle }
 
 // Sim returns the owning simulator.
 func (t *Thread) Sim() *Simulator { return t.t.clock.sim }
@@ -104,9 +104,7 @@ func (th *thread) start() {
 	th.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				c := th.clock
-				c.sim.recordPanic(packKey(c.now, c.ord),
-					fmt.Errorf("sim: thread %q panicked: %v", th.name, r))
+				th.clock.sim.recordPanic(fmt.Errorf("sim: thread %q panicked: %v", th.name, r))
 			}
 			th.finished = true
 		}()

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // hbLoad attaches to c a thread and drive/commit hooks that all read and
 // write *x, a plain non-atomic variable. The kernel alone orders these
@@ -28,9 +25,7 @@ func hbLoad(c *Clock, x *uint64) {
 }
 
 // TestThreadSwitchOrdersMemory drives hbLoad over many edges on one
-// clock, on two clocks with coincident edges sharing one variable, and
-// under the partition engine, where a window's shard goroutine resumes
-// coroutines that an earlier window's goroutine suspended.
+// clock and on two clocks with coincident edges sharing one variable.
 func TestThreadSwitchOrdersMemory(t *testing.T) {
 	const horizon = 40_000
 
@@ -53,38 +48,6 @@ func TestThreadSwitchOrdersMemory(t *testing.T) {
 		s.Run(horizon)
 		if x == 0 || slow.Cycle() == 0 || fast.Cycle() != 2*slow.Cycle() {
 			t.Fatalf("x=%d fast=%d slow=%d: edges did not coincide as built", x, fast.Cycle(), slow.Cycle())
-		}
-	})
-
-	t.Run("partitioned", func(t *testing.T) {
-		// Two shards of two clocks; each shard's clocks share one
-		// variable, so accesses never cross shard goroutines.
-		build := func() (*Simulator, []*Clock, []uint64) {
-			s := New()
-			var clocks []*Clock
-			for i := 0; i < 4; i++ {
-				clocks = append(clocks, s.AddClock(fmt.Sprintf("c%d", i), Time(10+3*i), Time(i)))
-			}
-			x := make([]uint64, 2)
-			for i, c := range clocks {
-				hbLoad(c, &x[i/2])
-			}
-			return s, clocks, x
-		}
-		ref, _, want := build()
-		ref.Run(horizon)
-
-		s, clocks, got := build()
-		e, err := NewEngine(s, [][]*Clock{clocks[:2], clocks[2:]}, [][2]*Clock{{clocks[1], clocks[2]}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, h := range []Time{horizon / 4, horizon / 2, 3 * horizon / 4, horizon} {
-			e.Run(h)
-		}
-		e.Close()
-		if got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("partitioned run left %v, sequential %v", got, want)
 		}
 	})
 }

@@ -71,7 +71,6 @@ func RunFig6Campaign(maxCycles uint64, parallel int, extra ...exp.Option) ([]Fig
 					cfg.Mode = mc.mode
 					cfg.ShadowNetlists = true // full RTL-cosim cost in RTL mode
 					cfg.StallSeed = c.Seed
-					cfg.Partitions = c.Partitions
 					s, verify := tc.Build(cfg)
 					start := time.Now()
 					cycles, err := s.Run(maxCycles)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/connections"
 	"repro/internal/gals"
 	"repro/internal/noc"
-	"repro/internal/psim"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -39,16 +38,6 @@ type Config struct {
 	StallP       float64 // verification stall injection probability
 	StallSeed    int64
 	ClockPS      sim.Time // nominal partition clock period
-
-	// Partitions selects the execution engine: 0 runs the legacy
-	// sequential kernel (byte-compatible with every pre-partition
-	// artifact); N >= 1 runs the partition-parallel engine with N shards
-	// and epoch-quantized stop checks. All N >= 1 produce identical
-	// results to each other — including N=1 — because edge execution is
-	// bit-identical to sequential and the firmware-exit check moves to
-	// deterministic window boundaries; only the boundary quantization
-	// (a few extra idle cycles after exit) distinguishes N >= 1 from 0.
-	Partitions int
 
 	// Trace arms channel-level handshake tracing for the whole chip:
 	// every LI channel, router, and pausible CDC FIFO records push/pop
@@ -269,14 +258,6 @@ func New(cfg Config, firmware []uint32) *SoC {
 		sr := axi.NewMemSlaveBacked(clk, "soc/axi/gmr", s.GMR.Mem)
 		axi.Connect(clk, "soc/axi/s0", 2, ic.SlavePorts[0], sl.Port, opts...)
 		axi.Connect(clk, "soc/axi/s1", 2, ic.SlavePorts[1], sr.Port, opts...)
-
-		// The control-plane port makes the RISC-V clock touch the memory
-		// arrays owned by the GML/GMR partitions without a synchronizer in
-		// between — a direct coupling the partition planner must know
-		// about so those shards serialize against the controller's shard.
-		// (AddCoupling is a no-op in single-clock builds.)
-		s.Sim.Design().AddCoupling(clk, clockOf[NodeGML], "axi: rv control port into gml mem")
-		s.Sim.Design().AddCoupling(clk, clockOf[NodeGMR], "axi: rv control port into gmr mem")
 	}
 
 	s.Pauses = func() uint64 {
@@ -289,35 +270,13 @@ func New(cfg Config, firmware []uint32) *SoC {
 	return s
 }
 
-// epochCycles sizes the partition engine's stop-check window: shards run
-// free for this many nominal clock periods between firmware-exit checks.
-// Larger windows amortize the window barrier; the only cost is up to one
-// window of idle cycles simulated past the firmware's exit store.
-const epochCycles = 64
-
 // Run executes until the firmware writes RegTestExit or maxCycles of the
 // controller clock elapse. It returns elapsed controller cycles.
-//
-// With Config.Partitions == 0 this is the classic sequential step loop;
-// with Partitions >= 1 the clocks are sharded onto worker goroutines and
-// the exit condition is checked at fixed epoch boundaries, so the result
-// is identical for every shard count (see Config.Partitions).
 func (s *SoC) Run(maxCycles uint64) (uint64, error) {
 	start := s.RVClk.Cycle()
-	if s.Cfg.Partitions > 0 {
-		eng, err := psim.Attach(s.Sim, s.Cfg.Partitions)
-		if err != nil {
-			return 0, err
-		}
-		psim.RunWindows(s.Sim, eng, s.Cfg.ClockPS*epochCycles, func() bool {
-			return s.RV.Exited || s.RVClk.Cycle()-start >= maxCycles
-		})
-		eng.Close()
-	} else {
-		for !s.RV.Exited && s.RVClk.Cycle()-start < maxCycles {
-			if !s.Sim.Step() {
-				break
-			}
+	for !s.RV.Exited && s.RVClk.Cycle()-start < maxCycles {
+		if !s.Sim.Step() {
+			break
 		}
 	}
 	if err := s.Sim.Err(); err != nil {

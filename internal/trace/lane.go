@@ -2,14 +2,12 @@ package trace
 
 import "sort"
 
-// Lane is a per-shard event stream for partition-parallel simulation.
-// Each shard of a partitioned run appends to its own lane with no
-// synchronization; the kernel brackets every clock edge it executes with
-// BeginEdge, which stamps the segment with the edge's global scheduling
-// key — (time << 8) | clock-order — the exact total order the sequential
-// kernel fires edges in. MergeLanes then interleaves the segments by key,
-// reconstructing the event stream a sequential run of the same design
-// would have recorded, byte for byte.
+// Lane is a side event stream split into per-edge segments. A producer
+// opens a segment with BeginEdge, which stamps it with the edge's
+// ordering key — (time << 8) | clock-order — and emits into it with
+// EmitOn; MergeLanes then appends the segments to the recorder's stream
+// in key order. mc.Replay uses one lane to render a counterexample's
+// per-edge channel states into a recorder by simulated time.
 type Lane struct {
 	r      *Recorder
 	events []Event
@@ -17,9 +15,7 @@ type Lane struct {
 }
 
 // laneMark opens one edge segment: events[start:] up to the next mark
-// belong to the edge with the given global scheduling key. Keys within a
-// lane are strictly increasing, because a shard executes its edges in
-// global order restricted to its own clocks.
+// belong to the edge with the given ordering key.
 type laneMark struct {
 	start int
 	key   uint64
@@ -35,33 +31,27 @@ func (r *Recorder) NewLane() *Lane {
 }
 
 // BeginEdge opens a new segment for the edge at the given time whose
-// clock has the given name-order index. Called by the simulation kernel
-// once per executed edge, before any hook of that edge can emit.
+// clock has the given order index; ord breaks ties between coincident
+// edges.
 func (l *Lane) BeginEdge(time uint64, ord uint32) {
 	l.marks = append(l.marks, laneMark{start: len(l.events), key: laneKey(time, ord)})
 }
 
-// laneKey mirrors the kernel's edge-ordering key: (time, clock order)
-// packed into one comparable word. Ord must fit in 8 bits, which the
-// kernel's partition planner enforces (≤ 256 clocks).
+// laneKey packs (time, clock order) into one comparable word. Ord must
+// fit in 8 bits.
 func laneKey(time uint64, ord uint32) uint64 {
 	return time<<8 | uint64(ord)&0xff
 }
 
 // EmitOn appends one event to lane l, or to the recorder's default
-// stream when l is nil — the form every emission site uses so the same
-// component code serves sequential and partitioned runs:
-//
-//	if c.sub != nil {
-//		c.sub.EmitOn(c.clk.Lane(), trace.KindPush, now, cycle, occ)
-//	}
+// stream when l is nil.
 //
 // Lanes are capped at the recorder's limit; MergeLanes accounts lane
 // overflow into the recorder's dropped count, so the merged stream and
-// drop total match a sequential run's exactly. (A merged prefix of
-// length ≤ limit can draw at most limit events from any one lane, so a
-// per-lane cap at the global limit never drops an event the sequential
-// run would have kept.)
+// drop total match what direct Emit calls in key order would have
+// recorded. (A merged prefix of length ≤ limit can draw at most limit
+// events from any one lane, so a per-lane cap at the global limit never
+// drops an event that direct emission would have kept.)
 func (s *Subject) EmitOn(l *Lane, k Kind, time, cycle, value uint64) {
 	if l == nil {
 		s.Emit(k, time, cycle, value)
@@ -74,12 +64,8 @@ func (s *Subject) EmitOn(l *Lane, k Kind, time, cycle, value uint64) {
 }
 
 // MergeLanes appends the lanes' edge segments to the recorder's event
-// stream in global scheduling-key order and retires the lanes. Segment
-// keys are unique across lanes (one edge belongs to one clock, one clock
-// to one shard), so the interleaving is total and deterministic: the
-// result is the event order of the equivalent sequential run. Events
-// beyond the recorder's limit are dropped and counted, again matching
-// the sequential run's accounting.
+// stream in key order and retires the lanes. Events beyond the
+// recorder's limit are dropped and counted, as Emit would.
 func (r *Recorder) MergeLanes(lanes []*Lane) {
 	type seg struct {
 		lane       *Lane

@@ -81,9 +81,9 @@ func benchRTL(b *testing.B, backend rtl.Backend) {
 func BenchmarkRTLInterp(b *testing.B)   { benchRTL(b, rtl.BackendInterp) }
 func BenchmarkRTLCompiled(b *testing.B) { benchRTL(b, rtl.BackendCompiled) }
 
-// TestRTLPerfGate is the regression gate for the compiled hot path,
-// modeled on PARTITION_PERF_GATE: opt-in via RTL_PERF_GATE=1 because
-// wall-clock throughput is machine-dependent. It fails when the
+// TestRTLPerfGate is the regression gate for the compiled hot path. It
+// is opt-in via RTL_PERF_GATE=1 because wall-clock throughput is
+// machine-dependent. It fails when the
 // compiled backend falls under minSpeedup× the interpreter on any
 // bench design. The floor sits well below the 5-9× a quiet machine
 // records in BENCH_rtl.json: its job is to catch a silent fallback to
