@@ -14,12 +14,18 @@ test: build
 # worker pool and the tracing layer), run the full SoC suite with channel
 # tracing armed, enforce the disarmed tracing overhead budget (<= 2%
 # over the untraced primitives), and hold the compiled RTL backend's
-# throughput floor over the interpreter.
+# throughput floor over the interpreter. The two network-facing
+# decoders (wire frames, job specs) are fuzzed for a fixed budget, and
+# the lint, rate and model checkers must pass the shipped designs and
+# catch their seeded-bug fixtures.
 check: vet
 	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
 	TRACE_OVERHEAD_GUARD=1 $(GO) test -run TestDisarmedOverheadGuard -v ./internal/connections
 	RTL_PERF_GATE=1 $(GO) test -count=1 -run TestRTLPerfGate -v .
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMsg$$' -fuzztime 10s ./internal/fleet/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/serve
+	$(MAKE) lint
 	$(MAKE) rateck
 	$(MAKE) mc
 	$(MAKE) serve-smoke
@@ -52,16 +58,23 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/detvet
 
-# Static design-rule check of every shipped SoC design, both clockings.
+# Static design-rule check of every shipped SoC design, both clockings;
+# the seeded-bug fixtures must be caught (badbuf only warns, so it is
+# not asserted here).
 lint:
 	$(GO) run ./cmd/socsim -test all -lint
 	$(GO) run ./cmd/socsim -test all -gals -lint
+	! $(GO) run ./cmd/socsim -test badcdc -lint
+	! $(GO) run ./cmd/socsim -test badloop -lint
+	! $(GO) run ./cmd/socsim -test badport -lint
 
 # Static communication-rate check (SDF balance, buffer sizing,
-# throughput bounds) of every shipped SoC design, both clockings.
+# throughput bounds) of every shipped SoC design, both clockings; the
+# mis-rated fixture must be caught.
 rateck:
 	$(GO) run ./cmd/socsim -test all -rateck
 	$(GO) run ./cmd/socsim -test all -gals -rateck
+	! $(GO) run ./cmd/socsim -test badrate -rateck
 
 # Bounded model check: every shipped design's declared channel graph,
 # plus both clean examples, must verify; both seeded-bug fixtures must

@@ -1,8 +1,9 @@
-// Command socgw is the fleet gateway: it fronts N socd workers with
-// the same HTTP/JSON API a single daemon exposes, sharding jobs across
-// the fleet by content hash (rendezvous hashing, so repeat specs hit
-// the worker whose cache already holds the result) and failing jobs
-// over when a worker dies mid-run.
+// Command socgw is the fleet gateway: socgw = serve front + fleet
+// executor. The front is the same HTTP/JSON surface, job table and
+// result cache a single socd runs, so repeats are answered at the door;
+// the executor shards admitted jobs across N socd workers by content
+// hash (rendezvous hashing, so a spec keeps landing on the worker whose
+// cache holds it) and fails jobs over when a worker dies mid-run.
 //
 //	socgw                                  # clients on :9190, workers on :9191
 //	socgw -addr :0 -worker-addr :0         # ephemeral ports (printed on stdout)

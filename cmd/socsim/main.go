@@ -233,19 +233,32 @@ func runLint(cfg soc.Config, testName, jsonPath string) int {
 // (soc.MCFixtures) are selectable by exact name but excluded from
 // "all", so "-test all -mc" asserts every shipped design's declared
 // subgraph is safe within the bound. Exit code 1 when any selected
-// design has an error-severity diagnostic.
+// design has an error-severity diagnostic; exit code 2 for an unknown
+// design, or for -mcjson/-mcvcd with more than one design selected
+// (each file holds one design's report).
 func runMC(cfg soc.Config, testName, jsonPath, vcdPath string, depth int) int {
 	cases := append(soc.Tests(), soc.ExtraTests()...)
 	if testName != "all" {
 		cases = append(cases, soc.MCExamples()...)
 		cases = append(cases, soc.MCFixtures()...)
 	}
-	any, failed := false, false
+	var selected []soc.TestCase
 	for _, tc := range cases {
-		if testName != "all" && tc.Name != testName {
-			continue
+		if testName == "all" || tc.Name == testName {
+			selected = append(selected, tc)
 		}
-		any = true
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "socsim: unknown test %q\n", testName)
+		return 2
+	}
+	if (jsonPath != "" || vcdPath != "") && len(selected) != 1 {
+		fmt.Fprintf(os.Stderr, "socsim: -mcjson and -mcvcd write one design's report; select one design with -test (%q selects %d)\n",
+			testName, len(selected))
+		return 2
+	}
+	failed := false
+	for _, tc := range selected {
 		s, _ := tc.Build(cfg)
 		r := mc.Check(s.Sim, mc.Options{Depth: depth})
 		fmt.Printf("%s:\n", tc.Name)
@@ -284,10 +297,6 @@ func runMC(cfg soc.Config, testName, jsonPath, vcdPath string, depth int) int {
 			}
 			fmt.Printf("wrote %s (%d samples, %d changes)\n", vcdPath, samples, changes)
 		}
-	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "socsim: unknown test %q\n", testName)
-		return 2
 	}
 	if failed {
 		return 1

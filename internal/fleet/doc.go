@@ -5,12 +5,14 @@
 //
 // # Topology
 //
-// Workers dial the gateway — one long-lived TCP connection each,
-// carrying the compact binary frames defined in the wire subpackage
-// (register/ack, heartbeats, submit/progress/result/shed). The
-// client-facing surface stays HTTP + NDJSON with exactly the daemon's
-// routes and shapes, so socctl points at a gateway or a lone socd
-// interchangeably.
+// socgw = serve front + fleet executor. The client-facing surface is
+// internal/serve's own front — routes, job table, LRU result cache,
+// event logs, drain — so socctl points at a gateway or a lone socd
+// interchangeably, and a repeat is answered at the door. The Gateway
+// here is the serve.Executor behind it, plus GET /workers. Workers dial
+// the gateway — one long-lived TCP connection each, carrying the
+// compact binary frames defined in the wire subpackage (register/ack,
+// heartbeats, submit/progress/result/shed).
 //
 // # Routing
 //

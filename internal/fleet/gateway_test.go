@@ -7,7 +7,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"strings"
@@ -335,5 +334,4 @@ func TestReregistrationReplacesWorker(t *testing.T) {
 	if len(ws) != 1 || ws[0].Name != "re-w1" {
 		t.Fatalf("fleet roster wrong after re-registration: %+v", ws)
 	}
-	_ = fmt.Sprintf // keep fmt imported if assertions change
 }

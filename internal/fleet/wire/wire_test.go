@@ -8,72 +8,74 @@ import (
 	"testing"
 )
 
-// golden pins the byte-exact encoding of every message type. A failure
-// here is a wire-format change: bump Version or append, never edit.
+// goldenFrames pins the byte-exact encoding of every message type. A
+// failure against it is a wire-format change: bump Version or append,
+// never edit.
+var goldenFrames = []struct {
+	name string
+	msg  Msg
+	hex  string
+}{
+	{
+		name: "register",
+		msg:  &Register{Name: "w1", Capacity: 16, Workers: 2},
+		hex: "f1ee" + "01" + "01" + "0000000e" + // header, len 14
+			"00000002" + "7731" + // "w1"
+			"00000010" + // capacity 16
+			"00000002", // workers 2
+	},
+	{
+		name: "ack",
+		msg:  &Ack{Gateway: "gw"},
+		hex:  "f1ee" + "01" + "02" + "00000006" + "00000002" + "6777",
+	},
+	{
+		name: "heartbeat",
+		msg:  &Heartbeat{Depth: 3, InFlight: 2, Capacity: 16},
+		hex: "f1ee" + "01" + "03" + "0000000c" +
+			"00000003" + "00000002" + "00000010",
+	},
+	{
+		name: "submit",
+		msg:  &Submit{Job: "job-7", Hash: 0x0123456789abcdef, Spec: []byte(`{"kind":"sim"}`)},
+		hex: "f1ee" + "01" + "04" + "00000023" +
+			"00000005" + hex.EncodeToString([]byte("job-7")) +
+			"0123456789abcdef" +
+			"0000000e" + hex.EncodeToString([]byte(`{"kind":"sim"}`)),
+	},
+	{
+		name: "progress",
+		msg: &Progress{Job: "job-7", Seq: 4, Event: "progress",
+			Done: 3, Total: 8, Label: "seed[3]", Cached: false},
+		hex: "f1ee" + "01" + "05" + "0000002d" +
+			"00000005" + hex.EncodeToString([]byte("job-7")) +
+			"00000004" +
+			"00000008" + hex.EncodeToString([]byte("progress")) +
+			"00000003" + "00000008" +
+			"00000007" + hex.EncodeToString([]byte("seed[3]")) +
+			"00",
+	},
+	{
+		name: "result",
+		msg: &Result{Job: "job-7", Status: StatusDone, Cached: true,
+			Error: "", Body: []byte("{\"ok\":true}\n")},
+		hex: "f1ee" + "01" + "06" + "0000001f" +
+			"00000005" + hex.EncodeToString([]byte("job-7")) +
+			"01" + "01" +
+			"00000000" +
+			"0000000c" + hex.EncodeToString([]byte("{\"ok\":true}\n")),
+	},
+	{
+		name: "shed",
+		msg:  &Shed{Job: "job-9", RetryAfter: 7, Depth: 16},
+		hex: "f1ee" + "01" + "07" + "00000011" +
+			"00000005" + hex.EncodeToString([]byte("job-9")) +
+			"00000007" + "00000010",
+	},
+}
+
 func TestGoldenFrames(t *testing.T) {
-	cases := []struct {
-		name string
-		msg  Msg
-		hex  string
-	}{
-		{
-			name: "register",
-			msg:  &Register{Name: "w1", Capacity: 16, Workers: 2},
-			hex: "f1ee" + "01" + "01" + "0000000e" + // header, len 14
-				"00000002" + "7731" + // "w1"
-				"00000010" + // capacity 16
-				"00000002", // workers 2
-		},
-		{
-			name: "ack",
-			msg:  &Ack{Gateway: "gw"},
-			hex:  "f1ee" + "01" + "02" + "00000006" + "00000002" + "6777",
-		},
-		{
-			name: "heartbeat",
-			msg:  &Heartbeat{Depth: 3, InFlight: 2, Capacity: 16},
-			hex: "f1ee" + "01" + "03" + "0000000c" +
-				"00000003" + "00000002" + "00000010",
-		},
-		{
-			name: "submit",
-			msg:  &Submit{Job: "job-7", Hash: 0x0123456789abcdef, Spec: []byte(`{"kind":"sim"}`)},
-			hex: "f1ee" + "01" + "04" + "00000023" +
-				"00000005" + hex.EncodeToString([]byte("job-7")) +
-				"0123456789abcdef" +
-				"0000000e" + hex.EncodeToString([]byte(`{"kind":"sim"}`)),
-		},
-		{
-			name: "progress",
-			msg: &Progress{Job: "job-7", Seq: 4, Event: "progress",
-				Done: 3, Total: 8, Label: "seed[3]", Cached: false},
-			hex: "f1ee" + "01" + "05" + "0000002d" +
-				"00000005" + hex.EncodeToString([]byte("job-7")) +
-				"00000004" +
-				"00000008" + hex.EncodeToString([]byte("progress")) +
-				"00000003" + "00000008" +
-				"00000007" + hex.EncodeToString([]byte("seed[3]")) +
-				"00",
-		},
-		{
-			name: "result",
-			msg: &Result{Job: "job-7", Status: StatusDone, Cached: true,
-				Error: "", Body: []byte("{\"ok\":true}\n")},
-			hex: "f1ee" + "01" + "06" + "0000001f" +
-				"00000005" + hex.EncodeToString([]byte("job-7")) +
-				"01" + "01" +
-				"00000000" +
-				"0000000c" + hex.EncodeToString([]byte("{\"ok\":true}\n")),
-		},
-		{
-			name: "shed",
-			msg:  &Shed{Job: "job-9", RetryAfter: 7, Depth: 16},
-			hex: "f1ee" + "01" + "07" + "00000011" +
-				"00000005" + hex.EncodeToString([]byte("job-9")) +
-				"00000007" + "00000010",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenFrames {
 		t.Run(tc.name, func(t *testing.T) {
 			var w Writer
 			if err := Append(&w, tc.msg); err != nil {
@@ -263,4 +265,34 @@ func TestWriterReuse(t *testing.T) {
 	if cap(w.B) != capBefore {
 		t.Errorf("writer reallocated: cap %d -> %d", capBefore, cap(w.B))
 	}
+}
+
+// FuzzReadMsg feeds arbitrary bytes to the decoder a gateway and a
+// worker run on every frame from the network. It must never panic, and
+// any frame it accepts must re-encode and decode to an equal message.
+func FuzzReadMsg(f *testing.F) {
+	for _, tc := range goldenFrames {
+		b, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, _, err := ReadMsg(bytes.NewReader(data), nil)
+		if err != nil {
+			return
+		}
+		var w Writer
+		if err := WriteMsg(io.Discard, &w, m); err != nil {
+			t.Fatalf("accepted %v does not re-encode: %v", m.Type(), err)
+		}
+		again, _, err := ReadMsg(bytes.NewReader(w.B), nil)
+		if err != nil {
+			t.Fatalf("re-encoded %v does not decode: %v", m.Type(), err)
+		}
+		if !reflect.DeepEqual(normalize(again), normalize(m)) {
+			t.Fatalf("round trip changed the message: %+v -> %+v", m, again)
+		}
+	})
 }

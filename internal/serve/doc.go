@@ -31,6 +31,11 @@
 //     (queued → start → progress* → done) replayed and tailed over
 //     chunked NDJSON, wired to exp.OnProgress for campaign jobs.
 //
+// The Server is the front — routes, job table, cache, event logs,
+// drain — over an Executor that runs admitted jobs: New wires the local
+// queue and worker pool, and internal/fleet wires a gateway over remote
+// workers through NewFront.
+//
 // Graceful drain (Server.Shutdown) stops admission, lets in-flight jobs
 // finish inside a deadline, cancels what remains through the campaign
 // context, and leaves no goroutines behind. /metrics and /healthz render

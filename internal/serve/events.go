@@ -21,14 +21,12 @@ func (e Event) Terminal() bool {
 	return e.Event == "done" || e.Event == "failed" || e.Event == "canceled"
 }
 
-// EventLog is a job's progress log plus its live subscribers. The full
+// eventLog is a job's progress log plus its live subscribers. The full
 // history is kept (job logs are small — one line per campaign job, plus
 // bookends), so a watcher attaching at any point gets every event
-// exactly once, in order. It is exported for the fleet layer
-// (internal/fleet), whose gateway keeps one log per proxied job and
-// republishes worker progress into it; inside this package every task
-// owns one.
-type EventLog struct {
+// exactly once, in order. Every Job owns one; a fleet worker
+// (internal/fleet) tails it to relay progress to its gateway.
+type eventLog struct {
 	mu     sync.Mutex
 	past   []Event
 	subs   map[int]chan Event
@@ -36,9 +34,9 @@ type EventLog struct {
 	closed bool
 }
 
-// NewEventLog returns an empty, open log.
-func NewEventLog() *EventLog {
-	return &EventLog{subs: make(map[int]chan Event)}
+// newEventLog returns an empty, open log.
+func newEventLog() *eventLog {
+	return &eventLog{subs: make(map[int]chan Event)}
 }
 
 // Publish appends the event (assigning its Seq) and fans it out. A
@@ -47,7 +45,7 @@ func NewEventLog() *EventLog {
 // HTTP handler reports the truncation. Events published after the
 // terminal one are dropped, which is what makes replays after a fleet
 // failover harmless: the first terminal event wins.
-func (h *EventLog) Publish(e Event) {
+func (h *eventLog) Publish(e Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -76,7 +74,7 @@ func (h *EventLog) Publish(e Event) {
 // the log is still open, a channel tailing future events (closed on the
 // terminal event). cancel detaches the subscriber; it is safe to call
 // after the channel closed.
-func (h *EventLog) Subscribe() (replay []Event, live <-chan Event, cancel func()) {
+func (h *eventLog) Subscribe() (replay []Event, live <-chan Event, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	replay = append([]Event(nil), h.past...)

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/stats"
 )
 
@@ -27,57 +26,30 @@ type Config struct {
 	Logf       func(format string, args ...any) // optional logger
 }
 
-// Server is the job service: admission queue, worker pool, result
-// cache, progress hubs, and the HTTP surface over them. Create with New,
-// mount Handler on an http.Server, and retire with Shutdown.
+// Server is the job service's front: the HTTP surface, job table,
+// result cache, progress logs and drain, over an Executor that runs the
+// admitted jobs. Create with New (local worker pool) or NewFront, mount
+// Handler on an http.Server, and retire with Shutdown.
 type Server struct {
 	cfg   Config
 	reg   *stats.Registry
 	cache *Cache
 	mux   *http.ServeMux
-
-	// jobCtx is the campaign context handed to every exp run; canceling
-	// it (the drain deadline path) fences in-flight jobs and completes
-	// queued ones as canceled without running them.
-	jobCtx     context.Context
-	cancelJobs context.CancelFunc
+	exec  Executor
 
 	mu       sync.Mutex
-	queue    chan *task
 	draining bool
-	jobs     map[string]*task
+	live     int           // admitted jobs not yet finished
+	idle     chan struct{} // closed once draining and live == 0
+	jobs     map[string]*Job
 	order    []string // job ids in submission order
 	seq      int
 
-	wg sync.WaitGroup // worker goroutines
-
 	// Counters read lock-free by stats sources and handlers.
-	submitted, completed, failed, canceled atomic.Int64
-	shed, depth, inFlight                  atomic.Int64
+	submitted, completed, failed, canceled, shed atomic.Int64
 }
 
-// task is one admitted (or cache-satisfied) job.
-type task struct {
-	id   string
-	spec Spec
-	hash uint64
-	hub  *EventLog
-	done chan struct{}
-
-	mu     sync.Mutex
-	status string // queued | running | done | failed | canceled
-	body   []byte
-	errMsg string
-	cached bool
-}
-
-func (t *task) snapshot() (status string, body []byte, errMsg string, cached bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.status, t.body, t.errMsg, t.cached
-}
-
-// New builds a server and starts its worker pool.
+// New builds a server over the local worker pool and starts the pool.
 func New(cfg Config) *Server {
 	if cfg.Workers < 1 {
 		cfg.Workers = 2
@@ -85,35 +57,38 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 16
 	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = 128
-	}
 	if cfg.JobTimeout == 0 {
 		cfg.JobTimeout = 10 * time.Minute
 	}
 	if cfg.JobTimeout < 0 {
 		cfg.JobTimeout = 0
 	}
+	s := NewFront(cfg, nil)
+	s.exec = newPool(s)
+	return s
+}
+
+// NewFront builds a server over exec. Only CacheSize and Logf of cfg
+// apply; the executor sizes itself. Register extra stats sources on
+// Metrics before serving traffic.
+func NewFront(cfg Config, exec Executor) *Server {
+	if cfg.CacheSize == 0 {
+		cfg.CacheSize = 128
+	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		reg:        stats.New(),
-		cache:      NewCache(cfg.CacheSize),
-		mux:        http.NewServeMux(),
-		jobCtx:     ctx,
-		cancelJobs: cancel,
-		queue:      make(chan *task, cfg.QueueDepth),
-		jobs:       make(map[string]*task),
+		cfg:   cfg,
+		reg:   stats.New(),
+		cache: NewCache(cfg.CacheSize),
+		mux:   http.NewServeMux(),
+		exec:  exec,
+		idle:  make(chan struct{}),
+		jobs:  make(map[string]*Job),
 	}
 	s.registerStats()
 	s.routes()
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -121,17 +96,17 @@ func New(cfg Config) *Server {
 // or extend the serve/* namespace.
 func (s *Server) Metrics() *stats.Registry { return s.reg }
 
-// registerStats publishes the daemon's own counters into the same
-// path/name namespace socsim -stats uses, so /metrics renders queue,
-// cache, and job health as one tree.
+// Completed reports how many jobs finished done: executed ones, and
+// repeats answered from the result cache at submission.
+func (s *Server) Completed() (executed, cacheHits int64) {
+	_, _, hits, _, _, _ := s.cache.Stats()
+	return s.completed.Load(), int64(hits)
+}
+
+// registerStats publishes the front's own counters into the same
+// path/name namespace socsim -stats uses, so /metrics renders cache and
+// job health as one tree.
 func (s *Server) registerStats() {
-	s.reg.Source("serve/queue", func(emit stats.Emit) {
-		emit("capacity", float64(s.cfg.QueueDepth))
-		emit("depth", float64(s.depth.Load()))
-		emit("in_flight", float64(s.inFlight.Load()))
-		emit("shed_total", float64(s.shed.Load()))
-		emit("workers", float64(s.cfg.Workers))
-	})
 	s.reg.Source("serve/cache", func(emit stats.Emit) {
 		size, capacity, hits, misses, evictions, bytes := s.cache.Stats()
 		emit("bytes", float64(bytes))
@@ -162,99 +137,36 @@ func (s *Server) routes() {
 // Handler returns the HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// newTask registers a task record under the next id. Callers hold no
-// locks; registration is internally synchronized.
-func (s *Server) newTask(spec Spec, hash uint64, status string) *task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// newJobLocked registers a job record under the next id; s.mu is held.
+func (s *Server) newJobLocked(spec Spec, hash uint64, status string) *Job {
 	s.seq++
-	t := &task{
+	j := &Job{
+		s:      s,
 		id:     fmt.Sprintf("job-%d", s.seq),
 		spec:   spec,
 		hash:   hash,
-		hub:    NewEventLog(),
+		hub:    newEventLog(),
 		done:   make(chan struct{}),
 		status: status,
 	}
-	s.jobs[t.id] = t
-	s.order = append(s.order, t.id)
-	return t
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	return j
 }
 
-// worker drains the admission queue until it closes (drain) and the
-// backlog is gone.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for t := range s.queue {
-		s.depth.Add(-1)
-		s.runTask(t)
+// settle moves the count of admitted, unfinished jobs and releases a
+// waiting Shutdown once a drain has nothing left in flight.
+func (s *Server) settle(delta int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.live += delta
+	if s.draining && s.live == 0 {
+		close(s.idle)
 	}
 }
 
-// runTask executes one admitted job through the exp runner, inheriting
-// its panic isolation, per-job timeout, derived seeding, and context
-// cancellation, then records the outcome and feeds the cache.
-func (s *Server) runTask(t *task) {
-	if s.jobCtx.Err() != nil {
-		s.canceled.Add(1)
-		s.finish(t, "canceled", nil, "canceled during drain")
-		return
-	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	t.mu.Lock()
-	t.status = "running"
-	t.mu.Unlock()
-	t.hub.Publish(Event{Event: "start", Label: t.spec.Kind})
-
-	sum := exp.Run([]exp.Job{{
-		Name: "job",
-		Run: func(c *exp.Ctx) (any, error) {
-			return Execute(c, t.spec, func(done, total int, label string) {
-				t.hub.Publish(Event{Event: "progress", Done: done, Total: total, Label: label})
-			})
-		},
-	}},
-		exp.Named("serve"),
-		exp.Seed(int64(t.hash)),
-		exp.WithContext(s.jobCtx),
-		exp.Timeout(s.cfg.JobTimeout),
-	)
-	r := sum.Results[0]
-	switch {
-	case r.Canceled:
-		s.canceled.Add(1)
-		s.finish(t, "canceled", nil, r.Err.Error())
-	case r.Failed():
-		s.failed.Add(1)
-		s.finish(t, "failed", nil, r.Err.Error())
-	default:
-		body := r.Value.([]byte)
-		// Two concurrent submissions of the same spec both compute here;
-		// the bodies are byte-identical by construction and Put keeps the
-		// first, so the race is harmless.
-		s.cache.Put(t.hash, body)
-		s.completed.Add(1)
-		s.finish(t, "done", body, "")
-	}
-}
-
-func (s *Server) finish(t *task, status string, body []byte, errMsg string) {
-	t.mu.Lock()
-	t.status, t.body, t.errMsg = status, body, errMsg
-	t.mu.Unlock()
-	ev := Event{Event: status}
-	if errMsg != "" {
-		ev.Error = errMsg
-	}
-	t.hub.Publish(ev)
-	close(t.done)
-	s.cfg.Logf("serve: %s %s %s [%s]", t.id, t.spec.Kind, status, HashString(t.hash))
-}
-
-// BeginDrain stops admission: subsequent submissions get 503, and the
-// queue channel closes so workers exit once the backlog is processed.
-// Idempotent.
+// BeginDrain stops admission: subsequent submissions get 503. Jobs
+// already admitted keep running. Idempotent.
 func (s *Server) BeginDrain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,31 +174,24 @@ func (s *Server) BeginDrain() {
 		return
 	}
 	s.draining = true
-	// Admission sends happen under s.mu, so closing under the same lock
-	// can never race a send on the closed channel.
-	close(s.queue)
+	if s.live == 0 {
+		close(s.idle)
+	}
 }
 
-// Shutdown is the graceful-drain path: stop admitting, let queued and
-// in-flight jobs finish until ctx expires, then cancel the rest through
-// the campaign context, wait for the workers, and flush a final stats
-// snapshot to the log. The goroutine count returns to its pre-New level.
+// Shutdown is the graceful-drain path: stop admitting, let admitted
+// jobs finish until ctx expires, then drain the executor — which
+// cancels or abandons what remains — and flush a final stats snapshot
+// to the log. The goroutine count returns to its pre-New level.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	var err error
 	select {
-	case <-done:
+	case <-s.idle:
 	case <-ctx.Done():
 		err = ctx.Err()
-		s.cancelJobs()
-		<-done
 	}
-	s.cancelJobs() // release the context in the clean-drain path too
+	s.exec.Drain(ctx)
 	var buf bytes.Buffer
 	if werr := s.reg.WriteJSON(&buf); werr == nil {
 		s.cfg.Logf("serve: final stats\n%s", buf.String())
@@ -304,17 +209,22 @@ type submitResponse struct {
 	Cached bool   `json:"cached"`
 }
 
-// statusResponse is the GET /jobs[/{id}] reply row.
+// statusResponse is the GET /jobs[/{id}] reply row. Worker is set only
+// when the executor named one (a fleet gateway's worker).
 type statusResponse struct {
 	ID     string `json:"id"`
 	Kind   string `json:"kind"`
 	Hash   string `json:"hash"`
 	Status string `json:"status"`
 	Cached bool   `json:"cached"`
+	Worker string `json:"worker,omitempty"`
 	Error  string `json:"error,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the service's indented JSON reply with the
+// given status code. Hosts that mount extra routes beside Handler use
+// it so every reply has one shape.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -323,7 +233,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -346,6 +256,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrDraining):
 			w.Header().Set("Retry-After", "30")
 			writeErr(w, http.StatusServiceUnavailable, "draining: not admitting jobs")
+		case errors.Is(err, ErrNoCapacity):
+			w.Header().Set("Retry-After", "5")
+			writeErr(w, http.StatusServiceUnavailable, "%v", err)
 		case errors.As(err, &qf):
 			w.Header().Set("Retry-After", strconv.Itoa(qf.RetryAfter))
 			writeErr(w, http.StatusTooManyRequests, "queue full (%d deep): retry after %ds",
@@ -355,56 +268,59 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	t := sub.t
+	j := sub.j
 	if sub.Cached {
 		if wait {
-			s.writeResult(w, t)
+			s.writeResult(w, j)
 			return
 		}
-		writeJSON(w, http.StatusOK, submitResponse{
-			ID: t.id, Hash: HashString(sub.Hash), Status: "done", Cached: true,
+		WriteJSON(w, http.StatusOK, submitResponse{
+			ID: j.id, Hash: HashString(sub.Hash), Status: "done", Cached: true,
 		})
 		return
 	}
 	if wait {
 		select {
-		case <-t.done:
-			s.writeResult(w, t)
+		case <-j.done:
+			s.writeResult(w, j)
 		case <-r.Context().Done():
 			// Client gave up; the job keeps running and stays pollable.
-			writeErr(w, http.StatusRequestTimeout, "client canceled while waiting for %s", t.id)
+			writeErr(w, http.StatusRequestTimeout, "client canceled while waiting for %s", j.id)
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitResponse{
-		ID: t.id, Hash: HashString(sub.Hash), Status: "queued", Cached: false,
+	WriteJSON(w, http.StatusAccepted, submitResponse{
+		ID: j.id, Hash: HashString(sub.Hash), Status: "queued", Cached: false,
 	})
 }
 
-// dropTask removes a never-admitted task's record: a shed or refused
-// submission has no id worth polling.
-func (s *Server) dropTask(t *task) {
+// drop removes a refused job's record: a shed or refused submission has
+// no id worth polling.
+func (s *Server) drop(j *Job) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, t.id)
-	if n := len(s.order); n > 0 && s.order[n-1] == t.id {
+	delete(s.jobs, j.id)
+	if n := len(s.order); n > 0 && s.order[n-1] == j.id {
 		s.order = s.order[:n-1]
 	}
+	s.mu.Unlock()
+	s.settle(-1)
 }
 
-func (s *Server) lookup(id string) (*task, bool) {
+func (s *Server) lookup(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, ok := s.jobs[id]
-	return t, ok
+	j, ok := s.jobs[id]
+	return j, ok
 }
 
-func (s *Server) statusOf(t *task) statusResponse {
-	status, _, errMsg, cached := t.snapshot()
+// view returns the job's status row and, once done, its body.
+func (j *Job) view() (statusResponse, []byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	return statusResponse{
-		ID: t.id, Kind: t.spec.Kind, Hash: HashString(t.hash),
-		Status: status, Cached: cached, Error: errMsg,
-	}
+		ID: j.id, Kind: j.spec.Kind, Hash: HashString(j.hash),
+		Status: j.status, Cached: j.cached, Worker: j.worker, Error: j.errMsg,
+	}, j.body
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -413,61 +329,67 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	out := make([]statusResponse, 0, len(ids))
 	for _, id := range ids {
-		if t, ok := s.lookup(id); ok {
-			out = append(out, s.statusOf(t))
+		if j, ok := s.lookup(id); ok {
+			st, _ := j.view()
+			out = append(out, st)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.statusOf(t))
+	st, _ := j.view()
+	WriteJSON(w, http.StatusOK, st)
 }
 
-// writeResult serves a finished task's body verbatim — the bytes the
+// writeResult serves a finished job's body verbatim — the bytes the
 // cache stores are the bytes on the wire, which is what makes the
 // byte-identity contract end-to-end observable.
-func (s *Server) writeResult(w http.ResponseWriter, t *task) {
-	status, body, errMsg, cached := t.snapshot()
-	switch status {
+func (s *Server) writeResult(w http.ResponseWriter, j *Job) {
+	st, body := j.view()
+	switch st.Status {
 	case "done":
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Job-Id", t.id)
-		if cached {
+		w.Header().Set("X-Job-Id", j.id)
+		if st.Cached {
 			w.Header().Set("X-Cache", "hit")
 		} else {
 			w.Header().Set("X-Cache", "miss")
 		}
+		if st.Worker != "" {
+			w.Header().Set("X-Worker", st.Worker)
+		}
 		w.Write(body)
 	case "failed":
-		writeErr(w, http.StatusInternalServerError, "%s", errMsg)
+		writeErr(w, http.StatusInternalServerError, "%s", st.Error)
 	case "canceled":
-		writeErr(w, http.StatusConflict, "%s", errMsg)
+		writeErr(w, http.StatusConflict, "%s", st.Error)
 	default:
-		writeJSON(w, http.StatusAccepted, s.statusOf(t))
+		WriteJSON(w, http.StatusAccepted, st)
 	}
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	s.writeResult(w, t)
+	s.writeResult(w, j)
 }
 
 // handleStream tails a job's event log as chunked NDJSON: full replay
 // first, then live events until the terminal one. Every line is one
 // Event with a contiguous job-local seq, so watcher-side ordering checks
-// are trivial.
+// are trivial. Behind a fleet gateway a failover shows as a second
+// queued/start sequence mid-stream.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
@@ -476,7 +398,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	replay, live, cancel := t.hub.Subscribe()
+	replay, live, cancel := j.hub.Subscribe()
 	defer cancel()
 	for _, e := range replay {
 		enc.Encode(e)
@@ -515,16 +437,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
+	queued, running, width := s.exec.Load()
 	status := "ok"
 	code := http.StatusOK
-	if draining {
+	switch {
+	case draining:
 		status = "draining"
 		code = http.StatusServiceUnavailable
+	case width == 0:
+		status = "no-workers"
+		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"status":    status,
-		"workers":   s.cfg.Workers,
-		"queue":     s.depth.Load(),
-		"in_flight": s.inFlight.Load(),
+		"workers":   width,
+		"queue":     queued,
+		"in_flight": running,
 	})
 }

@@ -98,8 +98,10 @@ func TestPartitionsHashCompat(t *testing.T) {
 	}
 }
 
-func TestSpecValidation(t *testing.T) {
-	bad := []string{
+// badSpecs and goodSpecs are TestSpecValidation's cases; they also
+// seed FuzzParseSpec.
+var (
+	badSpecs = []string{
 		`{"kind":"nope"}`,
 		`{"kind":"sim","test":"nope"}`,
 		`{"kind":"sim","mode":"vhdl"}`,
@@ -108,39 +110,44 @@ func TestSpecValidation(t *testing.T) {
 		`{"kind":"sim","test":"badcdc"}`, // fixtures are lint-only
 		`not json`,
 	}
-	for _, spec := range bad {
-		if _, err := ParseSpec([]byte(spec)); err == nil {
-			t.Errorf("spec %s accepted, want error", spec)
-		}
-	}
-	good := []string{
+	goodSpecs = []string{
 		`{"kind":"lint","test":"badloop"}`,
 		`{"kind":"sim","test":"vecadd","mode":"rtl","gals":true}`,
 		`{"kind":"stallhunt","stall":0.25,"messages":100,"seeds":4,"seed":7}`,
 		`{"kind":"qor"}`,
 		`{"kind":"fig6","max_cycles":100000}`,
 	}
-	for _, spec := range good {
+)
+
+func TestSpecValidation(t *testing.T) {
+	for _, spec := range badSpecs {
+		if _, err := ParseSpec([]byte(spec)); err == nil {
+			t.Errorf("spec %s accepted, want error", spec)
+		}
+	}
+	for _, spec := range goodSpecs {
 		if _, err := ParseSpec([]byte(spec)); err != nil {
 			t.Errorf("spec %s rejected: %v", spec, err)
 		}
 	}
 }
 
+// distinctSpecs request pairwise different work.
+var distinctSpecs = []string{
+	`{"kind":"sim","test":"memcpy"}`,
+	`{"kind":"sim","test":"vecadd"}`,
+	`{"kind":"sim","test":"memcpy","gals":true}`,
+	`{"kind":"sim","test":"memcpy","mode":"rtl"}`,
+	`{"kind":"sim","test":"memcpy","stall":0.2,"seed":3}`,
+	`{"kind":"sim","test":"memcpy","stall":0.2,"seed":4}`,
+	`{"kind":"lint","test":"memcpy"}`,
+}
+
 // TestDistinctWorkDistinctHash: result-relevant fields must fork the
 // address.
 func TestDistinctWorkDistinctHash(t *testing.T) {
-	specs := []string{
-		`{"kind":"sim","test":"memcpy"}`,
-		`{"kind":"sim","test":"vecadd"}`,
-		`{"kind":"sim","test":"memcpy","gals":true}`,
-		`{"kind":"sim","test":"memcpy","mode":"rtl"}`,
-		`{"kind":"sim","test":"memcpy","stall":0.2,"seed":3}`,
-		`{"kind":"sim","test":"memcpy","stall":0.2,"seed":4}`,
-		`{"kind":"lint","test":"memcpy"}`,
-	}
 	seen := map[uint64]string{}
-	for _, raw := range specs {
+	for _, raw := range distinctSpecs {
 		s, err := ParseSpec([]byte(raw))
 		if err != nil {
 			t.Fatalf("%s: %v", raw, err)
@@ -150,4 +157,34 @@ func TestDistinctWorkDistinctHash(t *testing.T) {
 		}
 		seen[s.Hash()] = raw
 	}
+}
+
+// FuzzParseSpec feeds arbitrary bytes to the spec decoder every POST
+// /jobs and every worker Submit frame runs. It must never panic, and an
+// accepted spec's canonical form must parse back to the same content
+// address: that fixed point is what makes a gateway's routing key equal
+// the worker's cache key.
+func FuzzParseSpec(f *testing.F) {
+	for _, seeds := range [][]string{badSpecs, goodSpecs, distinctSpecs} {
+		for _, s := range seeds {
+			f.Add([]byte(s))
+		}
+	}
+	f.Add([]byte(`{"kind":"verify","test":"mcgals","depth":8}`))
+	f.Add([]byte(`{"kind":"sim","gals":true,"partitions":2}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		canon := spec.Canonical()
+		again, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical form %s does not parse: %v", canon, err)
+		}
+		if again.Hash() != spec.Hash() {
+			t.Fatalf("canonical form %s re-hashes to %s, want %s\n(re-encoded %s)",
+				canon, HashString(again.Hash()), HashString(spec.Hash()), again.Canonical())
+		}
+	})
 }

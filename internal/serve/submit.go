@@ -28,37 +28,44 @@ func (e *QueueFullError) Error() string {
 	return fmt.Sprintf("serve: queue full (%d deep): retry after %ds", e.Depth, e.RetryAfter)
 }
 
+// ErrNoCapacity rejects a submission no runner could take at all — a
+// fleet gateway with no registered workers. Executors wrap it with the
+// reason; the HTTP surface renders it as 503.
+var ErrNoCapacity = errors.New("no capacity")
+
 // Submission is a handle on one admitted (or cache-satisfied) job.
 type Submission struct {
 	ID     string
 	Hash   uint64
 	Cached bool // satisfied from the result cache at submission time
-	t      *task
+	j      *Job
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
-func (sub *Submission) Done() <-chan struct{} { return sub.t.done }
+func (sub *Submission) Done() <-chan struct{} { return sub.j.done }
 
 // Snapshot returns the job's current status ("queued", "running",
 // "done", "failed", "canceled"), its result body when done, its error
 // message when failed or canceled, and whether the body came from the
 // cache. The body is the canonical result — callers must not mutate it.
 func (sub *Submission) Snapshot() (status string, body []byte, errMsg string, cached bool) {
-	return sub.t.snapshot()
+	st, body := sub.j.view()
+	return st.Status, body, st.Error, st.Cached
 }
 
 // Watch subscribes to the job's event log: the replay of everything
 // published so far plus, while the log is open, a live channel closed
 // on the terminal event. cancel detaches the watcher.
 func (sub *Submission) Watch() (replay []Event, live <-chan Event, cancel func()) {
-	return sub.t.hub.Subscribe()
+	return sub.j.hub.Subscribe()
 }
 
 // Submit normalizes and admits a spec exactly as POST /jobs does:
-// content-hash first, cache lookup, then bounded admission. It returns
-// ErrDraining after BeginDrain, a *QueueFullError when the queue sheds,
-// or a normalization error for an invalid spec. A returned Submission
-// is live: the job is cached, queued, or already running.
+// content-hash first, cache lookup, then admission to the executor. It
+// returns ErrDraining after BeginDrain, the executor's refusal (a
+// *QueueFullError or ErrNoCapacity), or a normalization error for an
+// invalid spec. A returned Submission is live: the job is cached,
+// queued, or already running.
 func (s *Server) Submit(spec Spec) (*Submission, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
@@ -67,53 +74,41 @@ func (s *Server) Submit(spec Spec) (*Submission, error) {
 	s.submitted.Add(1)
 
 	if body, ok := s.cache.Get(hash); ok {
-		t := s.newTask(spec, hash, "done")
-		t.mu.Lock()
-		t.body, t.cached = body, true
-		t.mu.Unlock()
-		t.hub.Publish(Event{Event: "done", Cached: true})
-		close(t.done)
-		return &Submission{ID: t.id, Hash: hash, Cached: true, t: t}, nil
+		s.mu.Lock()
+		j := s.newJobLocked(spec, hash, "done")
+		j.body, j.cached = body, true // readers find j only through s.mu
+		s.mu.Unlock()
+		j.hub.Publish(Event{Event: "done", Cached: true})
+		close(j.done)
+		return &Submission{ID: j.id, Hash: hash, Cached: true, j: j}, nil
 	}
 
-	// Admission: the queue send happens under s.mu so it can never race
-	// BeginDrain's close; a full queue sheds the request instead of
-	// blocking the caller.
-	t := s.newTask(spec, hash, "queued")
 	s.mu.Lock()
-	draining := s.draining
-	admitted := false
-	if !draining {
-		select {
-		case s.queue <- t:
-			admitted = true
-		default:
-		}
-	}
-	s.mu.Unlock()
-	if draining {
-		s.dropTask(t)
+	if s.draining {
+		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if !admitted {
-		// Load shed: drop the record too — a shed job has no id to poll.
-		s.dropTask(t)
-		s.shed.Add(1)
-		retry := 1 + 2*int(s.depth.Load()+s.inFlight.Load())
-		if retry > 60 {
-			retry = 60
+	j := s.newJobLocked(spec, hash, "queued")
+	s.live++
+	s.mu.Unlock()
+	j.hub.Publish(Event{Event: "queued", Label: spec.Kind})
+	if err := s.exec.Admit(j); err != nil {
+		s.drop(j)
+		var qf *QueueFullError
+		if errors.As(err, &qf) {
+			s.shed.Add(1)
 		}
-		return nil, &QueueFullError{Depth: s.cfg.QueueDepth, RetryAfter: retry}
+		return nil, err
 	}
-	s.depth.Add(1)
-	t.hub.Publish(Event{Event: "queued", Label: spec.Kind})
-	return &Submission{ID: t.id, Hash: hash, t: t}, nil
+	return &Submission{ID: j.id, Hash: hash, j: j}, nil
 }
 
-// Load reports the server's instantaneous admission load — queue depth,
-// jobs executing, configured queue capacity, and pool width. Fleet
-// workers put these numbers in their heartbeats so the gateway can
-// route around saturation instead of discovering it via sheds.
+// Load reports the server's instantaneous admission load — jobs
+// waiting, jobs executing, configured queue capacity, and executor
+// width. Fleet workers put these numbers in their heartbeats so the
+// gateway can route around saturation instead of discovering it via
+// sheds.
 func (s *Server) Load() (depth, inFlight, capacity, workers int) {
-	return int(s.depth.Load()), int(s.inFlight.Load()), s.cfg.QueueDepth, s.cfg.Workers
+	depth, inFlight, workers = s.exec.Load()
+	return depth, inFlight, s.cfg.QueueDepth, workers
 }
