@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench vet lint rateck mc serve-smoke fleet-smoke fleet-soak
+.PHONY: build test check bench vet analysis serve-smoke fleet-smoke fleet-soak
 
 build:
 	$(GO) build ./...
@@ -14,10 +14,10 @@ test: build
 # worker pool and the tracing layer), run the full SoC suite with channel
 # tracing armed, enforce the disarmed tracing overhead budget (<= 2%
 # over the untraced primitives), and hold the compiled RTL backend's
-# throughput floor over the interpreter. The two network-facing
-# decoders (wire frames, job specs) are fuzzed for a fixed budget, and
-# the lint, rate and model checkers must pass the shipped designs and
-# catch their seeded-bug fixtures.
+# throughput floor over the interpreter. The decoders of outside bytes
+# (wire frames, job specs, metrics dumps) are fuzzed for a fixed
+# budget, and every analysis pass must pass the shipped designs and
+# catch its seeded-bug fixtures.
 check: vet
 	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
@@ -25,9 +25,8 @@ check: vet
 	RTL_PERF_GATE=1 $(GO) test -count=1 -run TestRTLPerfGate -v .
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMsg$$' -fuzztime 10s ./internal/fleet/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/serve
-	$(MAKE) lint
-	$(MAKE) rateck
-	$(MAKE) mc
+	$(GO) test -run '^$$' -fuzz '^FuzzParseJSON$$' -fuzztime 10s ./internal/stats
+	$(MAKE) analysis
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke
 
@@ -58,30 +57,12 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/detvet
 
-# Static design-rule check of every shipped SoC design, both clockings;
-# the seeded-bug fixtures must be caught (badbuf only warns, so it is
-# not asserted here).
-lint:
-	$(GO) run ./cmd/socsim -test all -lint
-	$(GO) run ./cmd/socsim -test all -gals -lint
-	! $(GO) run ./cmd/socsim -test badcdc -lint
-	! $(GO) run ./cmd/socsim -test badloop -lint
-	! $(GO) run ./cmd/socsim -test badport -lint
-
-# Static communication-rate check (SDF balance, buffer sizing,
-# throughput bounds) of every shipped SoC design, both clockings; the
-# mis-rated fixture must be caught.
-rateck:
-	$(GO) run ./cmd/socsim -test all -rateck
-	$(GO) run ./cmd/socsim -test all -gals -rateck
-	! $(GO) run ./cmd/socsim -test badrate -rateck
-
-# Bounded model check: every shipped design's declared channel graph,
-# plus both clean examples, must verify; both seeded-bug fixtures must
-# be caught (the ! lines fail the build if the checker goes blind).
-mc:
-	$(GO) run ./cmd/socsim -test all -mc
-	$(GO) run ./cmd/socsim -test mcserdes -mc
-	$(GO) run ./cmd/socsim -test mcgals -mc
-	! $(GO) run ./cmd/socsim -test mcdeadlock -mc
-	! $(GO) run ./cmd/socsim -test mcbufeqv -mc
+# Every analysis pass in internal/analysis (design-rule lint, rate
+# check, bounded model check) over every shipped SoC design, both
+# clockings; then every seeded-bug fixture must be caught by its pass
+# and every clean fixture must pass, asserted on the reports themselves
+# by walking soc.Fixtures().
+analysis:
+	$(GO) run ./cmd/socsim -test all -check all
+	$(GO) run ./cmd/socsim -test all -gals -check all
+	$(GO) test -count=1 -run '^TestFixtures$$' ./internal/analysis

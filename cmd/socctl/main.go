@@ -6,8 +6,9 @@
 //	socctl -addr localhost:9090 submit -kind sim -test memcpy -wait
 //	socctl submit -kind stallhunt -stall 0.3 -messages 200 -seeds 8 -watch
 //	socctl submit -spec '{"kind":"lint","test":"badcdc"}'
-//	socctl rateck conv1d
-//	socctl verify mcserdes
+//	socctl lint -gals conv1d
+//	socctl rateck badrate
+//	socctl verify -depth 16 mcserdes
 //	socctl watch job-3
 //	socctl result job-3
 //	socctl jobs
@@ -30,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/serve"
 )
 
@@ -39,15 +41,16 @@ func usage() {
 commands:
   submit   submit a job spec (flags or -spec JSON); -wait blocks for the
            result, -watch streams NDJSON progress then prints the result
-  rateck   run the static communication-rate check on one design:
-           submit {"kind":"rateck"}, stream progress, print the report
-  verify   bounded-model-check one design's channel graph: submit
-           {"kind":"verify"}, stream per-depth progress, print the report
+  lint, rateck, verify [-mode m] [-gals] [-depth k] <design>
+           run one analysis pass (design rules, communication rates,
+           bounded model check) on one design: submit that job kind,
+           stream its progress, print the report; -depth is verify's
+           unrolling bound
   watch    stream a job's NDJSON progress events
   result   fetch a finished job's result body
   jobs     list jobs in submission order
-  metrics  dump the daemon's stats snapshot (serve/* namespace; against
-           a socgw gateway this is the fleet/* namespace)
+  metrics  dump the daemon's stats snapshot (serve/* namespace; a socgw
+           gateway adds the fleet/* namespace)
   workers  list a socgw gateway's registered workers and their load
   health   query /healthz
 `)
@@ -67,10 +70,6 @@ func main() {
 	switch cmd {
 	case "submit":
 		err = cmdSubmit(base, args)
-	case "rateck":
-		err = cmdRateck(base, args)
-	case "verify":
-		err = cmdVerify(base, args)
 	case "watch":
 		err = cmdWatch(base, args)
 	case "result":
@@ -84,7 +83,11 @@ func main() {
 	case "health":
 		err = cmdPlain(base + "/healthz")
 	default:
-		usage()
+		p, ok := analysis.Lookup(cmd)
+		if !ok {
+			usage()
+		}
+		err = cmdCheck(base, p, args)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "socctl:", err)
@@ -191,26 +194,33 @@ func cmdSubmit(base string, args []string) error {
 	return fetch(base+"/jobs/"+id+"/result", os.Stdout)
 }
 
-// cmdRateck is the one-shot front door for the static rate analysis:
-// it submits a rateck job for the named design, streams the daemon's
-// NDJSON progress, and prints the report. Resubmitting hits the
-// content-addressed cache byte-identically, so it is cheap to rerun
+// cmdCheck is the one-shot front door for every analysis pass: it
+// submits a job of the pass's kind for the named design, streams the
+// daemon's NDJSON progress, and prints the report. A resubmission hits
+// the content-addressed cache byte-identically, so it is cheap to rerun
 // after every edit.
-func cmdRateck(base string, args []string) error {
-	fs := flag.NewFlagSet("rateck", flag.ExitOnError)
+func cmdCheck(base string, p analysis.Pass, args []string) error {
+	fs := flag.NewFlagSet(p.Name, flag.ExitOnError)
 	mode := fs.String("mode", "", "channel model: tlm|signal|rtl")
 	galsCk := fs.Bool("gals", false, "per-partition clock generators")
+	depth := 0
+	if p.Depth {
+		fs.IntVar(&depth, "depth", 0, "unrolling bound (0 = server default)")
+	}
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: socctl rateck [-mode m] [-gals] <design>")
+		return fmt.Errorf("usage: socctl %s [flags] <design>", p.Name)
 	}
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, `{"kind":"rateck","test":%q`, fs.Arg(0))
+	fmt.Fprintf(&buf, `{"kind":%q,"test":%q`, p.Name, fs.Arg(0))
 	if *mode != "" {
 		fmt.Fprintf(&buf, `,"mode":%q`, *mode)
 	}
 	if *galsCk {
 		buf.WriteString(`,"gals":true`)
+	}
+	if depth > 0 {
+		fmt.Fprintf(&buf, `,"depth":%d`, depth)
 	}
 	buf.WriteString("}")
 
@@ -232,60 +242,6 @@ func cmdRateck(base string, args []string) error {
 	}
 	// A cached repeat is already done — skip the stream, which would
 	// otherwise just replay the recorded events, and print the result.
-	if bytes.Contains(body, []byte(`"cached": true`)) || bytes.Contains(body, []byte(`"cached":true`)) {
-		fmt.Printf("cached result (job %s):\n", id)
-		return fetch(base+"/jobs/"+id+"/result", os.Stdout)
-	}
-	fmt.Printf("submitted job %s\n", id)
-	if err := streamEvents(base, id); err != nil {
-		return err
-	}
-	return fetch(base+"/jobs/"+id+"/result", os.Stdout)
-}
-
-// cmdVerify is the one-shot front door for the bounded model checker:
-// it submits a verify job for the named design, streams the daemon's
-// per-depth NDJSON progress, and prints the verdict report. Like
-// rateck, a resubmission hits the content-addressed cache
-// byte-identically — a proof is a perfectly cacheable artifact.
-func cmdVerify(base string, args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	mode := fs.String("mode", "", "channel model: tlm|signal|rtl")
-	galsCk := fs.Bool("gals", false, "per-partition clock generators")
-	depth := fs.Int("depth", 0, "unrolling bound (0 = server default 64)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: socctl verify [-mode m] [-gals] [-depth k] <design>")
-	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, `{"kind":"verify","test":%q`, fs.Arg(0))
-	if *mode != "" {
-		fmt.Fprintf(&buf, `,"mode":%q`, *mode)
-	}
-	if *galsCk {
-		buf.WriteString(`,"gals":true`)
-	}
-	if *depth > 0 {
-		fmt.Fprintf(&buf, `,"depth":%d`, *depth)
-	}
-	buf.WriteString("}")
-
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode >= 400 {
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	id, err := fieldFromJSON(body, "id")
-	if err != nil {
-		return err
-	}
 	if bytes.Contains(body, []byte(`"cached": true`)) || bytes.Contains(body, []byte(`"cached":true`)) {
 		fmt.Printf("cached result (job %s):\n", id)
 		return fetch(base+"/jobs/"+id+"/result", os.Stdout)

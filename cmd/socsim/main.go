@@ -8,27 +8,27 @@
 //	socsim -test vecadd -stall 0.2 -seed 3
 //	socsim -test memcpy -vcd out.vcd      # per-channel waveforms, GTKWave-ready
 //	socsim -test memcpy -trace            # backpressure/deadlock report
-//	socsim -test all -lint                # static design-rule check, no simulation
-//	socsim -test all -rateck              # static communication-rate check, no simulation
-//	socsim -test mcserdes -mc             # bounded model check, no simulation
+//	socsim -test all -check all           # lint, rateck and verify; no simulation
+//	socsim -test mcdeadlock -check verify -vcd cx.vcd
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/connections"
-	"repro/internal/lint"
 	"repro/internal/mc"
-	"repro/internal/ratecheck"
 	"repro/internal/soc"
 	"repro/internal/trace"
 )
 
 func main() {
-	testName := flag.String("test", "all", "SoC test: memcpy|vecadd|dot|conv1d|kmeans|maxpool|all")
+	testName := flag.String("test", "all", "SoC test: memcpy|vecadd|dot|conv1d|kmeans|maxpool|matvec|f16dot|all; with -check, also any analysis fixture")
 	mode := flag.String("mode", "tlm", "channel model: tlm (sim-accurate) | signal | rtl")
 	galsOn := flag.Bool("gals", false, "fine-grained GALS: one clock generator per partition")
 	shadow := flag.Bool("shadow", false, "gate-level shadow cosimulation of PE datapaths (rtl mode)")
@@ -37,18 +37,12 @@ func main() {
 	statsF := flag.Bool("stats", false, "dump the full per-component metrics tree")
 	statsJSON := flag.String("statsjson", "", "write the metrics snapshot as JSON to this file")
 	powerF := flag.Bool("power", false, "print the architectural power breakdown")
-	vcd := flag.String("vcd", "", "write a VCD waveform of every traced channel (valid/ready/occ, grouped by component scope) to this file")
+	vcd := flag.String("vcd", "", "write a VCD waveform of every traced channel (valid/ready/occ, grouped by component scope) to this file; with -check, the replay of verify's first counterexample")
 	traceF := flag.Bool("trace", false, "arm channel tracing and print the per-channel backpressure/deadlock report")
 	horizon := flag.Uint64("horizon", 1000, "deadlock bound for -trace, in cycles of each channel's clock")
 	maxCycles := flag.Uint64("maxcycles", 10_000_000, "cycle budget")
-	lintF := flag.Bool("lint", false, "statically lint the selected designs (CDC/deadlock/connectivity rules) and exit without simulating")
-	lintJSON := flag.String("lintjson", "", "write the combined lint diagnostics as JSON to this file (implies -lint)")
-	rateF := flag.Bool("rateck", false, "statically check communication rates (SDF balance, buffer sizing, throughput bounds) and exit without simulating")
-	rateJSON := flag.String("rateckjson", "", "write the combined rate diagnostics as JSON to this file (implies -rateck)")
-	mcF := flag.Bool("mc", false, "bounded model check the selected designs (deadlock-freedom + sim/signal equivalence on the LI channel graph) and exit without simulating")
-	mcJSON := flag.String("mcjson", "", "write the model-checking result as JSON to this file (implies -mc)")
-	mcVCD := flag.String("mcvcd", "", "replay the first counterexample as a VCD waveform to this file (implies -mc)")
-	mcDepth := flag.Int("mcdepth", 0, "unrolling bound for -mc (0 = default 64)")
+	check := flag.String("check", "", "run analysis passes instead of simulating: lint,rateck,verify or all")
+	checkJSON := flag.String("checkjson", "", "write the -check result bodies as a JSON array to this file")
 	flag.Parse()
 
 	cfg := soc.DefaultConfig()
@@ -69,23 +63,12 @@ func main() {
 	cfg.StallSeed = *seed
 	cfg.Trace = *vcd != "" || *traceF
 
-	if *lintJSON != "" {
-		*lintF = true
+	if *checkJSON != "" && *check == "" {
+		fmt.Fprintln(os.Stderr, "socsim: -checkjson needs -check")
+		os.Exit(2)
 	}
-	if *lintF {
-		os.Exit(runLint(cfg, *testName, *lintJSON))
-	}
-	if *rateJSON != "" {
-		*rateF = true
-	}
-	if *rateF {
-		os.Exit(runRateck(cfg, *testName, *rateJSON))
-	}
-	if *mcJSON != "" || *mcVCD != "" {
-		*mcF = true
-	}
-	if *mcF {
-		os.Exit(runMC(cfg, *testName, *mcJSON, *mcVCD, *mcDepth))
+	if *check != "" {
+		os.Exit(runChecks(cfg, *mode, *testName, *check, *checkJSON, *vcd))
 	}
 
 	any := false
@@ -112,19 +95,12 @@ func main() {
 			fmt.Printf("  %d clock pauses", s.Pauses())
 		}
 		if *vcd != "" {
-			f, err := os.Create(*vcd)
-			var samples, changes uint64
-			if err == nil {
-				samples, changes, err = s.Tracer().WriteVCD(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
+			msg, err := writeVCD(*vcd, s.Tracer())
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "socsim:", err)
 				os.Exit(1)
 			}
-			fmt.Printf("  wrote %s (%d samples, %d changes)", *vcd, samples, changes)
+			fmt.Print("  " + msg)
 		}
 		fmt.Println()
 		var rep *trace.Report
@@ -170,183 +146,97 @@ func main() {
 	}
 }
 
-// runLint builds each selected design and runs the static design-rule
-// checker over its elaborated channel/clock graph; nothing is simulated.
-// The deliberately broken fixtures (soc.LintFixtures) are selectable by
-// exact name but excluded from "all", so "-test all -lint" asserts that
-// every shipped design is hazard-free. The exit code is 1 when any
-// selected design has an error-severity diagnostic.
-func runLint(cfg soc.Config, testName, jsonPath string) int {
-	cases := append(soc.Tests(), soc.ExtraTests()...)
-	if testName != "all" {
-		cases = append(cases, soc.LintFixtures()...)
+// writeVCD writes rec's waveform to path and describes what it wrote.
+func writeVCD(path string, rec *trace.Recorder) (string, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return "", err
 	}
-	any, failed := false, false
-	var all []lint.Diag
-	for _, tc := range cases {
-		if testName != "all" && tc.Name != testName {
-			continue
-		}
-		any = true
-		s, _ := tc.Build(cfg)
-		r := lint.Check(s.Sim)
-		fmt.Printf("%s:\n", tc.Name)
-		r.WriteTree(os.Stdout)
-		if r.Errors() > 0 {
-			failed = true
-		}
-		// The combined JSON dump roots each design's diagnostics under its
-		// test name so one file can span "-test all".
-		for _, d := range r.Diags {
-			d.Path = tc.Name + "/" + d.Path
-			all = append(all, d)
-		}
+	samples, changes, err := rec.WriteVCD(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "socsim: unknown test %q\n", testName)
-		return 2
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err == nil {
-			err = lint.WriteDiagsJSON(f, all)
-		}
-		if err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "socsim:", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	if failed {
-		return 1
-	}
-	return 0
+	return fmt.Sprintf("wrote %s (%d samples, %d changes)", path, samples, changes), err
 }
 
-// runMC builds each selected design and bounded-model-checks its
-// latency-insensitive channel graph for deadlock-freedom and
-// sim/signal-accurate equivalence; nothing is simulated. The clean
-// examples (soc.MCExamples) and the seeded-bug fixtures
-// (soc.MCFixtures) are selectable by exact name but excluded from
-// "all", so "-test all -mc" asserts every shipped design's declared
-// subgraph is safe within the bound. Exit code 1 when any selected
-// design has an error-severity diagnostic; exit code 2 for an unknown
-// design, or for -mcjson/-mcvcd with more than one design selected
-// (each file holds one design's report).
-func runMC(cfg soc.Config, testName, jsonPath, vcdPath string, depth int) int {
-	cases := append(soc.Tests(), soc.ExtraTests()...)
+// plan resolves -test and -check into the designs and passes to run.
+// "all" selects every shipped design, or every pass; any design
+// soc.Lookup knows, shipped test or fixture, is selectable by name, and
+// every pass accepts it.
+func plan(testName, checks string) ([]soc.TestCase, []analysis.Pass, error) {
+	designs := append(soc.Tests(), soc.ExtraTests()...)
 	if testName != "all" {
-		cases = append(cases, soc.MCExamples()...)
-		cases = append(cases, soc.MCFixtures()...)
-	}
-	var selected []soc.TestCase
-	for _, tc := range cases {
-		if testName == "all" || tc.Name == testName {
-			selected = append(selected, tc)
+		f, ok := soc.Lookup(testName)
+		if !ok {
+			return nil, nil, fmt.Errorf("unknown test %q", testName)
 		}
+		designs = []soc.TestCase{f.TestCase}
 	}
-	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "socsim: unknown test %q\n", testName)
+	if checks == "all" {
+		return designs, analysis.Passes, nil
+	}
+	var passes []analysis.Pass
+	for _, name := range strings.Split(checks, ",") {
+		p, ok := analysis.Lookup(name)
+		if !ok {
+			return nil, nil, fmt.Errorf("unknown check %q (want lint, rateck, verify or all)", name)
+		}
+		passes = append(passes, p)
+	}
+	return designs, passes, nil
+}
+
+// runChecks runs the selected analysis passes over each selected design;
+// nothing is simulated. Designs are built from -mode and -gals alone, as
+// socd builds them, and verify runs at mc's default depth, socd's
+// default too, so the -checkjson array holds exactly the bodies socd
+// serves. -vcd replays verify's first counterexample. The exit code is
+// 1 when any pass reports an error, and 2 for an unknown design or pass
+// or for -vcd with more than one design selected.
+func runChecks(base soc.Config, mode, testName, checks, jsonPath, vcdPath string) int {
+	designs, passes, err := plan(testName, checks)
+	if err == nil && vcdPath != "" && len(designs) != 1 {
+		err = fmt.Errorf("-vcd holds one design's counterexample; select one design with -test (%q selects %d)", testName, len(designs))
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "socsim:", err)
 		return 2
 	}
-	if (jsonPath != "" || vcdPath != "") && len(selected) != 1 {
-		fmt.Fprintf(os.Stderr, "socsim: -mcjson and -mcvcd write one design's report; select one design with -test (%q selects %d)\n",
-			testName, len(selected))
-		return 2
-	}
+	cfg := soc.DefaultConfig()
+	cfg.Mode, cfg.GALS = base.Mode, base.GALS
+	opt := analysis.Options{Depth: mc.DefaultDepth}
 	failed := false
-	for _, tc := range selected {
+	var bodies [][]byte
+	for _, tc := range designs {
 		s, _ := tc.Build(cfg)
-		r := mc.Check(s.Sim, mc.Options{Depth: depth})
 		fmt.Printf("%s:\n", tc.Name)
-		r.WriteTree(os.Stdout)
-		if r.Errors() > 0 {
-			failed = true
-		}
-		if jsonPath != "" {
-			f, err := os.Create(jsonPath)
-			if err == nil {
-				err = r.WriteJSON(f)
-			}
-			if err == nil {
-				err = f.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "socsim:", err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", jsonPath)
-		}
-		if vcdPath != "" && len(r.Counterexamples) > 0 {
-			rec := trace.NewRecorder()
-			r.Replay(rec, r.Counterexamples[0])
-			f, err := os.Create(vcdPath)
-			var samples, changes uint64
-			if err == nil {
-				samples, changes, err = rec.WriteVCD(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
+		for _, p := range passes {
+			r := p.Run(s.Sim, opt)
+			r.WriteTree(os.Stdout)
+			failed = failed || r.Errors() > 0
+			if jsonPath != "" {
+				b, err := p.Body(tc.Name, mode, cfg.GALS, opt.Depth, r)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "socsim:", err)
+					return 1
 				}
+				bodies = append(bodies, bytes.TrimRight(b, "\n"))
 			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "socsim:", err)
-				return 1
+			if m, ok := r.(*mc.Result); ok && vcdPath != "" && len(m.Counterexamples) > 0 {
+				rec := trace.NewRecorder()
+				m.Replay(rec, m.Counterexamples[0])
+				msg, err := writeVCD(vcdPath, rec)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "socsim:", err)
+					return 1
+				}
+				fmt.Println(msg)
 			}
-			fmt.Printf("wrote %s (%d samples, %d changes)\n", vcdPath, samples, changes)
 		}
-	}
-	if failed {
-		return 1
-	}
-	return 0
-}
-
-// runRateck is the rate-analysis twin of runLint: build each selected
-// design, solve its balance equations, and print bounds; nothing is
-// simulated. The mis-rated fixtures (soc.RateFixtures) are selectable by
-// exact name but excluded from "all", so "-test all -rateck" asserts
-// every shipped design is rate-consistent.
-func runRateck(cfg soc.Config, testName, jsonPath string) int {
-	cases := append(soc.Tests(), soc.ExtraTests()...)
-	if testName != "all" {
-		cases = append(cases, soc.LintFixtures()...)
-		cases = append(cases, soc.RateFixtures()...)
-	}
-	any, failed := false, false
-	var all []lint.Diag
-	for _, tc := range cases {
-		if testName != "all" && tc.Name != testName {
-			continue
-		}
-		any = true
-		s, _ := tc.Build(cfg)
-		r := ratecheck.Check(s.Sim)
-		fmt.Printf("%s:\n", tc.Name)
-		r.WriteTree(os.Stdout)
-		if r.Errors() > 0 {
-			failed = true
-		}
-		for _, d := range r.Diags {
-			d.Path = tc.Name + "/" + d.Path
-			all = append(all, d)
-		}
-	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "socsim: unknown test %q\n", testName)
-		return 2
 	}
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err == nil {
-			err = lint.WriteDiagsJSON(f, all)
-		}
-		if err == nil {
-			err = f.Close()
-		}
-		if err != nil {
+		out := append(append([]byte("[\n"), bytes.Join(bodies, []byte(",\n"))...), "\n]\n"...)
+		if err := os.WriteFile(jsonPath, out, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "socsim:", err)
 			return 1
 		}

@@ -1,32 +1,102 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/exp"
+	"repro/internal/serve"
 	"repro/internal/soc"
 )
 
-// TestMCReportNeedsOneDesign: -mcjson and -mcvcd hold one design's
-// report, so selecting several designs is refused up front with exit 2
-// and no file written; one design writes its report.
+// TestEveryPassAcceptsEveryDesign: every analysis pass selects every
+// registered design, shipped test and fixture alike, so no pass/design
+// pair is refused as unknown (exit 2). It stops at the lookup: running
+// mc on every full SoC would cost most of a second per design.
+func TestEveryPassAcceptsEveryDesign(t *testing.T) {
+	names := []string{"all"}
+	for _, tc := range append(soc.Tests(), soc.ExtraTests()...) {
+		names = append(names, tc.Name)
+	}
+	for _, f := range soc.Fixtures() {
+		names = append(names, f.Name)
+	}
+	for _, p := range analysis.Passes {
+		for _, name := range names {
+			designs, passes, err := plan(name, p.Name)
+			if err != nil || len(designs) == 0 || len(passes) != 1 {
+				t.Errorf("-test %s -check %s: %d designs, %d passes, %v", name, p.Name, len(designs), len(passes), err)
+			}
+		}
+	}
+	if _, _, err := plan("nope", "lint"); err == nil {
+		t.Error("unknown design accepted")
+	}
+	if _, _, err := plan("memcpy", "lint,nope"); err == nil {
+		t.Error("unknown pass accepted")
+	}
+}
+
+// TestCheckJSONMatchesServe: -checkjson writes the same body socd
+// serves for the same design and pass, also when several passes share
+// one build of the design.
+func TestCheckJSONMatchesServe(t *testing.T) {
+	for _, checks := range []string{"rateck", "all"} {
+		path := filepath.Join(t.TempDir(), "badrate.json")
+		if code := runChecks(soc.DefaultConfig(), "tlm", "badrate", checks, path, ""); code != 1 {
+			t.Fatalf("runChecks(badrate, %s) = %d, want 1", checks, code)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []json.RawMessage
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatalf("-checkjson is not a JSON array (%v):\n%s", err, data)
+		}
+		_, passes, _ := plan("badrate", checks)
+		if len(got) != len(passes) {
+			t.Fatalf("-check %s wrote %d bodies, want %d", checks, len(got), len(passes))
+		}
+		for i, p := range passes {
+			spec, err := serve.ParseSpec([]byte(`{"kind":"` + p.Name + `","test":"badrate"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := exp.Run([]exp.Job{{Name: "job", Run: func(c *exp.Ctx) (any, error) {
+				return serve.Execute(c, spec, nil)
+			}}}).Results[0]
+			if r.Failed() {
+				t.Fatal(r.Err)
+			}
+			if want := bytes.TrimSpace(r.Value.([]byte)); !bytes.Equal(bytes.TrimSpace(got[i]), want) {
+				t.Errorf("-check %s: %s body differs from serve's:\n%s\nvs\n%s", checks, p.Name, got[i], want)
+			}
+		}
+	}
+}
+
+// TestMCReportNeedsOneDesign: in check mode -vcd holds one design's
+// counterexample, so selecting several designs is refused up front with
+// exit 2 and no file written; one design writes its replay.
 func TestMCReportNeedsOneDesign(t *testing.T) {
 	dir := t.TempDir()
 	cfg := soc.DefaultConfig()
-	for _, paths := range [][2]string{{filepath.Join(dir, "all.json"), ""}, {"", filepath.Join(dir, "all.vcd")}} {
-		if code := runMC(cfg, "all", paths[0], paths[1], 0); code != 2 {
-			t.Errorf("runMC(all, %q, %q) = %d, want 2", paths[0], paths[1], code)
-		}
+	if code := runChecks(cfg, "tlm", "all", "verify", "", filepath.Join(dir, "all.vcd")); code != 2 {
+		t.Errorf("runChecks(all, -vcd) = %d, want 2", code)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Errorf("refused run wrote %d files", len(entries))
 	}
-	one := filepath.Join(dir, "mcserdes.json")
-	if code := runMC(cfg, "mcserdes", one, "", 0); code != 0 {
-		t.Fatalf("runMC(mcserdes) = %d, want 0", code)
+	one := filepath.Join(dir, "mcdeadlock.vcd")
+	if code := runChecks(cfg, "tlm", "mcdeadlock", "verify", "", one); code != 1 {
+		t.Fatalf("runChecks(mcdeadlock, verify) = %d, want 1", code)
 	}
 	if _, err := os.Stat(one); err != nil {
-		t.Errorf("single-design report not written: %v", err)
+		t.Errorf("single-design counterexample not written: %v", err)
 	}
 }

@@ -201,7 +201,7 @@ func CrossReference(r *Result, rep *trace.Report) int {
 		}
 	}
 	if n > 0 {
-		sortDiags(r.Diags)
+		r.Diags.Sort()
 	}
 	return n
 }

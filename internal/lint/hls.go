@@ -23,7 +23,7 @@ func CheckHLS(d *hls.Design) *Result {
 		})
 		// A design that fails validation may index out of its own op
 		// list; stop before the structural passes trip over it.
-		sortDiags(r.Diags)
+		r.Diags.Sort()
 		return r
 	}
 	used := make([]bool, len(d.Ops))
@@ -55,6 +55,6 @@ func CheckHLS(d *hls.Design) *Result {
 			seen[p.Name] = p.ID
 		}
 	}
-	sortDiags(r.Diags)
+	r.Diags.Sort()
 	return r
 }

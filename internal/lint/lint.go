@@ -65,9 +65,46 @@ type Diag struct {
 	Channels []string `json:"channels,omitempty"` // channels implicated (DLK cycles)
 }
 
+// Diags is an ordered diagnostic list. Every checker's result embeds
+// one (lint, ratecheck, mc), so their error and warning counts agree by
+// construction.
+type Diags []Diag
+
+// Errors counts error-severity diagnostics.
+func (ds Diags) Errors() int {
+	n := 0
+	for _, d := range ds {
+		if d.Severity == SevError {
+			n++
+		}
+	}
+	return n
+}
+
+// Warnings counts warning-severity diagnostics.
+func (ds Diags) Warnings() int { return len(ds) - ds.Errors() }
+
+// Sort orders diagnostics severity-first (errors before warnings), then
+// by path in the registry's natural order, then rule, then message —
+// fully deterministic for golden tests.
+func (ds Diags) Sort() {
+	sort.SliceStable(ds, func(i, j int) bool {
+		if ds[i].Severity != ds[j].Severity {
+			return ds[i].Severity > ds[j].Severity
+		}
+		if ds[i].Path != ds[j].Path {
+			return stats.PathLess(ds[i].Path, ds[j].Path)
+		}
+		if ds[i].Rule != ds[j].Rule {
+			return ds[i].Rule < ds[j].Rule
+		}
+		return ds[i].Message < ds[j].Message
+	})
+}
+
 // Result is the outcome of one lint pass.
 type Result struct {
-	Diags []Diag
+	Diags
 
 	// What the elaborated design graph contained.
 	Ports      int
@@ -77,20 +114,6 @@ type Result struct {
 }
 
 func (r *Result) add(d Diag) { r.Diags = append(r.Diags, d) }
-
-// Errors counts error-severity diagnostics.
-func (r *Result) Errors() int {
-	n := 0
-	for _, d := range r.Diags {
-		if d.Severity == SevError {
-			n++
-		}
-	}
-	return n
-}
-
-// Warnings counts warning-severity diagnostics.
-func (r *Result) Warnings() int { return len(r.Diags) - r.Errors() }
 
 // Summary renders the one-line pass/fail overview.
 func (r *Result) Summary() string {
@@ -128,26 +151,8 @@ func Check(s *sim.Simulator) *Result {
 	checkConnectivity(d, r)
 	checkCDC(d, r)
 	checkDeadlock(d, r)
-	sortDiags(r.Diags)
+	r.Diags.Sort()
 	return r
-}
-
-// sortDiags orders diagnostics severity-first (errors before warnings),
-// then by path in the registry's natural order, then rule — fully
-// deterministic for golden tests.
-func sortDiags(ds []Diag) {
-	sort.SliceStable(ds, func(i, j int) bool {
-		if ds[i].Severity != ds[j].Severity {
-			return ds[i].Severity > ds[j].Severity
-		}
-		if ds[i].Path != ds[j].Path {
-			return stats.PathLess(ds[i].Path, ds[j].Path)
-		}
-		if ds[i].Rule != ds[j].Rule {
-			return ds[i].Rule < ds[j].Rule
-		}
-		return ds[i].Message < ds[j].Message
-	})
 }
 
 // checkConnectivity runs CON-1 through CON-4.

@@ -8,13 +8,20 @@ import (
 )
 
 // WriteTree renders the diagnostics in the same indented component-tree
-// format `socsim -stats` uses: each diagnostic's path is split into
-// hierarchy segments, segments shared with the previous line are elided,
-// and the diagnostic itself appears as a leaf "RULE severity = message"
-// line with its hint nested underneath.
+// format `socsim -stats` uses, followed by the one-line summary.
 func (r *Result) WriteTree(w io.Writer) {
+	r.Diags.WriteTree(w)
+	fmt.Fprintln(w, r.Summary())
+}
+
+// WriteTree renders the diagnostics alone in the indented
+// component-tree format: each diagnostic's path is split into hierarchy
+// segments, segments shared with the previous line are elided, and the
+// diagnostic itself appears as a leaf "RULE severity = message" line
+// with its hint nested underneath. Every checker's report opens with it.
+func (ds Diags) WriteTree(w io.Writer) {
 	var prev []string
-	for _, d := range r.Diags {
+	for _, d := range ds {
 		segs := strings.Split(d.Path, "/")
 		if d.Path == "" {
 			segs = nil
@@ -33,7 +40,6 @@ func (r *Result) WriteTree(w io.Writer) {
 			fmt.Fprintf(w, "%s  hint: %s\n", indent, d.Hint)
 		}
 	}
-	fmt.Fprintln(w, r.Summary())
 }
 
 // jsonDump is the machine-readable diagnostic dump, shaped like the
@@ -47,23 +53,9 @@ type jsonDump struct {
 // WriteJSON writes the result's diagnostics as
 // {"diagnostics":[...],"errors":N,"warnings":N}.
 func (r *Result) WriteJSON(w io.Writer) error {
-	return WriteDiagsJSON(w, r.Diags)
-}
-
-// WriteDiagsJSON writes an already-collected diagnostic list in the dump
-// format; socsim uses it to publish one dump spanning several linted
-// designs.
-func WriteDiagsJSON(w io.Writer, diags []Diag) error {
-	d := jsonDump{Diagnostics: diags}
+	d := jsonDump{Diagnostics: r.Diags, Errors: r.Errors(), Warnings: r.Warnings()}
 	if d.Diagnostics == nil {
 		d.Diagnostics = []Diag{}
-	}
-	for _, dg := range diags {
-		if dg.Severity == SevError {
-			d.Errors++
-		} else {
-			d.Warnings++
-		}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

@@ -15,7 +15,7 @@ import (
 // every bound is a budget, not a promise — exceeding one degrades the
 // verdict to "inconclusive" rather than silently truncating coverage.
 type Options struct {
-	// Depth is the unroll bound in cycles (default 64).
+	// Depth is the unroll bound in cycles (default DefaultDepth).
 	Depth int
 	// MaxStates caps the visited set (default 32768).
 	MaxStates int
@@ -31,9 +31,13 @@ type Options struct {
 	Progress func(depth, states int)
 }
 
+// DefaultDepth is the unroll bound a zero Options.Depth selects; socd
+// normalizes verify jobs to it, so socsim's and socd's verdicts agree.
+const DefaultDepth = 64
+
 func (o Options) withDefaults() Options {
 	if o.Depth <= 0 {
-		o.Depth = 64
+		o.Depth = DefaultDepth
 	}
 	if o.MaxStates <= 0 {
 		o.MaxStates = 1 << 15
@@ -84,10 +88,12 @@ type Counterexample struct {
 	State    string   `json:"state"`              // packed violating state (bitvec)
 }
 
-// Result is one model-checking run's report. Its diagnostic surface
-// mirrors lint and ratecheck so the socsim/serve renderers compose.
+// Result is one model-checking run's report. It embeds the same
+// diagnostic list as lint and ratecheck, and renders with the same
+// Summary, WriteTree and WriteJSON, so it is one more pass in the
+// internal/analysis table.
 type Result struct {
-	Diags []lint.Diag
+	lint.Diags
 
 	Deadlock    PropertyResult
 	Equivalence PropertyResult
@@ -109,20 +115,6 @@ type Result struct {
 
 	model *Model
 }
-
-// Errors returns the number of error-severity diagnostics.
-func (r *Result) Errors() int {
-	n := 0
-	for _, d := range r.Diags {
-		if d.Severity == lint.SevError {
-			n++
-		}
-	}
-	return n
-}
-
-// Warnings returns the number of warning-severity diagnostics.
-func (r *Result) Warnings() int { return len(r.Diags) - r.Errors() }
 
 // Summary renders the one-line outcome.
 func (r *Result) Summary() string {

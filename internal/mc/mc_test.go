@@ -10,22 +10,20 @@ import (
 	"repro/internal/trace"
 )
 
-func buildNamed(t *testing.T, cases []soc.TestCase, name string) *soc.SoC {
+func buildNamed(t *testing.T, name string) *soc.SoC {
 	t.Helper()
-	for _, tc := range cases {
-		if tc.Name == name {
-			s, _ := tc.Build(soc.DefaultConfig())
-			return s
-		}
+	f, ok := soc.Lookup(name)
+	if !ok {
+		t.Fatalf("no design named %q", name)
 	}
-	t.Fatalf("no case named %q", name)
-	return nil
+	s, _ := f.Build(soc.DefaultConfig())
+	return s
 }
 
 // The serializer chain example must be proved outright: every endpoint
 // is declared, so the reachable state space is closed and small.
 func TestProvesSerdes(t *testing.T) {
-	s := buildNamed(t, soc.MCExamples(), "mcserdes")
+	s := buildNamed(t, "mcserdes")
 	r := mc.Check(s.Sim, mc.Options{})
 	if !r.Proved() {
 		t.Fatalf("serdes not proved: deadlock=%s equivalence=%s notes=%v",
@@ -42,7 +40,7 @@ func TestProvesSerdes(t *testing.T) {
 // The GALS crossing example: one pausible bisync FIFO between drifting
 // clocks, proved deadlock-free and equivalent within the bound.
 func TestProvesGals(t *testing.T) {
-	s := buildNamed(t, soc.MCExamples(), "mcgals")
+	s := buildNamed(t, "mcgals")
 	r := mc.Check(s.Sim, mc.Options{})
 	if !r.Proved() {
 		t.Fatalf("gals crossing not proved: deadlock=%s equivalence=%s notes=%v",
@@ -56,7 +54,7 @@ func TestProvesGals(t *testing.T) {
 // The seeded token ring must be caught as a reachable deadlock (MC-1),
 // cross-referenced against lint's static DLK SCC.
 func TestFindsSeededDeadlock(t *testing.T) {
-	s := buildNamed(t, soc.MCFixtures(), "mcdeadlock")
+	s := buildNamed(t, "mcdeadlock")
 	r := mc.Check(s.Sim, mc.Options{})
 	if r.Deadlock.Verdict != mc.VerdictViolated {
 		t.Fatalf("deadlock verdict = %s, want violated", r.Deadlock.Verdict)
@@ -85,7 +83,7 @@ func TestFindsSeededDeadlock(t *testing.T) {
 // violation (MC-2) with a witness at the accumulator-fill depth, and
 // the hint must cite ratecheck's RATE-3 minimum as the repair.
 func TestFindsBufferEquivalenceViolation(t *testing.T) {
-	s := buildNamed(t, soc.MCFixtures(), "mcbufeqv")
+	s := buildNamed(t, "mcbufeqv")
 	r := mc.Check(s.Sim, mc.Options{})
 	if r.Equivalence.Verdict != mc.VerdictViolated {
 		t.Fatalf("equivalence verdict = %s, want violated", r.Equivalence.Verdict)
@@ -125,7 +123,7 @@ func TestFindsBufferEquivalenceViolation(t *testing.T) {
 // A counterexample must replay through the trace recorder and render as
 // a VCD via the existing tooling.
 func TestCounterexampleReplaysAsVCD(t *testing.T) {
-	s := buildNamed(t, soc.MCFixtures(), "mcdeadlock")
+	s := buildNamed(t, "mcdeadlock")
 	r := mc.Check(s.Sim, mc.Options{})
 	if len(r.Counterexamples) == 0 {
 		t.Fatal("no counterexample to replay")
@@ -148,9 +146,8 @@ func TestCounterexampleReplaysAsVCD(t *testing.T) {
 // search, the diagnostics, and the renderers are all deterministic.
 func TestByteStableOutput(t *testing.T) {
 	for _, name := range []string{"mcserdes", "mcdeadlock", "mcbufeqv"} {
-		cases := append(soc.MCExamples(), soc.MCFixtures()...)
 		render := func() (string, string) {
-			s := buildNamed(t, cases, name)
+			s := buildNamed(t, name)
 			r := mc.Check(s.Sim, mc.Options{})
 			var tree, js bytes.Buffer
 			r.WriteTree(&tree)
@@ -173,7 +170,7 @@ func TestByteStableOutput(t *testing.T) {
 // A design with nothing declared has nothing to prove, and must say so
 // rather than claim a meaningful verdict over an empty model.
 func TestOptionsBudgetDegradesVerdict(t *testing.T) {
-	s := buildNamed(t, soc.MCExamples(), "mcserdes")
+	s := buildNamed(t, "mcserdes")
 	r := mc.Check(s.Sim, mc.Options{MaxStates: 4})
 	if r.Deadlock.Verdict == mc.VerdictProved || r.Equivalence.Verdict == mc.VerdictProved {
 		t.Fatalf("budget-starved search must not claim a proof: deadlock=%s equivalence=%s",

@@ -14,26 +14,7 @@ import (
 // against the previous line), then the model and verdict sections, then
 // the one-line summary. Output is byte-stable.
 func (r *Result) WriteTree(w io.Writer) {
-	var prev []string
-	for _, d := range r.Diags {
-		segs := strings.Split(d.Path, "/")
-		if d.Path == "" {
-			segs = nil
-		}
-		common := 0
-		for common < len(segs) && common < len(prev) && segs[common] == prev[common] {
-			common++
-		}
-		for i := common; i < len(segs); i++ {
-			fmt.Fprintf(w, "%s%s\n", strings.Repeat("  ", i), segs[i])
-		}
-		prev = segs
-		indent := strings.Repeat("  ", len(segs))
-		fmt.Fprintf(w, "%s%s %s = %s\n", indent, d.Rule, d.Severity, d.Message)
-		if d.Hint != "" {
-			fmt.Fprintf(w, "%s  hint: %s\n", indent, d.Hint)
-		}
-	}
+	r.Diags.WriteTree(w)
 	fmt.Fprintf(w, "model: %d actor(s), %d channel(s), %d state bit(s), %d declared port(s), %d env endpoint(s)\n",
 		r.Nodes, r.Edges, r.StateBits, r.DeclaredPorts, r.EnvEndpoints)
 	fmt.Fprintf(w, "deadlock: %s (depth %d)\n", r.Deadlock.Verdict, r.Deadlock.Depth)

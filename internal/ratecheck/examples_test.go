@@ -146,13 +146,13 @@ func TestSerdesChainUnderBuffered(t *testing.T) {
 
 func TestRateFixtures(t *testing.T) {
 	cfg := soc.DefaultConfig()
-	fixtures := soc.RateFixtures()
-	if len(fixtures) != 2 {
-		t.Fatalf("RateFixtures = %d cases, want 2", len(fixtures))
-	}
-	byName := map[string]soc.TestCase{}
-	for _, tc := range fixtures {
-		byName[tc.Name] = tc
+	var fixtures []soc.Fixture
+	byName := map[string]soc.Fixture{}
+	for _, tc := range soc.Fixtures() {
+		if tc.Pass == "rateck" {
+			fixtures = append(fixtures, tc)
+			byName[tc.Name] = tc
+		}
 	}
 
 	t.Run("badrate", func(t *testing.T) {

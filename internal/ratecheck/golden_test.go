@@ -39,7 +39,10 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 func TestGoldenFixtures(t *testing.T) {
 	cfg := soc.DefaultConfig()
-	for _, tc := range soc.RateFixtures() {
+	for _, tc := range soc.Fixtures() {
+		if tc.Pass != "rateck" {
+			continue
+		}
 		t.Run(tc.Name, func(t *testing.T) {
 			s, _ := tc.Build(cfg)
 			r := ratecheck.Check(s.Sim)

@@ -57,6 +57,6 @@ func CheckHLS(d *hls.Design) *Result {
 			Bound: sim.NewRat(a.Num, a.Den),
 		})
 	}
-	sortDiags(r.Diags)
+	r.Diags.Sort()
 	return r
 }

@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // ChannelReport is the per-channel slice of the analysis. Only notable
@@ -88,7 +87,7 @@ type SplitReport struct {
 
 // Result is the outcome of one rate-analysis pass.
 type Result struct {
-	Diags []lint.Diag
+	lint.Diags
 
 	Channels  []ChannelReport
 	Domains   []DomainReport
@@ -108,20 +107,6 @@ type Result struct {
 }
 
 func (r *Result) add(d lint.Diag) { r.Diags = append(r.Diags, d) }
-
-// Errors counts error-severity diagnostics.
-func (r *Result) Errors() int {
-	n := 0
-	for _, d := range r.Diags {
-		if d.Severity == lint.SevError {
-			n++
-		}
-	}
-	return n
-}
-
-// Warnings counts warning-severity diagnostics.
-func (r *Result) Warnings() int { return len(r.Diags) - r.Errors() }
 
 // Summary renders the one-line pass/fail overview.
 func (r *Result) Summary() string {
@@ -201,7 +186,7 @@ func Check(s *sim.Simulator) *Result {
 	reportDomains(r, s)
 	reportCrossings(r, d)
 	reportSplits(r, d)
-	sortDiags(r.Diags)
+	r.Diags.Sort()
 	return r
 }
 
@@ -371,28 +356,4 @@ func reportSplits(r *Result, d *sim.Design) {
 // (in picoseconds) to tokens per nanosecond.
 func perNS(bound sim.Rat, periodPS uint64) sim.Rat {
 	return ratMul(bound, ratNew(1000, int64(periodPS)))
-}
-
-// sortDiags orders diagnostics exactly like lint: severity-first, then
-// path in the registry's natural order, then rule, then message — fully
-// deterministic for golden tests.
-func sortDiags(ds []lint.Diag) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && diagLess(ds[j], ds[j-1]); j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-}
-
-func diagLess(a, b lint.Diag) bool {
-	if a.Severity != b.Severity {
-		return a.Severity > b.Severity
-	}
-	if a.Path != b.Path {
-		return stats.PathLess(a.Path, b.Path)
-	}
-	if a.Rule != b.Rule {
-		return a.Rule < b.Rule
-	}
-	return a.Message < b.Message
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/lint"
 	"repro/internal/sim"
@@ -15,26 +14,7 @@ import (
 // previous line), then the bounds sections, then the one-line summary.
 // The output is byte-stable: every number is an exact rational.
 func (r *Result) WriteTree(w io.Writer) {
-	var prev []string
-	for _, d := range r.Diags {
-		segs := strings.Split(d.Path, "/")
-		if d.Path == "" {
-			segs = nil
-		}
-		common := 0
-		for common < len(segs) && common < len(prev) && segs[common] == prev[common] {
-			common++
-		}
-		for i := common; i < len(segs); i++ {
-			fmt.Fprintf(w, "%s%s\n", strings.Repeat("  ", i), segs[i])
-		}
-		prev = segs
-		indent := strings.Repeat("  ", len(segs))
-		fmt.Fprintf(w, "%s%s %s = %s\n", indent, d.Rule, d.Severity, d.Message)
-		if d.Hint != "" {
-			fmt.Fprintf(w, "%s  hint: %s\n", indent, d.Hint)
-		}
-	}
+	r.Diags.WriteTree(w)
 	if len(r.Channels) > 0 {
 		fmt.Fprintln(w, "channels:")
 		for _, c := range r.Channels {
@@ -72,15 +52,15 @@ func (r *Result) WriteTree(w io.Writer) {
 // ({"diagnostics":[...],...}) for tool symmetry. Struct fields only, no
 // maps, so encoding/json emits deterministic bytes.
 type jsonDump struct {
-	Diagnostics []lint.Diag       `json:"diagnostics"`
-	Errors      int               `json:"errors"`
-	Warnings    int               `json:"warnings"`
-	Channels    []ChannelReport   `json:"channels"`
-	Domains     []DomainReport    `json:"domains"`
-	Crossings   []CrossingReport  `json:"crossings"`
-	Splits      []SplitReport     `json:"splits,omitempty"`
-	EndToEnd    *sim.Rat          `json:"end_to_end,omitempty"`
-	Summary     string            `json:"summary"`
+	Diagnostics []lint.Diag      `json:"diagnostics"`
+	Errors      int              `json:"errors"`
+	Warnings    int              `json:"warnings"`
+	Channels    []ChannelReport  `json:"channels"`
+	Domains     []DomainReport   `json:"domains"`
+	Crossings   []CrossingReport `json:"crossings"`
+	Splits      []SplitReport    `json:"splits,omitempty"`
+	EndToEnd    *sim.Rat         `json:"end_to_end,omitempty"`
+	Summary     string           `json:"summary"`
 }
 
 // WriteJSON writes the full result as canonical JSON.

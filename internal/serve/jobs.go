@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/analysis"
 	"repro/internal/connections"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/lint"
-	"repro/internal/mc"
-	"repro/internal/ratecheck"
 	"repro/internal/soc"
 	"repro/internal/stats"
 	"repro/internal/verif"
@@ -23,9 +21,10 @@ func writeDeterministicMetrics(w io.Writer, s *exp.Summary) error {
 	return stats.WriteMetricsJSON(w, s.DeterministicMetrics())
 }
 
-// Progress is the sink adapters report campaign progress into; the
-// server fans it out to NDJSON watchers. Campaign kinds call it once per
-// finished inner job; single-run kinds never call it.
+// Progress is the sink adapters report progress into; the server fans
+// it out to NDJSON watchers. Campaign kinds call it once per finished
+// inner job, verify once per completed unroll depth; the other
+// single-run kinds never call it.
 type Progress func(done, total int, label string)
 
 // testKinds maps synthetic job kinds, registered only by the package
@@ -55,18 +54,15 @@ func Execute(c *exp.Ctx, spec Spec, progress Progress) ([]byte, error) {
 	switch spec.Kind {
 	case KindSim:
 		return runSim(spec)
-	case KindLint:
-		return runLint(spec)
-	case KindRateck:
-		return runRateck(spec)
-	case KindVerify:
-		return runVerify(spec, progress)
 	case KindStallHunt:
 		return runStallHunt(c, spec, progress)
 	case KindQoR:
 		return runQoR(spec)
 	case KindFig6:
 		return runFig6(c, spec, progress)
+	}
+	if p, ok := analysis.Lookup(spec.Kind); ok {
+		return runCheck(p, spec, progress)
 	}
 	if fn, ok := testKinds[spec.Kind]; ok {
 		return fn(c, spec, progress)
@@ -104,22 +100,6 @@ func simConfig(spec Spec) soc.Config {
 	return cfg
 }
 
-func findTest(name string, withFixtures bool) (soc.TestCase, error) {
-	cases := append(soc.Tests(), soc.ExtraTests()...)
-	if withFixtures {
-		cases = append(cases, soc.LintFixtures()...)
-		cases = append(cases, soc.RateFixtures()...)
-		cases = append(cases, soc.MCExamples()...)
-		cases = append(cases, soc.MCFixtures()...)
-	}
-	for _, tc := range cases {
-		if tc.Name == name {
-			return tc, nil
-		}
-	}
-	return soc.TestCase{}, fmt.Errorf("serve: unknown test %q", name)
-}
-
 // simResult is the KindSim body. No wall time: elapsed cycles and
 // retired instructions are simulated quantities, identical on every run
 // of the same spec.
@@ -136,9 +116,9 @@ type simResult struct {
 }
 
 func runSim(spec Spec) ([]byte, error) {
-	tc, err := findTest(spec.Test, false)
-	if err != nil {
-		return nil, err
+	tc, ok := soc.Lookup(spec.Test)
+	if !ok || tc.Pass != "" {
+		return nil, fmt.Errorf("serve: unknown sim test %q", spec.Test)
 	}
 	s, verify := tc.Build(simConfig(spec))
 	cycles, err := s.Run(spec.MaxCycles)
@@ -158,97 +138,17 @@ func runSim(spec Spec) ([]byte, error) {
 	return marshalBody(res)
 }
 
-// lintResult is the KindLint body; the diagnostics blob is
-// lint.WriteDiagsJSON's output verbatim (struct-ordered, no maps).
-type lintResult struct {
-	Kind        string          `json:"kind"`
-	Design      string          `json:"design"`
-	Mode        string          `json:"mode"`
-	GALS        bool            `json:"gals"`
-	Summary     string          `json:"summary"`
-	Errors      int             `json:"errors"`
-	Warnings    int             `json:"warnings"`
-	Diagnostics json.RawMessage `json:"diagnostics"`
-}
-
-func runLint(spec Spec) ([]byte, error) {
-	tc, err := findTest(spec.Test, true)
-	if err != nil {
-		return nil, err
+// runCheck runs one analysis pass over one design and renders the
+// pass's canonical body. verify reports each completed unroll depth
+// through the progress sink, so NDJSON watchers see the frontier
+// advance.
+func runCheck(p analysis.Pass, spec Spec, progress Progress) ([]byte, error) {
+	tc, ok := soc.Lookup(spec.Test)
+	if !ok {
+		return nil, fmt.Errorf("serve: unknown %s design %q", spec.Kind, spec.Test)
 	}
 	s, _ := tc.Build(simConfig(spec))
-	r := lint.Check(s.Sim)
-	var diags bytes.Buffer
-	if err := r.WriteJSON(&diags); err != nil {
-		return nil, err
-	}
-	return marshalBody(lintResult{
-		Kind: KindLint, Design: spec.Test, Mode: spec.Mode, GALS: spec.GALS,
-		Summary: r.Summary(), Errors: r.Errors(), Warnings: r.Warnings(),
-		Diagnostics: json.RawMessage(bytes.TrimRight(diags.Bytes(), "\n")),
-	})
-}
-
-// rateckResult is the KindRateck body; the report blob is
-// ratecheck's WriteJSON output verbatim (struct-ordered, exact
-// rationals, no maps), so the body is byte-stable like every other
-// cacheable result.
-type rateckResult struct {
-	Kind     string          `json:"kind"`
-	Design   string          `json:"design"`
-	Mode     string          `json:"mode"`
-	GALS     bool            `json:"gals"`
-	Summary  string          `json:"summary"`
-	Errors   int             `json:"errors"`
-	Warnings int             `json:"warnings"`
-	Report   json.RawMessage `json:"report"`
-}
-
-func runRateck(spec Spec) ([]byte, error) {
-	tc, err := findTest(spec.Test, true)
-	if err != nil {
-		return nil, err
-	}
-	s, _ := tc.Build(simConfig(spec))
-	r := ratecheck.Check(s.Sim)
-	var report bytes.Buffer
-	if err := r.WriteJSON(&report); err != nil {
-		return nil, err
-	}
-	return marshalBody(rateckResult{
-		Kind: KindRateck, Design: spec.Test, Mode: spec.Mode, GALS: spec.GALS,
-		Summary: r.Summary(), Errors: r.Errors(), Warnings: r.Warnings(),
-		Report: json.RawMessage(bytes.TrimRight(report.Bytes(), "\n")),
-	})
-}
-
-// verifyResult is the KindVerify body; the report blob is mc's
-// WriteJSON output verbatim (struct-ordered, counterexamples included),
-// so the body is byte-stable like every other cacheable result.
-type verifyResult struct {
-	Kind        string          `json:"kind"`
-	Design      string          `json:"design"`
-	Mode        string          `json:"mode"`
-	GALS        bool            `json:"gals"`
-	Depth       int             `json:"depth"`
-	Deadlock    string          `json:"deadlock"`
-	Equivalence string          `json:"equivalence"`
-	Summary     string          `json:"summary"`
-	Errors      int             `json:"errors"`
-	Warnings    int             `json:"warnings"`
-	Report      json.RawMessage `json:"report"`
-}
-
-// runVerify bounded-model-checks one design's latency-insensitive
-// channel graph. The search reports each completed unroll depth through
-// the progress sink, so NDJSON watchers see the frontier advance.
-func runVerify(spec Spec, progress Progress) ([]byte, error) {
-	tc, err := findTest(spec.Test, true)
-	if err != nil {
-		return nil, err
-	}
-	s, _ := tc.Build(simConfig(spec))
-	r := mc.Check(s.Sim, mc.Options{
+	r := p.Run(s.Sim, analysis.Options{
 		Depth: spec.Depth,
 		Progress: func(depth, states int) {
 			if progress != nil {
@@ -256,18 +156,7 @@ func runVerify(spec Spec, progress Progress) ([]byte, error) {
 			}
 		},
 	})
-	var report bytes.Buffer
-	if err := r.WriteJSON(&report); err != nil {
-		return nil, err
-	}
-	return marshalBody(verifyResult{
-		Kind: KindVerify, Design: spec.Test, Mode: spec.Mode, GALS: spec.GALS,
-		Depth:       spec.Depth,
-		Deadlock:    string(r.Deadlock.Verdict),
-		Equivalence: string(r.Equivalence.Verdict),
-		Summary:     r.Summary(), Errors: r.Errors(), Warnings: r.Warnings(),
-		Report: json.RawMessage(bytes.TrimRight(report.Bytes(), "\n")),
-	})
+	return p.Body(spec.Test, spec.Mode, spec.GALS, spec.Depth, r)
 }
 
 // stallHuntResult is the KindStallHunt body: the campaign aggregate plus

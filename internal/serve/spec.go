@@ -7,11 +7,15 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/analysis"
+	"repro/internal/mc"
 	"repro/internal/soc"
 )
 
 // Job kinds the service executes. Each maps to one of the repo's batch
-// workloads; see jobs.go for the adapters.
+// workloads; see jobs.go for the adapters. lint, rateck and verify are
+// the names of the internal/analysis passes, which run through one
+// adapter.
 const (
 	KindSim       = "sim"       // one SoC-level test (internal/soc)
 	KindLint      = "lint"      // static design-rule check of one design (internal/lint)
@@ -29,8 +33,8 @@ const (
 type Spec struct {
 	Kind string `json:"kind"`
 
-	// sim + lint + fig6
-	Test      string `json:"test,omitempty"`       // SoC test name; lint also accepts fixtures
+	// sim + fig6 + the analysis kinds
+	Test      string `json:"test,omitempty"`       // SoC test name; the analysis kinds also accept fixtures
 	Mode      string `json:"mode,omitempty"`       // tlm | signal | rtl
 	GALS      bool   `json:"gals,omitempty"`       // per-partition clock generators
 	MaxCycles uint64 `json:"max_cycles,omitempty"` // controller-cycle budget
@@ -64,25 +68,6 @@ type Spec struct {
 // simModes are the accepted channel models, matching socsim -mode.
 var simModes = map[string]bool{"tlm": true, "signal": true, "rtl": true}
 
-// knownTest reports whether name is a shipped SoC test; withFixtures
-// additionally admits the static-analysis designs: the deliberately
-// broken lint/rate/mc fixtures and the minimal mc examples.
-func knownTest(name string, withFixtures bool) bool {
-	cases := append(soc.Tests(), soc.ExtraTests()...)
-	if withFixtures {
-		cases = append(cases, soc.LintFixtures()...)
-		cases = append(cases, soc.RateFixtures()...)
-		cases = append(cases, soc.MCExamples()...)
-		cases = append(cases, soc.MCFixtures()...)
-	}
-	for _, tc := range cases {
-		if tc.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Normalize validates the spec and rewrites it into canonical form:
 // defaults filled, fields foreign to the kind zeroed. It must be called
 // before Canonical or Hash; the server normalizes every spec at
@@ -90,19 +75,19 @@ func knownTest(name string, withFixtures bool) bool {
 // spelled it.
 func (s *Spec) Normalize() error {
 	s.Partitions = 0 // decode-only; no runner reads it
+	if p, ok := analysis.Lookup(s.Kind); ok {
+		return s.normalizeCheck(p)
+	}
 	switch s.Kind {
 	case KindSim:
 		if s.Test == "" {
 			s.Test = "memcpy"
 		}
-		if !knownTest(s.Test, false) {
+		if tc, ok := soc.Lookup(s.Test); !ok || tc.Pass != "" {
 			return fmt.Errorf("serve: unknown sim test %q", s.Test)
 		}
-		if s.Mode == "" {
-			s.Mode = "tlm"
-		}
-		if !simModes[s.Mode] {
-			return fmt.Errorf("serve: unknown mode %q", s.Mode)
+		if err := s.normalizeMode(); err != nil {
+			return err
 		}
 		if s.MaxCycles == 0 {
 			s.MaxCycles = 10_000_000
@@ -117,57 +102,6 @@ func (s *Spec) Normalize() error {
 			s.Seed = 0 // unread without injection; don't fork the hash
 		}
 		s.Messages, s.Seeds = 0, 0
-	case KindLint:
-		if s.Test == "" {
-			s.Test = "memcpy"
-		}
-		if !knownTest(s.Test, true) {
-			return fmt.Errorf("serve: unknown lint design %q", s.Test)
-		}
-		if s.Mode == "" {
-			s.Mode = "tlm"
-		}
-		if !simModes[s.Mode] {
-			return fmt.Errorf("serve: unknown mode %q", s.Mode)
-		}
-		s.MaxCycles, s.Stall, s.Seed, s.Messages, s.Seeds = 0, 0, 0, 0, 0
-	case KindRateck:
-		// Same surface as lint: one design, one clocking style. The mode
-		// is accepted for config symmetry even though rate declarations
-		// are mode-independent.
-		if s.Test == "" {
-			s.Test = "memcpy"
-		}
-		if !knownTest(s.Test, true) {
-			return fmt.Errorf("serve: unknown rateck design %q", s.Test)
-		}
-		if s.Mode == "" {
-			s.Mode = "tlm"
-		}
-		if !simModes[s.Mode] {
-			return fmt.Errorf("serve: unknown mode %q", s.Mode)
-		}
-		s.MaxCycles, s.Stall, s.Seed, s.Messages, s.Seeds = 0, 0, 0, 0, 0
-	case KindVerify:
-		// Same one-design surface as lint/rateck, plus the unrolling
-		// bound. The mode is accepted for config symmetry even though the
-		// abstract channel model is mode-independent.
-		if s.Test == "" {
-			s.Test = "mcserdes"
-		}
-		if !knownTest(s.Test, true) {
-			return fmt.Errorf("serve: unknown verify design %q", s.Test)
-		}
-		if s.Mode == "" {
-			s.Mode = "tlm"
-		}
-		if !simModes[s.Mode] {
-			return fmt.Errorf("serve: unknown mode %q", s.Mode)
-		}
-		if s.Depth <= 0 {
-			s.Depth = 64
-		}
-		s.MaxCycles, s.Stall, s.Seed, s.Messages, s.Seeds = 0, 0, 0, 0, 0
 	case KindStallHunt:
 		if s.Stall == 0 {
 			s.Stall = 0.3
@@ -208,11 +142,48 @@ func (s *Spec) Normalize() error {
 		}
 		return fmt.Errorf("serve: unknown job kind %q", s.Kind)
 	}
-	if s.Kind != KindVerify {
-		s.Depth = 0 // only the verify runner reads it; don't fork hashes
-	}
+	s.Depth = 0 // only depth-reading passes read it; don't fork hashes
 	if s.Parallel < 0 {
 		s.Parallel = 0
+	}
+	return nil
+}
+
+// normalizeCheck is Normalize for the analysis-pass kinds: one design
+// (a shipped test or any fixture), one channel mode and clocking, and
+// the unrolling bound for a pass that reads it. The mode is accepted
+// for config symmetry even though the passes are mode-independent.
+func (s *Spec) normalizeCheck(p analysis.Pass) error {
+	if s.Test == "" {
+		s.Test = p.Design
+	}
+	if _, ok := soc.Lookup(s.Test); !ok {
+		return fmt.Errorf("serve: unknown %s design %q", s.Kind, s.Test)
+	}
+	if err := s.normalizeMode(); err != nil {
+		return err
+	}
+	switch {
+	case !p.Depth:
+		s.Depth = 0
+	case s.Depth <= 0:
+		s.Depth = mc.DefaultDepth
+	}
+	s.MaxCycles, s.Stall, s.Seed, s.Messages, s.Seeds = 0, 0, 0, 0, 0
+	if s.Parallel < 0 {
+		s.Parallel = 0
+	}
+	return nil
+}
+
+// normalizeMode defaults the channel model to tlm and rejects unknown
+// ones.
+func (s *Spec) normalizeMode() error {
+	if s.Mode == "" {
+		s.Mode = "tlm"
+	}
+	if !simModes[s.Mode] {
+		return fmt.Errorf("serve: unknown mode %q", s.Mode)
 	}
 	return nil
 }

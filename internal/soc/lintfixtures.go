@@ -1,25 +1,9 @@
 package soc
 
 import (
-	"fmt"
-
 	"repro/internal/connections"
 	"repro/internal/noc"
 )
-
-// LintFixtures returns deliberately broken SoC builds for exercising the
-// design-rule checker. Each fixture is a full SoC with one extra hazard
-// wired in, so the checker must find the defect amid a realistic design
-// graph rather than a toy one. They are selectable by exact name from
-// socsim but excluded from "all": they are meant to be linted, never run
-// (they carry no firmware).
-func LintFixtures() []TestCase {
-	return []TestCase{
-		{Name: "badcdc", Build: buildBadCDC},
-		{Name: "badloop", Build: buildBadLoop},
-		{Name: "badport", Build: buildBadPort},
-	}
-}
 
 // buildBadCDC wires an ordinary single-clock buffer between two different
 // GALS partitions — the unsynchronized clock-domain crossing CDC-1 exists
@@ -60,8 +44,4 @@ func buildBadPort(cfg Config) (*SoC, func(*SoC) error) {
 	dangler := connections.NewOut[noc.Flit]().Owned(clk, "fixture/dangler", "out")
 	connections.Buffer(clk, "fixture/dangling", 2, dangler, connections.NewIn[noc.Flit]())
 	return s, neverRun
-}
-
-func neverRun(*SoC) error {
-	return fmt.Errorf("soc: lint fixtures are not runnable designs")
 }

@@ -1,37 +1,11 @@
 package soc
 
 import (
-	"errors"
-
 	"repro/internal/connections"
 	"repro/internal/gals"
 	"repro/internal/noc"
 	"repro/internal/sim"
 )
-
-// MCFixtures returns deliberately broken SoC builds for exercising the
-// bounded model checker, the dynamic siblings of LintFixtures and
-// RateFixtures: full SoCs with one reachable channel-protocol bug wired
-// in, selectable by exact name from socsim but excluded from "all",
-// meant to be checked, never run.
-func MCFixtures() []TestCase {
-	return []TestCase{
-		{Name: "mcdeadlock", Build: buildMCDeadlock},
-		{Name: "mcbufeqv", Build: buildMCBufEqv},
-	}
-}
-
-// MCExamples returns small clean designs the model checker must prove
-// deadlock-free and equivalent within its default bound: the rated
-// serializer/deserializer chain and a GALS clock-domain crossing. They
-// are minimal closed models (every endpoint declared), not full SoCs —
-// exhaustive state search is exactly the regime BMC is for.
-func MCExamples() []TestCase {
-	return []TestCase{
-		{Name: "mcserdes", Build: buildMCSerdes},
-		{Name: "mcgals", Build: buildMCGals},
-	}
-}
 
 // buildMCDeadlock wires a token ring with no initial tokens into the
 // full SoC: two single-slot buffered channels a -> b -> a where each
@@ -103,7 +77,7 @@ func buildMCSerdes(cfg Config) (*SoC, func(*SoC) error) {
 	connections.Buffer(clk, "tb/q_head", 2, srcOut, serIn)
 	connections.Buffer(clk, "tb/q_link", 3, serOut, desIn)
 	connections.Buffer(clk, "tb/q_tail", 2, desOut, sinkIn)
-	return s, neverRunnableExample
+	return s, neverRun
 }
 
 // buildMCGals is a minimal GALS clock-domain crossing: two drifting
@@ -118,11 +92,5 @@ func buildMCGals(cfg Config) (*SoC, func(*SoC) error) {
 	rx := s.Sim.AddClock("rx", cfg.ClockPS+7, 13)
 	s.Clks = []*sim.Clock{tx, rx}
 	gals.NewPausibleBisyncFIFO[noc.Flit](s.Sim, "tb/cross", tx, rx, 4, 40)
-	return s, neverRunnableExample
-}
-
-// neverRunnableExample marks the minimal mc example designs: they carry
-// no firmware or traffic generators and exist to be checked, not run.
-func neverRunnableExample(*SoC) error {
-	return errors.New("mc example designs are static models; model-check them with -mc, they cannot run")
+	return s, neverRun
 }

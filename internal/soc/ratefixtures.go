@@ -6,18 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// RateFixtures returns deliberately mis-rated SoC builds for exercising
-// the static communication-rate analysis, the rate siblings of
-// LintFixtures: full SoCs with one extra rate hazard wired in, selectable
-// by exact name from socsim but excluded from "all", meant to be checked,
-// never run.
-func RateFixtures() []TestCase {
-	return []TestCase{
-		{Name: "badrate", Build: buildBadRate},
-		{Name: "badbuf", Build: buildBadBuf},
-	}
-}
-
 // buildBadRate wires two rate hazards. First, an SDF cycle whose balance
 // equations are inconsistent (RATE-1): actor a pushes two tokens per
 // firing to b, but the return channel claims one-for-one, so no periodic

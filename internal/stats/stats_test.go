@@ -267,3 +267,53 @@ func TestFormatJSONFloat(t *testing.T) {
 
 func nan() float64 { z := 0.0; return z / z }
 func inf() float64 { z := 0.0; return 1 / z }
+
+// FuzzParseJSON feeds arbitrary bytes to the metrics-dump decoder that
+// reads a daemon's /metrics (socbench) and every campaign job's stats
+// dump (internal/exp). It must never panic,
+// and any dump it accepts must survive the canonical encoder: writing
+// the parsed metrics with WriteMetricsJSON and parsing them again gives
+// back equal metrics.
+func FuzzParseJSON(f *testing.F) {
+	r := New()
+	r.Counter("soc/noc/r[3]", "flits_out").Add(17)
+	r.Gauge("soc/power", "total_mw").Set(42.5)
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(buf.Bytes()))
+	buf.Reset()
+	if err := WriteMetricsJSON(&buf, []Metric{
+		{Path: "serve/cache", Name: "hits", Value: 3},
+		{Path: "soc/pe[2]", Name: "util", Value: 0.25},
+		{Path: "", Name: "uptime", Value: 1e21},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("{nope"))
+	f.Add([]byte(`{"metrics":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ms, err := ParseJSON(data)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteMetricsJSON(&out, ms); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseJSON(out.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded dump does not parse: %v\n%s", err, out.Bytes())
+		}
+		if len(again) != len(ms) {
+			t.Fatalf("round trip kept %d of %d metrics", len(again), len(ms))
+		}
+		for i := range ms {
+			if again[i] != ms[i] {
+				t.Fatalf("round trip[%d] = %+v, want %+v", i, again[i], ms[i])
+			}
+		}
+	})
+}

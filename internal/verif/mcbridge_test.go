@@ -135,7 +135,7 @@ func TestOpenModelAlwaysHunts(t *testing.T) {
 // The gate composes with the shipped fixtures: the seeded SoC-level
 // deadlock both errors and seeds the hunt.
 func TestFixtureDeadlockSeedsHunt(t *testing.T) {
-	for _, tc := range soc.MCFixtures() {
+	for _, tc := range soc.Fixtures() {
 		if tc.Name != "mcdeadlock" {
 			continue
 		}
