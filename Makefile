@@ -16,8 +16,9 @@ test: build
 # over the untraced primitives), and hold the compiled RTL backend's
 # throughput floor over the interpreter. The decoders of outside bytes
 # (wire frames, job specs, metrics dumps) are fuzzed for a fixed
-# budget, and every analysis pass must pass the shipped designs and
-# catch its seeded-bug fixtures.
+# budget, every analysis pass must pass the shipped designs and catch
+# its seeded-bug fixtures, and the benchmark module's golden cycle,
+# instret, edge and pause counts (the determinism guard) must hold.
 check: vet
 	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
@@ -26,6 +27,7 @@ check: vet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMsg$$' -fuzztime 10s ./internal/fleet/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSON$$' -fuzztime 10s ./internal/stats
+	cd bench && $(GO) test .
 	$(MAKE) analysis
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke

@@ -176,6 +176,22 @@ type core[T any] struct {
 	popReady  func() bool
 	pushReady func() bool
 
+	// Activity. A successful push or pop touches the commit hook, which
+	// then runs on this edge and stays listed while the skid or delay
+	// line holds messages (every edge with a stall stream, which rolls
+	// each edge). ev notifies port threads parked on the predicates above
+	// of every push, pop and state-changing commit; evs is ev as the
+	// slice they park on.
+	touch *sim.OnTouch
+	ev    sim.Event
+	evs   [1]*sim.Event
+
+	// synced is the clock's completed-commit count that stats.Cycles and
+	// stats.OccupancySum cover. The edges since were idle — the channel
+	// was not listed, so its committed queue held — and Stats adds them
+	// as gap × len(queue).
+	synced uint64
+
 	// RTL-cosim per-cycle signal evaluation state: the channel's wire
 	// image (head message bits plus handshake bits) is recomputed every
 	// cycle and toggles are accumulated, modelling what an RTL simulator
@@ -237,6 +253,7 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 	}
 	c.popReady = c.canPop
 	c.pushReady = c.canPush
+	c.evs[0] = &c.ev
 	c.sub = clk.Sim().Tracer().Subject(name)
 	if c.sub != nil {
 		// Armed only: the per-cycle valid/ready/occupancy monitor exists
@@ -247,7 +264,11 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 	if c.mode == ModeRTLCosim {
 		clk.AtDriveNamed(name+"/rtl_eval", c.rtlEval)
 	}
-	clk.AtCommitNamed(name, c.commit)
+	c.touch = clk.AtCommitOnTouch(name, c.commit)
+	c.synced = clk.Committed()
+	if c.rng != nil {
+		c.touch.Touch()
+	}
 	// Every channel is a component: its counters surface through the
 	// simulator's metrics registry under the channel name as a path.
 	clk.Sim().Component(name).Source(c.emitStats)
@@ -257,7 +278,7 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 // emitStats surfaces the channel's counters into the unified metrics
 // registry at snapshot time.
 func (c *core[T]) emitStats(emit stats.Emit) {
-	s := c.stats
+	s := c.Stats()
 	emit("transfers", float64(s.Transfers))
 	emit("push_attempts", float64(s.PushAttempts))
 	emit("push_fails", float64(s.PushFails))
@@ -352,6 +373,8 @@ func (c *core[T]) tryPush(v T) bool {
 		_ = c.pack(v)
 	}
 	c.skid = append(c.skid, v)
+	c.touch.Touch()
+	c.ev.Notify()
 	return true
 }
 
@@ -364,13 +387,16 @@ func (c *core[T]) tryPop() (T, bool) {
 		c.stats.PopFails++
 		return zero, false
 	}
+	var v T
 	if len(c.queue)-c.stagedPops > 0 {
-		v := c.queue[c.stagedPops]
+		v = c.queue[c.stagedPops]
 		c.stagedPops++
-		return v, true
+	} else {
+		v = c.skid[c.bypassTaken]
+		c.bypassTaken++
 	}
-	v := c.skid[c.bypassTaken]
-	c.bypassTaken++
+	c.touch.Touch()
+	c.ev.Notify()
 	return v, true
 }
 
@@ -461,34 +487,31 @@ func (c *core[T]) peek() (T, bool) {
 	return zero, false
 }
 
-// commit is the channel's kernel process: it latches this cycle's staged
-// operations, matures the delay line, and rolls next cycle's stalls.
-func (c *core[T]) commit() {
-	// Idle fast path: nothing staged, nothing buffered, no stall stream to
-	// roll — only the per-cycle counters advance. This is the common case
-	// for most channels on most cycles and is bit-identical to the full
-	// path below.
-	if c.stagedPops == 0 && c.bypassTaken == 0 && c.rng == nil &&
-		len(c.skid) == 0 && len(c.inflightBuf) == 0 {
-		c.stats.Cycles++
-		c.stats.OccupancySum += uint64(len(c.queue))
-		return
-	}
-
-	c.stats.Transfers += uint64(c.stagedPops + c.bypassTaken)
-	c.stats.Cycles++
-	c.stats.OccupancySum += uint64(len(c.queue))
+// commit is the channel's kernel process, run on the edges it was
+// touched or asked to run again: it latches this edge's staged
+// operations, matures the delay line, transmits from the skid, and rolls
+// the next edge's stalls. It asks to run again while messages remain in
+// the skid or delay line, or while a stall stream is rolling.
+func (c *core[T]) commit() (again bool) {
+	// This edge and the idle ones since the last commit, when the
+	// committed queue held.
+	edges := c.clk.Committed() + 1 - c.synced
+	c.synced += edges
+	moved := c.stagedPops + c.bypassTaken
+	c.stats.Transfers += uint64(moved)
+	c.stats.Cycles += edges
+	c.stats.OccupancySum += edges * uint64(len(c.queue))
 	if c.stalledValid || c.stalledReady {
 		c.stats.StallCycles++
 	}
 
 	// Retire consumed entries.
 	if c.stagedPops > 0 {
-		c.queue = c.queue[c.stagedPops:]
+		c.queue = shift(c.queue, c.stagedPops)
 		c.stagedPops = 0
 	}
 	if c.bypassTaken > 0 {
-		c.skid = c.skid[c.bypassTaken:]
+		c.skid = shift(c.skid, c.bypassTaken)
 		c.bypassTaken = 0
 	}
 
@@ -498,6 +521,7 @@ func (c *core[T]) commit() {
 	for _, e := range c.inflightBuf {
 		if e.mature <= now {
 			c.queue = append(c.queue, e.v)
+			moved++
 		} else {
 			c.inflightBuf[n] = e
 			n++
@@ -511,14 +535,19 @@ func (c *core[T]) commit() {
 	// retiming registers cannot stall, so a message admitted into them
 	// must already have a queue slot reserved. Latency therefore never
 	// adds effective buffering.
-	for len(c.skid) > 0 && len(c.queue)+len(c.inflightBuf) < c.cap {
-		v := c.skid[0]
-		c.skid = c.skid[1:]
+	sent := 0
+	for sent < len(c.skid) && len(c.queue)+len(c.inflightBuf) < c.cap {
+		v := c.skid[sent]
+		sent++
 		if c.latency == 0 {
 			c.queue = append(c.queue, v)
 		} else {
 			c.inflightBuf = append(c.inflightBuf, inflight[T]{v: v, mature: now + uint64(c.latency)})
 		}
+	}
+	if sent > 0 {
+		c.skid = shift(c.skid, sent)
+		moved += sent
 	}
 
 	if len(c.queue) > c.cap {
@@ -527,10 +556,36 @@ func (c *core[T]) commit() {
 
 	// Roll stall injection for the next cycle.
 	if c.rng != nil {
-		c.stalledValid = c.rng.Float64() < c.pStallValid
-		c.stalledReady = c.rng.Float64() < c.pStallReady
+		valid := c.rng.Float64() < c.pStallValid
+		ready := c.rng.Float64() < c.pStallReady
+		if valid != c.stalledValid || ready != c.stalledReady {
+			moved++
+		}
+		c.stalledValid, c.stalledReady = valid, ready
 	}
+	if moved > 0 {
+		c.ev.Notify()
+	}
+	return c.rng != nil || len(c.skid) > 0 || len(c.inflightBuf) > 0
 }
 
-// Stats returns a copy of the channel's counters.
-func (c *core[T]) Stats() Stats { return c.stats }
+// shift drops the first n entries of s, moving the rest to the front so
+// that the backing array is reused rather than outgrown by later
+// appends, and zeroes the vacated tail so it holds no stale references.
+func shift[T any](s []T, n int) []T {
+	m := copy(s, s[n:])
+	clear(s[m:])
+	return s[:m]
+}
+
+// Stats returns a copy of the channel's counters, with the idle edges
+// since the last commit accounted.
+func (c *core[T]) Stats() Stats {
+	s := c.stats
+	if done := c.clk.Committed(); done > c.synced {
+		gap := done - c.synced
+		s.Cycles += gap
+		s.OccupancySum += gap * uint64(len(c.queue))
+	}
+	return s
+}

@@ -108,9 +108,9 @@ func (p *In[T]) PopNB(th *sim.Thread) (T, bool) {
 
 // Pop blocks until a message is available and returns it. In the
 // sim-accurate and RTL-cosim models a blocked consumer parks on the
-// channel's readiness predicate, so idle cycles cost no goroutine
-// handoff; the signal-accurate model keeps polling because every PopNB
-// attempt charges its own handshake Wait.
+// channel's readiness predicate and event, so idle cycles cost neither a
+// coroutine switch nor a predicate call; the signal-accurate model keeps
+// polling because every PopNB attempt charges its own handshake Wait.
 func (p *In[T]) Pop(th *sim.Thread) T {
 	c := p.need()
 	if c.mode == ModeSignalAccurate {
@@ -129,7 +129,7 @@ func (p *In[T]) Pop(th *sim.Thread) T {
 		if ok {
 			return v
 		}
-		th.WaitFor(c.popReady)
+		th.WaitOn(c.popReady, c.evs[:]...)
 	}
 }
 
@@ -146,11 +146,16 @@ func (p *In[T]) Empty() bool {
 
 // Ready reports whether a PopNB this cycle would succeed, including the
 // kind-specific bypass path. Components with their own scan loops use it
-// as a parking predicate.
+// as a parking predicate, sensitive to Event.
 func (p *In[T]) Ready() bool { return p.need().canPop() }
 
 // Mode returns the bound channel's port-operation cost model.
 func (p *In[T]) Mode() Mode { return p.need().mode }
+
+// Event returns the bound channel's event, which notifies on every push,
+// pop and state-changing commit: whatever can change Ready, Peek or
+// Empty. Components with their own scan loops park on it.
+func (p *In[T]) Event() *sim.Event { return &p.need().ev }
 
 // Stats returns the bound channel's counters.
 func (p *In[T]) Stats() Stats { return p.need().Stats() }
@@ -170,8 +175,8 @@ func (p *Out[T]) PushNB(th *sim.Thread, v T) bool {
 }
 
 // Push blocks until the channel accepts the message. Like Pop, a
-// blocked producer parks on the channel's capacity predicate except in
-// the signal-accurate model.
+// blocked producer parks on the channel's capacity predicate and event
+// except in the signal-accurate model.
 func (p *Out[T]) Push(th *sim.Thread, v T) {
 	c := p.need()
 	if c.mode == ModeSignalAccurate {
@@ -189,7 +194,7 @@ func (p *Out[T]) Push(th *sim.Thread, v T) {
 		if ok {
 			return
 		}
-		th.WaitFor(c.pushReady)
+		th.WaitOn(c.pushReady, c.evs[:]...)
 	}
 }
 
@@ -201,6 +206,9 @@ func (p *Out[T]) Full() bool {
 
 // Mode returns the bound channel's port-operation cost model.
 func (p *Out[T]) Mode() Mode { return p.need().mode }
+
+// Event returns the bound channel's event; see In.Event.
+func (p *Out[T]) Event() *sim.Event { return &p.need().ev }
 
 // Stats returns the bound channel's counters.
 func (p *Out[T]) Stats() Stats { return p.need().Stats() }
@@ -220,7 +228,7 @@ func (ch Channel[T]) Kind() Kind { return ch.c.kind }
 func (ch Channel[T]) Mode() Mode { return ch.c.mode }
 
 // Stats returns the channel's traffic counters.
-func (ch Channel[T]) Stats() Stats { return ch.c.stats }
+func (ch Channel[T]) Stats() Stats { return ch.c.Stats() }
 
 // RTLToggles returns accumulated wire toggles (ModeRTLCosim only), the
 // switching-activity feed for power analysis.

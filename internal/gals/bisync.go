@@ -25,9 +25,12 @@ type PausibleBisyncFIFO[T any] struct {
 	wptr uint64
 	rptr uint64
 
-	// Cached parking predicates for blocked Push/Pop.
+	// Cached parking predicates for blocked Push/Pop, and the event
+	// (as the slice they park on) that PushNB and PopNB notify.
 	notFull  func() bool
 	notEmpty func() bool
+	ev       sim.Event
+	evs      [1]*sim.Event
 
 	// window is the metastability conflict window in picoseconds: a
 	// pointer change closer than this to the other domain's next edge
@@ -63,6 +66,7 @@ func NewPausibleBisyncFIFO[T any](s *sim.Simulator, name string, prod, cons *sim
 	}
 	f.notFull = func() bool { return f.wptr-f.rptr < uint64(len(f.buf)) }
 	f.notEmpty = func() bool { return f.rptr != f.wptr }
+	f.evs[0] = &f.ev
 	f.sub = s.Tracer().Subject(name)
 	s.Component(name).Source(func(emit stats.Emit) {
 		emit("pauses", float64(f.Pauses))
@@ -140,6 +144,7 @@ func (f *PausibleBisyncFIFO[T]) PushNB(v T) bool {
 	}
 	f.buf[f.wptr%uint64(len(f.buf))] = entry[T]{v: v}
 	f.wptr++
+	f.ev.Notify()
 	if f.sub != nil {
 		f.record(trace.KindPush, f.prod)
 	}
@@ -149,11 +154,12 @@ func (f *PausibleBisyncFIFO[T]) PushNB(v T) bool {
 }
 
 // Push blocks (in producer-domain cycles) until accepted. A blocked
-// producer parks on the FIFO's capacity predicate: a failed PushNB has
-// no side effects, so parking is cycle-identical to polling.
+// producer parks on the FIFO's capacity predicate, which only a PopNB
+// can turn true: a failed PushNB has no side effects, so parking is
+// cycle-identical to polling.
 func (f *PausibleBisyncFIFO[T]) Push(th *sim.Thread, v T) {
 	for !f.PushNB(v) {
-		th.WaitFor(f.notFull)
+		th.WaitOn(f.notFull, f.evs[:]...)
 	}
 }
 
@@ -169,6 +175,7 @@ func (f *PausibleBisyncFIFO[T]) PopNB() (T, bool) {
 	v := f.buf[f.rptr%uint64(len(f.buf))].v
 	f.rptr++
 	f.Transfers++
+	f.ev.Notify()
 	if f.sub != nil {
 		f.record(trace.KindPop, f.cons)
 	}
@@ -184,7 +191,7 @@ func (f *PausibleBisyncFIFO[T]) Pop(th *sim.Thread) T {
 		if v, ok := f.PopNB(); ok {
 			return v
 		}
-		th.WaitFor(f.notEmpty)
+		th.WaitOn(f.notEmpty, f.evs[:]...)
 	}
 }
 
@@ -208,8 +215,13 @@ type BruteForceSyncFIFO[T any] struct {
 
 	Transfers uint64
 
+	// Parking predicates for blocked Push/Pop. Only a synchronized
+	// pointer moving can turn them true, so ev notifies from the
+	// synchronizer commit hooks when one does.
 	notFull  func() bool
 	notEmpty func() bool
+	ev       sim.Event
+	evs      [1]*sim.Event
 }
 
 // NewBruteForceSyncFIFO builds the baseline FIFO, registers the
@@ -226,11 +238,18 @@ func NewBruteForceSyncFIFO[T any](s *sim.Simulator, name string, prod, cons *sim
 	}
 	f.notFull = func() bool { return f.wptr-f.rptrSyncToProd[1] < uint64(len(f.buf)) }
 	f.notEmpty = func() bool { return f.rptr != f.wptrSyncToCons[1] }
+	f.evs[0] = &f.ev
 	cons.AtCommitNamed(name, func() {
+		if f.wptrSyncToCons[1] != f.wptrSyncToCons[0] {
+			f.ev.Notify()
+		}
 		f.wptrSyncToCons[1] = f.wptrSyncToCons[0]
 		f.wptrSyncToCons[0] = f.wptr
 	})
 	prod.AtCommitNamed(name, func() {
+		if f.rptrSyncToProd[1] != f.rptrSyncToProd[0] {
+			f.ev.Notify()
+		}
 		f.rptrSyncToProd[1] = f.rptrSyncToProd[0]
 		f.rptrSyncToProd[0] = f.rptr
 	})
@@ -261,7 +280,7 @@ func (f *BruteForceSyncFIFO[T]) PushNB(v T) bool {
 // Push blocks until accepted, parking on the synchronized full check.
 func (f *BruteForceSyncFIFO[T]) Push(th *sim.Thread, v T) {
 	for !f.PushNB(v) {
-		th.WaitFor(f.notFull)
+		th.WaitOn(f.notFull, f.evs[:]...)
 	}
 }
 
@@ -284,6 +303,6 @@ func (f *BruteForceSyncFIFO[T]) Pop(th *sim.Thread) T {
 		if v, ok := f.PopNB(); ok {
 			return v
 		}
-		th.WaitFor(f.notEmpty)
+		th.WaitOn(f.notEmpty, f.evs[:]...)
 	}
 }

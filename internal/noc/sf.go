@@ -61,14 +61,18 @@ func NewSFRouter(clk *sim.Clock, name string, nPorts, pktQ int, route RouteFunc)
 func (r *SFRouter) run(th *sim.Thread) {
 	// The loop body is a no-op when every input is empty, every assembled
 	// packet queue is empty, and no output is mid-packet, so the thread
-	// parks on that condition. Parking skips the failing per-input PopNB
-	// calls, which is only behavior-preserving when no input charges a
-	// per-attempt handshake wait (ModeSignalAccurate).
+	// parks on that condition. Only an input can end it — the queues and
+	// outputs change only when the router runs — so the park is sensitive
+	// to the input channels' events. Parking skips the failing per-input
+	// PopNB calls, which is only behavior-preserving when no input charges
+	// a per-attempt handshake wait (ModeSignalAccurate).
 	park := true
+	evs := make([]*sim.Event, r.nPorts)
 	for i := 0; i < r.nPorts; i++ {
 		if r.In[i].Mode() == connections.ModeSignalAccurate {
 			park = false
 		}
+		evs[i] = r.In[i].Event()
 	}
 	hasWork := func() bool {
 		for i := 0; i < r.nPorts; i++ {
@@ -135,7 +139,7 @@ func (r *SFRouter) run(th *sim.Thread) {
 			}
 		}
 		if park {
-			th.WaitFor(hasWork)
+			th.WaitOn(hasWork, evs...)
 		} else {
 			th.Wait()
 		}

@@ -56,18 +56,21 @@ func NewNI(clk *sim.Clock, name string, node, nVCs int, vcPick func(Packet) int)
 			ni.Injected++
 		}
 	})
+	evs := make([]*sim.Event, nVCs) // eject's sensitivity, filled at its first edge
 	clk.Spawn(name+".eject", func(th *sim.Thread) {
 		acc := make([][]Flit, nVCs)
 		// The per-VC scan below is a no-op when no input VC has a flit, so
-		// the thread parks on flit arrival — except when an input charges a
-		// per-attempt handshake wait (ModeSignalAccurate), where skipping
-		// the failing PopNB calls would change elapsed cycles. Modes are
+		// the thread parks on flit arrival, sensitive to the input
+		// channels' events — except when an input charges a per-attempt
+		// handshake wait (ModeSignalAccurate), where skipping the failing
+		// PopNB calls would change elapsed cycles. Modes and events are
 		// read here, at the first edge, because ports are bound after NewNI.
 		park := true
 		for v := 0; v < nVCs; v++ {
 			if ni.FlitIn[v].Mode() == connections.ModeSignalAccurate {
 				park = false
 			}
+			evs[v] = ni.FlitIn[v].Event()
 		}
 		anyFlit := func() bool {
 			for v := 0; v < nVCs; v++ {
@@ -86,7 +89,7 @@ func NewNI(clk *sim.Clock, name string, node, nVCs int, vcPick func(Packet) int)
 				acc[v] = append(acc[v], f)
 				if f.Tail {
 					flits := acc[v]
-					acc[v] = nil
+					acc[v] = flits[:0] // the packet below copies what it keeps
 					p := Packet{Src: flits[0].Src, Dst: flits[0].Dst, ID: flits[0].PktID}
 					for _, b := range flits[1:] {
 						p.Payload = append(p.Payload, b.Data)
@@ -99,7 +102,7 @@ func NewNI(clk *sim.Clock, name string, node, nVCs int, vcPick func(Packet) int)
 				}
 			}
 			if park {
-				th.WaitFor(anyFlit)
+				th.WaitOn(anyFlit, evs...)
 			} else {
 				th.Wait()
 			}

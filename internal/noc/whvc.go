@@ -28,6 +28,13 @@ type WHVCRouter struct {
 	route        RouteFunc
 	vcMap        VCMapFunc
 
+	// run's per-edge scratch, [port*vc], allocated with the router so
+	// the thread allocates nothing when it starts: the input heads peeked
+	// this edge and the input channels' events (filled at the first edge,
+	// once the ports are bound).
+	heads []Flit
+	inEvs []*sim.Event
+
 	name string
 	clk  *sim.Clock
 	sub  *trace.Subject // armed handshake tracing; nil when disarmed
@@ -59,6 +66,8 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 		arbs:   make([]*matchlib.Arbiter, nPorts),
 		route:  route,
 		vcMap:  vcMap,
+		heads:  make([]Flit, nPorts*nVCs),
+		inEvs:  make([]*sim.Event, 0, nPorts*nVCs),
 		name:   name,
 		clk:    clk,
 		sub:    clk.Sim().Tracer().Subject(name),
@@ -97,12 +106,17 @@ func (r *WHVCRouter) DeclareSplit(port int, num, den int64) *WHVCRouter {
 }
 
 func (r *WHVCRouter) run(th *sim.Thread) {
-	inUsed := make([]bool, r.nPorts)
 	// With every input VC empty the loop body below is a no-op (req stays
 	// zero for every output, so neither the arbiter state nor the counters are
-	// touched), so the thread parks until a flit is peekable. Peek never
+	// touched), so the thread parks until a flit is peekable: on the input
+	// channels' events, which notify whenever a head can appear. Peek never
 	// charges a wait in any cost model, making this safe even under
 	// ModeSignalAccurate.
+	for i := range r.In {
+		for _, in := range r.In[i] {
+			r.inEvs = append(r.inEvs, in.Event())
+		}
+	}
 	anyInput := func() bool {
 		for i := 0; i < r.nPorts; i++ {
 			for v := 0; v < r.nVCs; v++ {
@@ -113,34 +127,58 @@ func (r *WHVCRouter) run(th *sim.Thread) {
 		}
 		return false
 	}
+	// heads[i*nVCs+v] is the head flit of input VC (i, v) wherever bit
+	// i*nVCs+v of have is set, as peeked on cycle seen. The heads are
+	// peeked once per edge rather than once per output: forward pops at
+	// most one flit per input port, and used excludes that port from the
+	// outputs after it, so the rest of the snapshot is what Peek would
+	// return. The snapshot is retaken whenever the cycle has changed: at
+	// the first output of every edge, and after a port operation that
+	// charged a Wait (ModeSignalAccurate).
+	var have, seen uint64
+	snapshot := func() {
+		have, seen = 0, th.Cycle()
+		for i := 0; i < r.nPorts; i++ {
+			for v := 0; v < r.nVCs; v++ {
+				k := i*r.nVCs + v
+				if f, ok := r.In[i][v].Peek(); ok {
+					r.heads[k] = f
+					have |= 1 << uint(k)
+				}
+			}
+		}
+	}
 	for {
 		// Each output port sends at most one flit per cycle, chosen
 		// round-robin among (a) input VCs that own one of its output VCs
 		// and have a flit ready and (b) head flits requesting a free
 		// output VC. Each input port also supplies at most one flit per
-		// cycle (single crossbar input per port).
-		for i := range inUsed {
-			inUsed[i] = false
-		}
+		// cycle (single crossbar input per port); used has bit i set once
+		// input port i has.
+		var used uint64
 		for o := 0; o < r.nPorts; o++ {
+			if th.Cycle() != seen {
+				snapshot()
+			}
 			var req uint64
 			for i := 0; i < r.nPorts; i++ {
-				if inUsed[i] {
+				if used&(1<<uint(i)) != 0 {
 					continue
 				}
 				for v := 0; v < r.nVCs; v++ {
-					f, ok := r.In[i][v].Peek()
-					if !ok {
+					k := i*r.nVCs + v
+					if have&(1<<uint(k)) == 0 {
 						continue
 					}
+					f := &r.heads[k]
 					vOut := r.vcMap(o, v)
 					lk := r.lock[o][vOut]
 					if f.Head {
 						if r.route(f.Dst) == o && !lk.active {
-							req |= 1 << uint(i*r.nVCs+v)
+							req |= 1 << uint(k)
 						}
 					} else if lk.active && lk.inPort == i && lk.vc == v {
-						req |= 1 << uint(i*r.nVCs+v)
+						req |= 1 << uint(k)
 					}
 				}
 			}
@@ -151,19 +189,18 @@ func (r *WHVCRouter) run(th *sim.Thread) {
 			if g < 0 {
 				continue
 			}
-			if r.forward(th, o, g/r.nVCs, g%r.nVCs) {
-				inUsed[g/r.nVCs] = true
+			if r.forward(th, o, g/r.nVCs, g%r.nVCs, r.heads[g]) {
+				used |= 1 << uint(g/r.nVCs)
 			}
 		}
-		th.WaitFor(anyInput)
+		th.WaitOn(anyInput, r.inEvs...)
 	}
 }
 
-// forward offers the head of In[i][v] to output o; on acceptance it
+// forward offers f, the head of In[i][v], to output o; on acceptance it
 // retires the flit, acquiring the output VC at the head and releasing it
 // at the tail. It reports whether a flit moved.
-func (r *WHVCRouter) forward(th *sim.Thread, o, i, v int) bool {
-	f, _ := r.In[i][v].Peek()
+func (r *WHVCRouter) forward(th *sim.Thread, o, i, v int, f Flit) bool {
 	vOut := r.vcMap(o, v)
 	f.VC = vOut
 	if !r.Out[o][vOut].PushNB(th, f) {

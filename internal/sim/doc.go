@@ -12,8 +12,11 @@
 //  3. Resolve  — registered resolvers iterate to a fixpoint, modelling
 //     combinational paths between components (ready/valid coupling,
 //     arbitration) within the cycle.
-//  4. Commit   — registered commit hooks latch state, completing the
-//     register-transfer semantics of the cycle.
+//  4. Commit   — commit hooks latch state, completing the
+//     register-transfer semantics of the cycle: first the hooks
+//     registered to run on every edge (Clock.AtCommitNamed), then the
+//     on-touch hooks (Clock.AtCommitOnTouch) whose handle was touched
+//     during this edge's phases 1-3 or that asked to run again.
 //  5. Monitor  — observation-only hooks (statistics, traces).
 //
 // Threads are runtime coroutines (iter.Pull), not goroutines synchronized
@@ -25,12 +28,18 @@
 // model and one Wait total in the sim-accurate model — the distinction at
 // the heart of the paper's Figure 3.
 //
-// A thread that would otherwise poll an idle latency-insensitive endpoint
-// can park on a predicate (Thread.WaitFor) or a countdown (Thread.WaitN):
-// the kernel evaluates the condition at the thread's scheduling slot each
-// edge and skips the coroutine switch entirely until it holds. Parking is
-// an execution optimization only — a parked thread observes exactly the
-// cycle it would have observed by polling.
+// The kernel is activity-driven, like SystemC's static sensitivity. A
+// thread that would otherwise poll an idle latency-insensitive endpoint
+// parks on a countdown (Thread.WaitN) or on a predicate and the events
+// that can change it (Thread.WaitOn). A parked thread costs no coroutine
+// switch, and its predicate is evaluated at the thread's scheduling slot
+// only on the first edge after it parks and on edges after one of its
+// events has notified (Event.Notify). A channel likewise commits only on
+// edges where it was pushed or popped, or still has messages in flight;
+// its per-edge counters catch up over the idle gap when next read.
+// Both are execution optimizations only — a parked thread observes
+// exactly the cycle it would have observed by polling, provided every
+// change to its predicate notifies one of its events.
 //
 // Every simulated component can register into a hierarchical component
 // tree (Simulator.Component) whose paths ("soc/pe[3]/inject") key the

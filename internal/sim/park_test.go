@@ -2,22 +2,28 @@ package sim
 
 import "testing"
 
-// Parking is an execution optimization only: a thread using WaitFor must
-// observe exactly the cycle the equivalent polling loop observes.
-func TestWaitForMatchesPollingLoop(t *testing.T) {
+// Parking is an execution optimization only: a thread using WaitOn must
+// observe exactly the cycle the equivalent polling loop observes, when
+// the writer notifies the event on every change.
+func TestWaitOnMatchesPollingLoop(t *testing.T) {
 	run := func(park bool) []uint64 {
 		s := New()
 		clk := s.AddClock("clk", 1000, 0)
 		flag := false
+		var ev Event
+		evs := []*Event{&ev}
 		clk.AtCommit(func() {
 			// Raise the flag on cycles 4 and 9, clear it the cycle after.
-			flag = clk.Cycle() == 4 || clk.Cycle() == 9
+			if next := clk.Cycle() == 4 || clk.Cycle() == 9; next != flag {
+				flag = next
+				ev.Notify()
+			}
 		})
 		var seen []uint64
 		clk.Spawn("waiter", func(th *Thread) {
 			for i := 0; i < 2; i++ {
 				if park {
-					th.WaitFor(func() bool { return flag })
+					th.WaitOn(func() bool { return flag }, evs...)
 				} else {
 					for {
 						th.Wait()
@@ -43,20 +49,39 @@ func TestWaitForMatchesPollingLoop(t *testing.T) {
 	}
 }
 
-// WaitFor, like Wait, suspends for at least one edge even when the
-// predicate already holds.
-func TestWaitForAlwaysSuspendsOneEdge(t *testing.T) {
+// WaitOn, like Wait, suspends for at least one edge even when the
+// predicate already holds, and evaluates it on that first edge without
+// any notify.
+func TestWaitOnAlwaysSuspendsOneEdge(t *testing.T) {
 	s := New()
 	clk := s.AddClock("clk", 1000, 0)
 	var before, after uint64
 	clk.Spawn("t", func(th *Thread) {
 		before = th.Cycle()
-		th.WaitFor(func() bool { return true })
+		th.WaitOn(func() bool { return true }, &Event{})
 		after = th.Cycle()
 	})
 	s.RunCycles(clk, 5)
 	if after != before+1 {
-		t.Fatalf("WaitFor(true) resumed at cycle %d after %d, want +1", after, before)
+		t.Fatalf("WaitOn(true) resumed at cycle %d after %d, want +1", after, before)
+	}
+}
+
+// A thread whose event never notifies has its predicate evaluated once,
+// on the first edge after it parks, and is never resumed — even though
+// the predicate would hold later.
+func TestWaitOnNeverNotified(t *testing.T) {
+	s := New()
+	clk := s.AddClock("clk", 1000, 0)
+	evs := []*Event{{}}
+	calls, resumed := 0, false
+	clk.Spawn("t", func(th *Thread) {
+		th.WaitOn(func() bool { calls++; return clk.Cycle() > 3 }, evs...)
+		resumed = true
+	})
+	s.RunCycles(clk, 20)
+	if calls != 1 || resumed {
+		t.Fatalf("predicate evaluated %d times, resumed=%v; want 1 and false", calls, resumed)
 	}
 }
 
@@ -97,15 +122,15 @@ func TestWaitNZeroReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestWaitForNilPanics(t *testing.T) {
+func TestWaitOnNilPanics(t *testing.T) {
 	s := New()
 	clk := s.AddClock("clk", 1000, 0)
 	clk.Spawn("bad", func(th *Thread) {
-		th.WaitFor(nil)
+		th.WaitOn(nil, &Event{})
 	})
 	s.RunCycles(clk, 2)
 	if s.Err() == nil {
-		t.Fatal("WaitFor(nil) did not surface an error")
+		t.Fatal("WaitOn(nil) did not surface an error")
 	}
 }
 
@@ -115,10 +140,15 @@ func TestParkedThreadKeepsRegistrationOrder(t *testing.T) {
 	s := New()
 	clk := s.AddClock("clk", 1000, 0)
 	ready := false
-	clk.AtCommit(func() { ready = clk.Cycle() == 3 })
+	var ev Event
+	evs := []*Event{&ev}
+	clk.AtCommit(func() {
+		ready = clk.Cycle() == 3
+		ev.Notify()
+	})
 	var order []string
 	clk.Spawn("first", func(th *Thread) {
-		th.WaitFor(func() bool { return ready })
+		th.WaitOn(func() bool { return ready }, evs...)
 		order = append(order, "first")
 	})
 	clk.Spawn("second", func(th *Thread) {
@@ -173,7 +203,12 @@ func TestCoincidentEdgesWithParkedThreads(t *testing.T) {
 		a := s.AddClock("a", 1000, 0)
 		var order []string
 		ready := false
-		a.AtCommit(func() { ready = a.Cycle() >= 3 })
+		var ev Event
+		evs := []*Event{&ev}
+		a.AtCommit(func() {
+			ready = a.Cycle() >= 3
+			ev.Notify()
+		})
 		z.Spawn("zt", func(th *Thread) {
 			for {
 				order = append(order, "z")
@@ -181,7 +216,7 @@ func TestCoincidentEdgesWithParkedThreads(t *testing.T) {
 			}
 		})
 		a.Spawn("at", func(th *Thread) {
-			th.WaitFor(func() bool { return ready })
+			th.WaitOn(func() bool { return ready }, evs...)
 			order = append(order, "a-woke")
 			for {
 				th.Wait()

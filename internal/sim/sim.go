@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -249,8 +250,21 @@ type Clock struct {
 	threads  []*thread
 	drives   []namedHook
 	resolves []namedResolver
-	commits  []namedHook
 	monitors []namedHook
+
+	// commits lists every commit hook in registration order, for
+	// Processes; on-touch hooks appear with a nil fn. everyEdge holds the
+	// hooks that run on every edge, and touched the on-touch hooks listed
+	// for this edge, its backing array reused from edge to edge.
+	commits   []namedHook
+	everyEdge []func()
+	touched   []*OnTouch
+
+	// sealed is set from the start of an edge's commit phase to the end
+	// of its monitor phase, where a touch is a bug; committed counts the
+	// commit phases completed so far.
+	sealed    bool
+	committed uint64
 }
 
 // namedHook is a phase callback with an introspectable identity; the
@@ -351,10 +365,55 @@ func (c *Clock) AtResolveNamed(name string, f func() bool) {
 // AtCommit registers f to run in the commit (state-latch) phase.
 func (c *Clock) AtCommit(f func()) { c.AtCommitNamed("", f) }
 
-// AtCommitNamed registers a named commit-phase hook.
+// AtCommitNamed registers a named commit-phase hook that runs on every
+// edge.
 func (c *Clock) AtCommitNamed(name string, f func()) {
 	c.commits = append(c.commits, namedHook{name: name, fn: f})
+	c.everyEdge = append(c.everyEdge, f)
 }
+
+// OnTouch is the handle of a commit hook that runs only on edges it was
+// touched in; see AtCommitOnTouch.
+type OnTouch struct {
+	clk    *Clock
+	name   string
+	fn     func() (again bool)
+	listed bool
+}
+
+// AtCommitOnTouch registers a named commit hook that runs only on edges
+// where the returned handle was touched. Touch lists the hook on this
+// edge's commit list, once per edge; phase 4 runs the every-edge hooks
+// and then the listed ones. A hook that returns again stays listed for
+// the next edge, so state still draining (a skid, a delay line) keeps
+// committing without being touched.
+func (c *Clock) AtCommitOnTouch(name string, fn func() (again bool)) *OnTouch {
+	c.commits = append(c.commits, namedHook{name: name})
+	// Each hook is listed at most once per edge, so this capacity keeps
+	// Touch from allocating.
+	c.touched = slices.Grow(c.touched, len(c.commits))
+	return &OnTouch{clk: c, name: name, fn: fn}
+}
+
+// Touch lists the hook for the commit phase of its clock's current edge,
+// or of the next edge when called between edges. Only threads, drive and
+// resolve hooks may touch: a touch during the clock's own commit or
+// monitor phase panics.
+func (h *OnTouch) Touch() {
+	if h.listed {
+		return
+	}
+	if h.clk.sealed {
+		panic(fmt.Sprintf("sim: commit hook %q touched in the commit or monitor phase of clock %q", h.name, h.clk.name))
+	}
+	h.listed = true
+	h.clk.touched = append(h.clk.touched, h)
+}
+
+// Committed returns the number of commit phases the clock has completed.
+// A read during phases 1-3 of an edge does not count that edge; a read
+// from a monitor hook does.
+func (c *Clock) Committed() uint64 { return c.committed }
 
 // AtMonitor registers an observation-only hook that runs after commit.
 func (c *Clock) AtMonitor(f func()) { c.AtMonitorNamed("", f) }
@@ -362,6 +421,40 @@ func (c *Clock) AtMonitor(f func()) { c.AtMonitorNamed("", f) }
 // AtMonitorNamed registers a named monitor-phase hook.
 func (c *Clock) AtMonitorNamed(name string, f func()) {
 	c.monitors = append(c.monitors, namedHook{name: name, fn: f})
+}
+
+// Event is a notification source for parked threads. A thread parked
+// with Thread.WaitOn re-evaluates its predicate only on edges after one
+// of the events it named has notified, so whatever can change the
+// predicate's outcome must notify one of those events.
+//
+// An Event must not be copied after a thread has parked on it: the
+// first waiters live inline, so that parking allocates nothing.
+type Event struct {
+	waiters []*thread // every thread that ever parked on the event
+	inline  [2]*thread
+}
+
+// Notify marks every thread that has parked on e for a predicate
+// re-evaluation at its next scheduling slot: later in this edge's
+// thread phase when the slot is still ahead, else on the next edge.
+func (e *Event) Notify() {
+	for _, th := range e.waiters {
+		th.woken = true
+	}
+}
+
+// register adds th to e's waiters unless it is already there.
+func (e *Event) register(th *thread) {
+	for _, w := range e.waiters {
+		if w == th {
+			return
+		}
+	}
+	if e.waiters == nil {
+		e.waiters = e.inline[:0]
+	}
+	e.waiters = append(e.waiters, th)
 }
 
 // ProcessInfo describes one registered process or hook for introspection.
@@ -418,7 +511,9 @@ func (c *Clock) runEdgeAt(t Time) {
 	c.cycle++
 
 	// Phase 1: threads, in registration order. Parked threads are
-	// serviced at their slot without a coroutine switch.
+	// serviced at their slot without a coroutine switch; a WaitOn
+	// predicate is evaluated only when one of its events has notified
+	// since its last evaluation.
 	for _, th := range c.threads {
 		if th.finished {
 			continue
@@ -430,6 +525,10 @@ func (c *Clock) runEdgeAt(t Time) {
 				continue
 			}
 		} else if th.parkPred != nil {
+			if !th.woken {
+				continue
+			}
+			th.woken = false
 			if !th.parkPred() {
 				continue
 			}
@@ -462,15 +561,30 @@ func (c *Clock) runEdgeAt(t Time) {
 		}
 	}
 
-	// Phase 4: commit.
-	for i := range c.commits {
-		c.commits[i].fn()
+	// Phase 4: commit. The every-edge hooks run first, then the hooks
+	// touched this edge; those that ask to run again stay listed,
+	// compacted in place.
+	c.sealed = true
+	for _, f := range c.everyEdge {
+		f()
 	}
+	n := 0
+	for _, h := range c.touched {
+		if h.fn() {
+			c.touched[n] = h
+			n++
+		} else {
+			h.listed = false
+		}
+	}
+	c.touched = c.touched[:n]
+	c.committed++
 
 	// Phase 5: monitors.
 	for i := range c.monitors {
 		c.monitors[i].fn()
 	}
+	c.sealed = false
 
 	c.next = t + c.period
 	if c.pausedUntil != 0 && c.pausedUntil <= t {

@@ -34,7 +34,9 @@ type thread struct {
 	// parked thread is skipped — no coroutine switch — until its
 	// condition holds at its scheduling slot.
 	parkN    uint64      // countdown parking (WaitN); resumes when it hits 0
-	parkPred func() bool // predicate parking (WaitFor); nil when not parked
+	parkPred func() bool // predicate parking (WaitOn); nil when not parked
+	woken    bool        // an event notified since parkPred last ran
+	sens     []*Event    // the event slice the thread last registered on
 }
 
 // Spawn registers a coroutine process on clock c. The body starts running
@@ -63,24 +65,40 @@ func (t *Thread) WaitN(n int) {
 	t.Wait()
 }
 
-// WaitFor parks the thread until pred holds. The kernel evaluates pred at
-// the thread's scheduling slot on each subsequent edge and resumes the
-// coroutine only when it returns true, skipping the switch entirely on
-// idle edges. Like Wait, it always suspends for at least one edge, so
+// WaitOn parks the thread until pred holds, re-evaluating pred only
+// when one of evs has notified. The kernel evaluates pred at the
+// thread's scheduling slot on the first edge after the park, and after
+// that only on edges after a notify, resuming the coroutine once pred
+// returns true. Like Wait, it always suspends for at least one edge, so
 //
-//	th.WaitFor(ready)
+//	th.WaitOn(ready, evs...)
 //
 // observes exactly the same cycle as the polling loop
 //
 //	for { th.Wait(); if ready() { break } }
 //
+// provided everything that can turn ready true notifies one of evs.
 // pred runs in the kernel between thread resumptions; it must only read
 // simulation state and must not panic.
-func (t *Thread) WaitFor(pred func() bool) {
+//
+// Registration accumulates: the thread stays on every event it ever
+// parked on, and an event that notifies while the thread waits on
+// something else costs one predicate call. Pass a slice built once —
+// registration is skipped when evs is the slice of the previous WaitOn —
+// so that parking allocates nothing.
+func (t *Thread) WaitOn(pred func() bool, evs ...*Event) {
+	th := t.t
 	if pred == nil {
-		panic("sim: WaitFor(nil) by thread " + t.t.name)
+		panic("sim: WaitOn(nil) by thread " + th.name)
 	}
-	t.t.parkPred = pred
+	if len(evs) > 0 && (len(evs) != len(th.sens) || &evs[0] != &th.sens[0]) {
+		for _, e := range evs {
+			e.register(th)
+		}
+		th.sens = evs
+	}
+	th.parkPred = pred
+	th.woken = true
 	t.Wait()
 }
 
