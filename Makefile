@@ -52,10 +52,12 @@ fleet-soak:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# go vet plus the repo's determinism vet: the kernel packages must never
-# read wall-clock time, touch the global math/rand source, or iterate
-# maps into ordered output.
+# gofmt (any file it would reformat fails the target), go vet, and the
+# repo's determinism vet: the kernel packages must never read wall-clock
+# time, touch the global math/rand source, or iterate maps into ordered
+# output.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/detvet
 

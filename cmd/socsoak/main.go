@@ -13,17 +13,11 @@
 // Exit status is nonzero on any lost job or body mismatch, so wrapper
 // scripts can assert soak health directly.
 //
-// With -bench-json the soak doubles as a throughput benchmark: the
-// completed-job rate is written as a small JSON record, giving the
-// fleet a tracked figure of merit alongside its correctness invariants.
-//
 //	socsoak -addr localhost:9190 -rounds 5 -concurrency 8
-//	socsoak -addr localhost:9190 -bench-json BENCH_fleet.json
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +55,6 @@ func main() {
 	rounds := flag.Int("rounds", 5, "submission rounds")
 	concurrency := flag.Int("concurrency", 8, "concurrent submissions per round")
 	timeout := flag.Duration("timeout", 120*time.Second, "per-request timeout")
-	benchJSON := flag.String("bench-json", "", "write a throughput summary (rounds, jobs, seconds, jobs_per_sec) as JSON to this file")
 	flag.Parse()
 
 	base := "http://" + strings.TrimPrefix(*addr, "http://")
@@ -109,44 +102,9 @@ func main() {
 	elapsed := time.Since(start).Seconds()
 	fmt.Printf("socsoak: %d jobs completed, %d lost, %d mismatched in %.1fs (%.1f jobs/s)\n",
 		completed, lost, mismatched, elapsed, float64(completed)/elapsed)
-	if *benchJSON != "" {
-		if err := writeBench(*benchJSON, *rounds, *concurrency, completed, lost, mismatched, elapsed); err != nil {
-			fmt.Fprintln(os.Stderr, "socsoak:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("socsoak: wrote %s\n", *benchJSON)
-	}
 	if lost > 0 || mismatched > 0 {
 		os.Exit(1)
 	}
-}
-
-// benchRecord is the -bench-json payload: one flat record per soak so
-// successive runs diff and trend cleanly.
-type benchRecord struct {
-	Rounds      int     `json:"rounds"`
-	Concurrency int     `json:"concurrency"`
-	Jobs        int     `json:"jobs"`
-	Lost        int     `json:"lost"`
-	Mismatched  int     `json:"mismatched"`
-	Seconds     float64 `json:"seconds"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
-}
-
-func writeBench(path string, rounds, concurrency, jobs, lost, mismatched int, seconds float64) error {
-	rec := benchRecord{
-		Rounds: rounds, Concurrency: concurrency,
-		Jobs: jobs, Lost: lost, Mismatched: mismatched,
-		Seconds: seconds,
-	}
-	if seconds > 0 {
-		rec.JobsPerSec = float64(jobs) / seconds
-	}
-	data, err := json.MarshalIndent(rec, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // submitWait submits one spec with wait=1 and returns the result body.

@@ -8,6 +8,7 @@ package analysis
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 
@@ -30,6 +31,8 @@ type Report interface {
 // Options carries the knobs a run may set. Only passes with Depth set
 // read them; the zero value selects each pass's defaults.
 type Options struct {
+	// Context, when set, bounds verify's search (see mc.Options).
+	Context context.Context
 	// Depth is the unrolling bound (0 selects mc.DefaultDepth).
 	Depth int
 	// Progress, when set, is called once per completed unroll depth.
@@ -54,7 +57,7 @@ var Passes = []Pass{
 		return ratecheck.Check(s)
 	}},
 	{Name: "verify", Design: "mcserdes", Depth: true, Run: func(s *sim.Simulator, o Options) Report {
-		return mc.Check(s, mc.Options{Depth: o.Depth, Progress: o.Progress})
+		return mc.Check(s, mc.Options{Context: o.Context, Depth: o.Depth, Progress: o.Progress})
 	}},
 }
 

@@ -12,8 +12,11 @@
 //     results are bit-identical regardless of worker count, scheduling
 //     order, or repeated runs.
 //   - Isolation: a panicking job degrades to a reported failure instead
-//     of crashing the whole regeneration run, and an optional per-job
-//     timeout fences off diverging simulations.
+//     of crashing the whole regeneration run. An optional per-job
+//     timeout and the campaign context end a job through its
+//     Ctx.Context: a body stops by watching that context (a simulation
+//     stops its kernel when it ends), and is then reported TimedOut or
+//     Canceled.
 //   - Accounting: the campaign summary (jobs done, failures, wall time,
 //     per-job stats snapshots) is published in the internal/stats
 //     registry format, so campaign telemetry lands in the same tree and

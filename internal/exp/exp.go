@@ -35,16 +35,14 @@ type Ctx struct {
 	statsJSON []byte
 }
 
-// Context returns the campaign context installed with WithContext, or
-// context.Background when the campaign runs without one. Long jobs poll
-// it to stop early on cancellation; jobs that never look still get fenced
-// by the runner (the abandoned-body semantics of Timeout).
-func (c *Ctx) Context() context.Context {
-	if c.ctx == nil {
-		return context.Background()
-	}
-	return c.ctx
-}
+// Context returns the job's context: the campaign context installed
+// with WithContext (context.Background without one), bounded by the
+// Timeout deadline. A job stops when it ends, typically with
+//
+//	defer context.AfterFunc(c.Context(), s.Stop)()
+//
+// around a simulation. A job that never looks runs to completion.
+func (c *Ctx) Context() context.Context { return c.ctx }
 
 // Publish snapshots reg in the stats JSON dump format and attaches it to
 // the job's Result. Call it at most once, after the job's simulation has
@@ -110,16 +108,15 @@ func Parallel(n int) Option { return func(c *config) { c.parallel = n } }
 // Seed sets the campaign seed that every per-job seed is derived from.
 func Seed(s int64) Option { return func(c *config) { c.seed = s } }
 
-// Timeout bounds each job's wall time. A job exceeding it is reported
-// as a timed-out failure; its goroutine is abandoned (it keeps whatever
-// CPU it is burning, but the campaign completes without it). Zero means
-// no limit.
+// Timeout bounds each job's wall time as a deadline on its Ctx.Context.
+// A job that returns after the deadline is reported as a timed-out
+// failure. Zero means no limit.
 func Timeout(d time.Duration) Option { return func(c *config) { c.timeout = d } }
 
 // WithContext attaches a context to the campaign. When it is canceled,
 // jobs that have not started yet complete immediately as Canceled
-// failures without running, and jobs already in flight are abandoned
-// (same fencing as Timeout) and reported Canceled. A campaign run with
+// failures without running, and jobs in flight see their Ctx.Context
+// end and are reported Canceled once they return. A campaign run with
 // an uncanceled context is bit-identical to one run without a context —
 // cancellation only ever shortens a run, never reorders or reseeds it.
 // The service layer's graceful drain is the intended caller.
@@ -152,6 +149,9 @@ func Run(jobs []Job, opts ...Option) *Summary {
 	cfg := config{name: "campaign", parallel: 1}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.ctx == nil {
+		cfg.ctx = context.Background()
 	}
 	if cfg.parallel < 1 {
 		cfg.parallel = 1
@@ -210,66 +210,49 @@ func Run(jobs []Job, opts ...Option) *Summary {
 	return s
 }
 
-// outcome carries a finished job body's results across the completion
-// channel, so a timed-out (abandoned) body never races the runner.
-type outcome struct {
-	value    any
-	err      error
-	panicked bool
-	stats    []byte
-}
-
-// runOne executes one job with panic capture, the optional timeout, and
-// the optional campaign context.
+// runOne executes one job inline with panic capture, the optional
+// timeout, and the optional campaign context.
 func runOne(j Job, i int, cfg config) Result {
 	r := Result{Name: j.Name, Index: i, Seed: DeriveSeed(cfg.seed, j.Name)}
-	if cfg.ctx != nil && cfg.ctx.Err() != nil {
+	if err := cfg.ctx.Err(); err != nil {
 		// The campaign was canceled before this job started: report it
-		// without spending a goroutine on a body nobody will collect.
+		// without running the body.
 		r.Canceled = true
-		r.Err = fmt.Errorf("job %q canceled before start: %w", j.Name, cfg.ctx.Err())
+		r.Err = fmt.Errorf("job %q canceled before start: %w", j.Name, err)
 		return r
 	}
-	ctx := &Ctx{Name: j.Name, Seed: r.Seed, ctx: cfg.ctx}
-	ch := make(chan outcome, 1) // buffered: an abandoned body must not block forever
-	start := time.Now()
-	go func() {
-		var o outcome
-		defer func() {
-			if p := recover(); p != nil {
-				o.err = fmt.Errorf("job %q panicked: %v\n%s", j.Name, p, debug.Stack())
-				o.panicked = true
-				o.value = nil
-			}
-			o.stats = ctx.statsJSON
-			ch <- o
-		}()
-		o.value, o.err = j.Run(ctx)
-	}()
-
-	// nil channels block forever, so absent options simply never fire.
-	var timeout <-chan time.Time
+	ctx := cfg.ctx
 	if cfg.timeout > 0 {
-		t := time.NewTimer(cfg.timeout)
-		defer t.Stop()
-		timeout = t.C
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
+		defer cancel()
 	}
-	var canceled <-chan struct{}
-	if cfg.ctx != nil {
-		canceled = cfg.ctx.Done()
+	c := &Ctx{Name: j.Name, Seed: r.Seed, ctx: ctx}
+	start := time.Now()
+	r.Value, r.Panicked, r.Err = call(j, c)
+	r.Stats, r.Wall = c.statsJSON, time.Since(start)
+	// A body that returned after its context ended computed a partial run.
+	switch {
+	case cfg.ctx.Err() != nil:
+		r = Result{Name: j.Name, Index: i, Seed: r.Seed, Wall: r.Wall, Canceled: true,
+			Err: fmt.Errorf("job %q canceled: %w", j.Name, cfg.ctx.Err())}
+	case ctx.Err() != nil:
+		r = Result{Name: j.Name, Index: i, Seed: r.Seed, Wall: r.Wall, TimedOut: true,
+			Err: fmt.Errorf("job %q timed out after %v", j.Name, cfg.timeout)}
 	}
-	select {
-	case o := <-ch:
-		r.Value, r.Err, r.Panicked, r.Stats = o.value, o.err, o.panicked, o.stats
-	case <-timeout:
-		r.TimedOut = true
-		r.Err = fmt.Errorf("job %q timed out after %v", j.Name, cfg.timeout)
-	case <-canceled:
-		r.Canceled = true
-		r.Err = fmt.Errorf("job %q canceled: %w", j.Name, cfg.ctx.Err())
-	}
-	r.Wall = time.Since(start)
 	return r
+}
+
+// call runs the job body, turning a panic into a reported failure.
+func call(j Job, c *Ctx) (value any, panicked bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			value, panicked = nil, true
+			err = fmt.Errorf("job %q panicked: %v\n%s", j.Name, p, debug.Stack())
+		}
+	}()
+	value, err = j.Run(c)
+	return value, false, err
 }
 
 // Err returns the first failed job's error in submission order, or nil

@@ -136,19 +136,54 @@ func TestJobErrorReported(t *testing.T) {
 	}
 }
 
+// A job stuck until its context ends is stopped by the Timeout deadline
+// and reported timed out; its neighbour is unaffected.
 func TestTimeoutFencesStuckJob(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
 	s := Run([]Job{
-		{Name: "stuck", Run: func(c *Ctx) (any, error) { <-release; return nil, nil }},
+		{Name: "stuck", Run: func(c *Ctx) (any, error) { <-c.Context().Done(); return nil, nil }},
 		{Name: "quick", Run: func(c *Ctx) (any, error) { return 42, nil }},
 	}, Parallel(2), Timeout(50*time.Millisecond))
 	r := s.Results[0]
-	if !r.TimedOut || r.Err == nil {
+	if !r.TimedOut || r.Canceled || r.Err == nil || !strings.Contains(r.Err.Error(), "timed out after 50ms") {
 		t.Fatalf("stuck job result = %+v, want timeout", r)
 	}
 	if s.Results[1].Value != 42 || s.Results[1].Failed() {
 		t.Fatalf("quick job result = %+v", s.Results[1])
+	}
+}
+
+// The body runs on its worker goroutine: a job that ends within its
+// deadline keeps its value and published stats, and a job that returns
+// after it loses both, however much it computed.
+func TestInlineRunnerOutcomes(t *testing.T) {
+	publish := func(c *Ctx) error {
+		reg := stats.New()
+		reg.Counter("m", "n").Add(1)
+		return c.Publish(reg)
+	}
+	s := Run([]Job{
+		{Name: "ok", Run: func(c *Ctx) (any, error) { return 7, publish(c) }},
+		{Name: "late", Run: func(c *Ctx) (any, error) {
+			<-c.Context().Done()
+			return 8, publish(c)
+		}},
+		{Name: "boom", Run: func(c *Ctx) (any, error) {
+			publish(c)
+			panic("boom")
+		}},
+	}, Parallel(1), Timeout(20*time.Millisecond))
+	ok, late, boom := s.Results[0], s.Results[1], s.Results[2]
+	if ok.Failed() || ok.Value != 7 || len(ok.Stats) == 0 {
+		t.Fatalf("ok = %+v", ok)
+	}
+	if !late.TimedOut || late.Value != nil || late.Stats != nil || late.Wall < 20*time.Millisecond {
+		t.Fatalf("late = %+v", late)
+	}
+	if !boom.Panicked || boom.Value != nil || boom.TimedOut || !strings.Contains(boom.Err.Error(), "boom") {
+		t.Fatalf("boom = %+v", boom)
+	}
+	if len(boom.Stats) == 0 {
+		t.Fatal("stats published before a panic were dropped")
 	}
 }
 
@@ -265,23 +300,22 @@ func TestContextCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestContextCancelFencesRunningJob: cancellation mid-flight abandons the
-// stuck body (like a timeout) and reports the job Canceled.
+// TestContextCancelFencesRunningJob: cancellation mid-flight ends the
+// body's context and reports the job Canceled, not timed out, even
+// under a (longer) Timeout.
 func TestContextCancelFencesRunningJob(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
 	jobs := []Job{{Name: "stuck", Run: func(c *Ctx) (any, error) {
 		close(started)
-		<-release
+		<-c.Context().Done()
 		return nil, nil
 	}}}
 	go func() {
 		<-started
 		cancel()
 	}()
-	s := Run(jobs, WithContext(ctx))
+	s := Run(jobs, WithContext(ctx), Timeout(time.Minute))
 	r := s.Results[0]
 	if !r.Canceled || r.TimedOut {
 		t.Fatalf("want canceled (not timed out), got %+v", r)

@@ -115,6 +115,7 @@ type MarginExperiment struct {
 func RunMarginExperiment(nominalPS float64, droop float64, duration sim.Time, seed int64) MarginExperiment {
 	count := func(adaptive bool) float64 {
 		s := sim.New()
+		defer s.Close()
 		noise := NewSupplyNoise(0.80, droop, seed)
 		g := NewClockGen(s, "clk", nominalPS, noise, adaptive, 0.03, 0)
 		s.Run(duration)

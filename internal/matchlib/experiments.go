@@ -28,6 +28,7 @@ type Fig3Row struct {
 // messages, and returns elapsed cycles divided by msgs.
 func xbarTLMCyclesPerTxn(n, msgs int, mode connections.Mode, seed int64) float64 {
 	s := sim.New()
+	defer s.Close()
 	clk := s.AddClock("clk", 1000, 0)
 	x := NewArbitratedCrossbar[int](clk, "x", n, 2)
 	for i := 0; i < n; i++ {
@@ -65,6 +66,7 @@ func xbarTLMCyclesPerTxn(n, msgs int, mode connections.Mode, seed int64) float64
 // sources and always-ready sinks.
 func xbarRTLCyclesPerTxn(n, msgs int, seed int64) float64 {
 	s := sim.New()
+	defer s.Close()
 	clk := s.AddClock("clk", 1000, 0)
 	r := rand.New(rand.NewSource(seed))
 	sent := make([]int, n)

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,6 +16,10 @@ import (
 // every bound is a budget, not a promise — exceeding one degrades the
 // verdict to "inconclusive" rather than silently truncating coverage.
 type Options struct {
+	// Context, when set, is tested once per unrolled depth; once it has
+	// ended the search stops as if its budget were exhausted, so the
+	// verdicts not yet violated are inconclusive.
+	Context context.Context
 	// Depth is the unroll bound in cycles (default DefaultDepth).
 	Depth int
 	// MaxStates caps the visited set (default 32768).
@@ -314,7 +319,7 @@ func (s *search) directed() {
 			s.foundEQ.Node = m.Nodes[eq.node].Name
 			s.foundEQ.Channel = m.Edges[eq.edge].Name
 		}
-		if d >= s.opt.Depth || (s.foundDL != nil && s.foundEQ != nil) {
+		if d >= s.opt.Depth || (s.foundDL != nil && s.foundEQ != nil) || s.ended() {
 			return
 		}
 		fire := make([]bool, len(m.Nodes))
@@ -345,8 +350,13 @@ func (s *search) run() {
 		if d > s.maxDepth {
 			s.maxDepth = d
 		}
-		if s.opt.Progress != nil && d >= reported {
-			s.opt.Progress(d, len(s.entries))
+		if d >= reported {
+			if s.ended() {
+				return
+			}
+			if s.opt.Progress != nil {
+				s.opt.Progress(d, len(s.entries))
+			}
 			reported = d + 1
 		}
 		s.checkState(int32(qi), e)
@@ -361,6 +371,16 @@ func (s *search) run() {
 			return
 		}
 	}
+}
+
+// ended reports whether the caller's context has ended, spending the
+// search budget if so.
+func (s *search) ended() bool {
+	if s.opt.Context == nil || s.opt.Context.Err() == nil {
+		return false
+	}
+	s.budget = true
+	return true
 }
 
 func (s *search) add(st state, parent int32, fired []bool, depth int32) {

@@ -56,6 +56,7 @@ func LoadLatencyCampaign(w, h int, loads []float64, cycles uint64, payloadWords 
 
 func runLoadPoint(w, h int, load float64, cycles uint64, payloadWords int, seed int64) LoadPoint {
 	s := sim.New()
+	defer s.Close()
 	clk := s.AddClock("clk", 1000, 0)
 	m := BuildMesh(clk, "m", w, h, 2, 4)
 	n := w * h
@@ -172,6 +173,7 @@ func ModeLatencyComparison(w, h int, cycles uint64, seed int64) map[connections.
 			})
 		}
 		s.RunCycles(clk, cycles+200)
+		s.Close()
 		if delivered > 0 {
 			out[mode] = float64(latSum) / float64(delivered)
 		}

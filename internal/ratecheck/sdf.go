@@ -114,8 +114,8 @@ func checkSupplyDemand(r *Result, actors []*sim.ActorDecl, edges []edge) {
 		if sp.IsZero() || sc.IsZero() {
 			continue
 		}
-		supply := ratMul(sp, e.p)  // tokens per cycle offered
-		demand := ratMul(sc, e.c)  // tokens per cycle drained
+		supply := ratMul(sp, e.p) // tokens per cycle offered
+		demand := ratMul(sc, e.c) // tokens per cycle drained
 		switch ratCmp(supply, demand) {
 		case 1:
 			r.add(lint.Diag{

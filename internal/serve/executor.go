@@ -24,8 +24,8 @@ type Executor interface {
 	// once (pool width, or live fleet workers; 0 reads as no-workers).
 	Load() (queued, running, width int)
 	// Drain is called once the front has stopped admitting: let held
-	// jobs finish until ctx expires, cancel or abandon the rest, and
-	// return once the executor's goroutines are gone.
+	// jobs finish until ctx expires, cancel the rest, and return once
+	// the executor's goroutines are gone.
 	Drain(ctx context.Context)
 }
 
@@ -104,7 +104,7 @@ type pool struct {
 	s *Server
 
 	// jobCtx is the campaign context handed to every exp run; canceling
-	// it (the drain deadline path) fences in-flight jobs and completes
+	// it (the drain deadline path) stops in-flight jobs and completes
 	// queued ones as canceled without running them.
 	jobCtx     context.Context
 	cancelJobs context.CancelFunc

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,13 +48,14 @@ func RegisterTestKind(kind string, fn func(c *exp.Ctx, spec Spec, progress Progr
 // body — canonical JSON whose bytes depend only on the spec, never on
 // wall-clock time, worker count, or host scheduling. That invariant is
 // what lets the content-addressed cache serve stored bytes as the job's
-// one true result. It runs inside an exp job body, so panics, timeouts,
-// and drain cancellation are the runner's problem; c.Context() threads
-// cancellation into nested campaigns.
+// one true result. It runs inside an exp job body, so panics are the
+// runner's; c.Context() ends with the job's timeout or drain
+// cancellation, and every kind stops on it: it stops the simulator of a
+// sim, ends nested campaigns and bounds the model checker's search.
 func Execute(c *exp.Ctx, spec Spec, progress Progress) ([]byte, error) {
 	switch spec.Kind {
 	case KindSim:
-		return runSim(spec)
+		return runSim(c, spec)
 	case KindStallHunt:
 		return runStallHunt(c, spec, progress)
 	case KindQoR:
@@ -62,7 +64,7 @@ func Execute(c *exp.Ctx, spec Spec, progress Progress) ([]byte, error) {
 		return runFig6(c, spec, progress)
 	}
 	if p, ok := analysis.Lookup(spec.Kind); ok {
-		return runCheck(p, spec, progress)
+		return runCheck(c, p, spec, progress)
 	}
 	if fn, ok := testKinds[spec.Kind]; ok {
 		return fn(c, spec, progress)
@@ -115,12 +117,13 @@ type simResult struct {
 	Pauses  uint64 `json:"pauses"` // pausible-FIFO clock pauses (GALS mode)
 }
 
-func runSim(spec Spec) ([]byte, error) {
+func runSim(c *exp.Ctx, spec Spec) ([]byte, error) {
 	tc, ok := soc.Lookup(spec.Test)
 	if !ok || tc.Pass != "" {
 		return nil, fmt.Errorf("serve: unknown sim test %q", spec.Test)
 	}
 	s, verify := tc.Build(simConfig(spec))
+	defer context.AfterFunc(c.Context(), s.Sim.Stop)()
 	cycles, err := s.Run(spec.MaxCycles)
 	if err != nil {
 		return nil, fmt.Errorf("serve: sim %s: %w", spec.Test, err)
@@ -142,14 +145,15 @@ func runSim(spec Spec) ([]byte, error) {
 // pass's canonical body. verify reports each completed unroll depth
 // through the progress sink, so NDJSON watchers see the frontier
 // advance.
-func runCheck(p analysis.Pass, spec Spec, progress Progress) ([]byte, error) {
+func runCheck(c *exp.Ctx, p analysis.Pass, spec Spec, progress Progress) ([]byte, error) {
 	tc, ok := soc.Lookup(spec.Test)
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown %s design %q", spec.Kind, spec.Test)
 	}
 	s, _ := tc.Build(simConfig(spec))
 	r := p.Run(s.Sim, analysis.Options{
-		Depth: spec.Depth,
+		Context: c.Context(),
+		Depth:   spec.Depth,
 		Progress: func(depth, states int) {
 			if progress != nil {
 				progress(depth, spec.Depth, fmt.Sprintf("depth %d (%d states)", depth, states))

@@ -181,7 +181,7 @@ func (s *Server) BeginDrain() {
 
 // Shutdown is the graceful-drain path: stop admitting, let admitted
 // jobs finish until ctx expires, then drain the executor — which
-// cancels or abandons what remains — and flush a final stats snapshot
+// cancels what remains — and flush a final stats snapshot
 // to the log. The goroutine count returns to its pre-New level.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()

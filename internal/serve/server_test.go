@@ -57,7 +57,11 @@ func TestMain(m *testing.M) {
 		return []byte(fmt.Sprintf("{\"blocked\":%d}\n", spec.Seed)), nil
 	}
 	testKinds["progressive"] = func(c *exp.Ctx, spec Spec, p Progress) ([]byte, error) {
-		<-gate(spec.Seed)
+		select {
+		case <-gate(spec.Seed):
+		case <-c.Context().Done():
+			return nil, c.Context().Err()
+		}
 		for i := 1; i <= spec.Messages; i++ {
 			p(i, spec.Messages, fmt.Sprintf("step[%d]", i))
 		}
@@ -328,7 +332,7 @@ func TestGracefulDrainNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("healthz during drain: %s, want 503", rH.Status)
 	}
 
-	// Release the abandoned body and tear down the HTTP front end; the
+	// Open the canceled jobs' gates and tear down the HTTP front end; the
 	// goroutine count must settle back to where it started.
 	close(gate(s1))
 	close(gate(s2))

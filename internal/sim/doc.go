@@ -41,6 +41,14 @@
 // exactly the cycle it would have observed by polling, provided every
 // change to its predicate notifies one of its events.
 //
+// A run ends in two steps. Stop (safe from any goroutine; a job wires
+// its context to it with context.AfterFunc) ends stepping at the next
+// edge. Close, called by the owner once stepping is over, retires every
+// thread still suspended: its Wait unwinds the body, running its
+// deferred calls, so nothing of the design stays reachable from a
+// parked coroutine. soc.SoC.Run closes its simulator; other harnesses
+// defer Close after their last look at the final state.
+//
 // Every simulated component can register into a hierarchical component
 // tree (Simulator.Component) whose paths ("soc/pe[3]/inject") key the
 // unified metrics registry (internal/stats) shared by channels, routers,

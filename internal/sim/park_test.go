@@ -163,36 +163,6 @@ func TestParkedThreadKeepsRegistrationOrder(t *testing.T) {
 	}
 }
 
-// Regression: Drain used to clear the stopped flag unconditionally, so a
-// simulation the user had stopped reported Stopped() == false after a
-// drain. The stop reason must survive.
-func TestDrainPreservesStop(t *testing.T) {
-	s := New()
-	clk := s.AddClock("clk", 1000, 0)
-	clk.Spawn("stopper", func(th *Thread) {
-		th.WaitN(2)
-		th.Sim().Stop()
-		th.WaitN(3) // still alive when Drain starts
-	})
-	s.Run(Infinity - 1)
-	if !s.Stopped() {
-		t.Fatal("precondition: simulator not stopped")
-	}
-	s.Drain(100)
-	if !s.Stopped() {
-		t.Fatal("Drain cleared the user's stop request")
-	}
-	// A never-stopped simulator stays unstopped through a drain.
-	s2 := New()
-	clk2 := s2.AddClock("clk", 1000, 0)
-	clk2.Spawn("short", func(th *Thread) { th.WaitN(2) })
-	s2.RunCycles(clk2, 1)
-	s2.Drain(100)
-	if s2.Stopped() {
-		t.Fatal("Drain stopped a simulator that was never stopped")
-	}
-}
-
 // Coincident edges across clock domains fire in name order regardless of
 // registration order, including for thread phases and when one domain's
 // threads are parked.

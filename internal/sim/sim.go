@@ -67,10 +67,29 @@ func (s *Simulator) Clocks() []*Clock {
 	return append([]*Clock(nil), s.clocks...)
 }
 
-// Stop requests that the simulation stop after the current edge completes;
-// no further edge runs until the stop is cleared (Drain steps past it). It
-// is safe to call from threads, hooks and other goroutines.
+// Stop requests that the simulation stop after the current edge
+// completes; no further edge runs. It is safe to call from threads,
+// hooks and other goroutines, which is how a job's context ends a run:
+//
+//	defer context.AfterFunc(ctx, s.Stop)()
 func (s *Simulator) Stop() { s.stopped.Store(true) }
+
+// Close ends the simulation: it stops the simulator and retires every
+// started, unfinished thread, running the body's deferred calls and
+// recording no error. A retired thread's coroutine and everything it
+// references can then be collected. Close must be called from the
+// goroutine that steps the kernel, not from a thread or hook, and only
+// between steps; a second call does nothing.
+func (s *Simulator) Close() {
+	s.stopped.Store(true)
+	for _, c := range s.clocks {
+		for _, th := range c.threads {
+			if th.started && !th.finished {
+				th.stop()
+			}
+		}
+	}
+}
 
 // Stopped reports whether Stop has been called.
 func (s *Simulator) Stopped() bool { return s.stopped.Load() }
@@ -683,38 +702,5 @@ func (s *Simulator) Run(maxTime Time) {
 func (s *Simulator) RunCycles(c *Clock, n uint64) {
 	target := c.cycle + n
 	for c.cycle < target && s.Step() {
-	}
-}
-
-// Drain retires all threads by resuming them until they finish, bounded by
-// limit edges. It is used by tests to shut a simulation down cleanly; a
-// thread that never returns is simply abandoned when the test ends.
-//
-// Draining steps past a pending Stop, but the stop request is not lost: a
-// simulator stopped before (or during) Drain is still stopped when it
-// returns.
-func (s *Simulator) Drain(limit uint64) {
-	wasStopped := s.stopped.Load()
-	defer func() {
-		if wasStopped {
-			s.stopped.Store(true)
-		}
-	}()
-	for i := uint64(0); i < limit; i++ {
-		alive := false
-		for _, c := range s.clocks {
-			for _, th := range c.threads {
-				if th.started && !th.finished {
-					alive = true
-				}
-			}
-		}
-		if !alive {
-			return
-		}
-		s.stopped.Store(false)
-		if !s.Step() {
-			return
-		}
 	}
 }

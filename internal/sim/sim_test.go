@@ -302,21 +302,46 @@ func TestSetPeriodRejectsZero(t *testing.T) {
 	c.SetPeriod(0)
 }
 
-func TestDrainRetiresThreads(t *testing.T) {
+// Close retires every started thread wherever it is suspended (in Wait,
+// parked on WaitN, parked on WaitOn), running its deferred calls and
+// recording no error; a thread that never started stays untouched.
+func TestCloseRetiresThreads(t *testing.T) {
 	s := New()
 	c := s.AddClock("c", 1000, 0)
-	done := false
-	c.Spawn("short", func(th *Thread) {
-		th.WaitN(3)
-		done = true
-	})
-	s.RunCycles(c, 1) // thread started but unfinished
-	s.Drain(100)
-	if !done {
-		t.Fatal("drain did not let the thread finish")
+	late := s.AddClock("late", 1000, 1_000_000) // first edge after the run
+	var unwound []string
+	body := func(name string, wait func(th *Thread)) {
+		c.Spawn(name, func(th *Thread) {
+			defer func() { unwound = append(unwound, name) }()
+			for {
+				wait(th)
+			}
+		})
 	}
-	// Draining an already-quiet simulation returns immediately.
-	s.Drain(100)
+	body("running", func(th *Thread) { th.Wait() })
+	body("countdown", func(th *Thread) { th.WaitN(1000) })
+	body("predicate", func(th *Thread) { th.WaitOn(func() bool { return false }, &Event{}) })
+	lateRan := false
+	late.Spawn("never", func(th *Thread) { lateRan = true })
+	s.RunCycles(c, 3)
+
+	s.Close()
+	if want := []string{"running", "countdown", "predicate"}; !reflect.DeepEqual(unwound, want) {
+		t.Fatalf("unwound %v, want %v", unwound, want)
+	}
+	if s.Err() != nil {
+		t.Fatalf("Close recorded %v", s.Err())
+	}
+	if lateRan {
+		t.Fatal("Close started a thread that never ran")
+	}
+	if !s.Stopped() || s.Step() {
+		t.Fatal("closed simulator still steps")
+	}
+	s.Close() // idempotent
+	if len(unwound) != 3 {
+		t.Fatalf("second Close unwound again: %v", unwound)
+	}
 }
 
 func BenchmarkThreadSync(b *testing.B) {

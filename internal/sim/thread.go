@@ -25,6 +25,7 @@ type thread struct {
 	name     string
 	clock    *Clock
 	next     func() (struct{}, bool)
+	stop     func()
 	yield    func(struct{}) bool
 	finished bool
 	started  bool
@@ -50,9 +51,17 @@ func (c *Clock) Spawn(name string, body func(*Thread)) {
 }
 
 // Wait suspends the thread until the next rising edge of its clock.
+// Once Simulator.Close has retired the thread, Wait unwinds the body
+// instead of returning, so the body's deferred calls run.
 func (t *Thread) Wait() {
-	t.t.yield(struct{}{})
+	if !t.t.yield(struct{}{}) {
+		panic(retired{})
+	}
 }
+
+// retired is the panic value with which Wait unwinds a thread that
+// Simulator.Close retired; start's recover swallows it.
+type retired struct{}
 
 // WaitN suspends the thread for n rising edges. The kernel counts the
 // edges down without resuming the coroutine, so a long WaitN costs one
@@ -116,12 +125,13 @@ func (t *Thread) Name() string { return t.t.name }
 
 // start creates the thread's coroutine; the caller's next call runs the
 // body up to its first Wait. A panicking body stops the simulation and
-// retires the thread. The stop func iter.Pull returns is not kept.
+// retires the thread. stop, which Simulator.Close calls, retires it
+// without an error.
 func (th *thread) start() {
 	th.started = true
-	th.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+	th.next, th.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
-			if r := recover(); r != nil {
+			if r := recover(); r != nil && r != (retired{}) {
 				th.clock.sim.recordPanic(fmt.Errorf("sim: thread %q panicked: %v", th.name, r))
 			}
 			th.finished = true

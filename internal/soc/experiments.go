@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -72,6 +73,7 @@ func RunFig6Campaign(maxCycles uint64, parallel int, extra ...exp.Option) ([]Fig
 					cfg.ShadowNetlists = true // full RTL-cosim cost in RTL mode
 					cfg.StallSeed = c.Seed
 					s, verify := tc.Build(cfg)
+					defer context.AfterFunc(c.Context(), s.Sim.Stop)()
 					start := time.Now()
 					cycles, err := s.Run(maxCycles)
 					wall := time.Since(start)

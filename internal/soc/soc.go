@@ -270,9 +270,12 @@ func New(cfg Config, firmware []uint32) *SoC {
 	return s
 }
 
-// Run executes until the firmware writes RegTestExit or maxCycles of the
-// controller clock elapse. It returns elapsed controller cycles.
+// Run executes until the firmware writes RegTestExit, maxCycles of the
+// controller clock elapse, or the simulator is stopped. It returns
+// elapsed controller cycles. A SoC runs once: Run closes the simulator,
+// retiring its threads, and the final state stays readable.
 func (s *SoC) Run(maxCycles uint64) (uint64, error) {
+	defer s.Sim.Close()
 	start := s.RVClk.Cycle()
 	for !s.RV.Exited && s.RVClk.Cycle()-start < maxCycles {
 		if !s.Sim.Step() {

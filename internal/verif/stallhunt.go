@@ -1,6 +1,7 @@
 package verif
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/connections"
@@ -89,7 +90,7 @@ func RunStallHuntCampaign(pStall float64, messages, nSeeds int, campaignSeed int
 		jobs[i] = exp.Job{
 			Name: fmt.Sprintf("seed[%d]", i),
 			Run: func(c *exp.Ctx) (any, error) {
-				return RunStallHunt(pStall, c.Seed, messages), nil
+				return runStallHunt(c.Context(), pStall, c.Seed, messages, nil, nil), nil
 			},
 		}
 	}
@@ -120,8 +121,9 @@ func RunStallHuntCampaign(pStall float64, messages, nSeeds int, campaignSeed int
 	// the tracer armed and attach the channel-level analysis. The re-run
 	// happens here, sequentially, on the job's derived seed — so the
 	// diagnosis text is bit-identical for any worker count, and passing
-	// campaigns pay nothing.
-	if agg.FirstBugIndex >= 0 {
+	// campaigns pay nothing. A canceled campaign skips it: its aggregate
+	// is partial, and the caller reports the cancellation instead.
+	if agg.FirstBugIndex >= 0 && s.Canceled == 0 {
 		agg.FirstBugSeed = exp.DeriveSeed(campaignSeed, fmt.Sprintf("seed[%d]", agg.FirstBugIndex))
 		_, rec := RunStallHuntTraced(pStall, agg.FirstBugSeed, messages)
 		agg.Diagnosis = rec.Analyze(DiagnosisHorizon).Summary()
@@ -140,7 +142,7 @@ const DiagnosisHorizon = 1000
 // RunStallHunt runs the seeded-bug testbench. pStall = 0 reproduces
 // nominal timing; pStall > 0 enables the paper's stall injection.
 func RunStallHunt(pStall float64, seed int64, messages int) StallHuntResult {
-	return runStallHunt(pStall, seed, messages, nil, nil)
+	return runStallHunt(context.TODO(), pStall, seed, messages, nil, nil)
 }
 
 // RunStallHuntInspect runs the testbench and, after the simulation
@@ -149,7 +151,7 @@ func RunStallHunt(pStall float64, seed int64, messages int) StallHuntResult {
 // counters against ratecheck's bounds without re-plumbing the
 // testbench. The hook sees final state only; it cannot perturb timing.
 func RunStallHuntInspect(pStall float64, seed int64, messages int, inspect func(*sim.Simulator)) StallHuntResult {
-	return runStallHunt(pStall, seed, messages, nil, inspect)
+	return runStallHunt(context.TODO(), pStall, seed, messages, nil, inspect)
 }
 
 // RunStallHuntTraced runs the same testbench with channel-level tracing
@@ -160,11 +162,13 @@ func RunStallHuntInspect(pStall float64, seed int64, messages int, inspect func(
 // same arguments.
 func RunStallHuntTraced(pStall float64, seed int64, messages int) (StallHuntResult, *trace.Recorder) {
 	rec := trace.NewRecorder()
-	return runStallHunt(pStall, seed, messages, rec, nil), rec
+	return runStallHunt(context.TODO(), pStall, seed, messages, rec, nil), rec
 }
 
-func runStallHunt(pStall float64, seed int64, messages int, rec *trace.Recorder, inspect func(*sim.Simulator)) StallHuntResult {
+func runStallHunt(ctx context.Context, pStall float64, seed int64, messages int, rec *trace.Recorder, inspect func(*sim.Simulator)) StallHuntResult {
 	s := sim.New()
+	defer s.Close()
+	defer context.AfterFunc(ctx, s.Stop)()
 	if rec != nil {
 		s.Arm(rec)
 	}

@@ -8,17 +8,12 @@
 # script is a direct assertion of the fleet's two invariants under
 # churn. Heavier than fleet_smoke.sh; run on demand:
 #
-# The soak's completed-job throughput is written to BENCH_fleet.json
-# (override with BENCH_JSON=path) so soak runs leave a trendable
-# figure of merit behind, not just a pass/fail.
-#
 #	scripts/fleet_soak.sh              # default 5 rounds
 #	ROUNDS=20 scripts/fleet_soak.sh    # longer soak
 set -eu
 
 GO=${GO:-go}
 ROUNDS=${ROUNDS:-5}
-BENCH_JSON=${BENCH_JSON:-BENCH_fleet.json}
 WORK=$(mktemp -d)
 PIDS=""
 trap 'for p in $PIDS; do kill "$p" 2>/dev/null || true; done; rm -rf "$WORK"' EXIT
@@ -81,7 +76,6 @@ CHAOS_PID=$!
 PIDS="$PIDS $CHAOS_PID"
 
 "$WORK/socsoak" -addr "$ADDR" -rounds "$ROUNDS" -concurrency 8 \
-	-bench-json "$BENCH_JSON" \
 	|| fail "socsoak reported lost or mismatched jobs"
 
-echo "fleet-soak: PASS ($ROUNDS rounds with mid-soak worker kill/restart; throughput in $BENCH_JSON)"
+echo "fleet-soak: PASS ($ROUNDS rounds with mid-soak worker kill/restart)"

@@ -4,7 +4,8 @@
 # Builds the real socd and socctl binaries, boots the daemon on an
 # ephemeral port, drives it over the network like a client would —
 # lint job, sim job, cache-hit resubmission — and checks the metrics
-# endpoint and graceful SIGTERM drain. Run via `make serve-smoke`.
+# endpoint and a graceful SIGTERM drain with a job still in flight. Run
+# via `make serve-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -21,7 +22,8 @@ fail() {
 "$GO" build -o "$WORK/socd" ./cmd/socd
 "$GO" build -o "$WORK/socctl" ./cmd/socctl
 
-"$WORK/socd" -addr 127.0.0.1:0 -workers 2 >"$WORK/socd.out" 2>"$WORK/socd.err" &
+"$WORK/socd" -addr 127.0.0.1:0 -workers 2 -drain-timeout 1s \
+	>"$WORK/socd.out" 2>"$WORK/socd.err" &
 SOCD_PID=$!
 
 # First stdout line is "listening on <host:port>".
@@ -56,15 +58,20 @@ grep -q '{"path":"serve/jobs","name":"submitted","value":3}' "$WORK/metrics.json
 	|| fail "serve/jobs submitted != 3"
 $CTL health >/dev/null || fail "healthz not ok"
 
-# Graceful drain: SIGTERM must exit cleanly (status 0) within budget.
+# Graceful drain with a job in flight: a stall hunt that would run far
+# past the 1s drain budget. SIGTERM must cancel it through the job
+# context and exit cleanly (status 0) within 5s.
+$CTL submit -kind stallhunt -messages 100000000 -seeds 1 >/dev/null \
+	|| fail "stallhunt submission failed"
 kill -TERM "$SOCD_PID"
 i=0
 while kill -0 "$SOCD_PID" 2>/dev/null; do
 	i=$((i + 1))
-	[ "$i" -le 100 ] || fail "socd did not drain within 10s of SIGTERM"
+	[ "$i" -le 50 ] || fail "socd did not exit within 5s of SIGTERM with a job in flight"
 	sleep 0.1
 done
 wait "$SOCD_PID" || fail "socd exited non-zero after SIGTERM"
+grep -q "drain: canceled stragglers" "$WORK/socd.err" || fail "in-flight job was not canceled by the drain"
 grep -q "drained, exiting" "$WORK/socd.err" || fail "drain log line missing"
 
-echo "serve-smoke: PASS (socd at $ADDR: lint, sim, cache hit, drain)"
+echo "serve-smoke: PASS (socd at $ADDR: lint, sim, cache hit, drain with a job in flight)"
