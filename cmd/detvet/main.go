@@ -1,7 +1,10 @@
 // Command detvet is the repo's determinism vet: a syntactic analyzer
 // over the simulation-kernel packages whose results must be bit-identical
-// across runs and machines (internal/sim, internal/connections,
-// internal/gals, internal/noc, internal/rtl). It flags the three ways
+// across runs and machines: the kernel (internal/sim), every package
+// that runs inside its event loop (connections, gals, noc, soc,
+// matchlib, axi, riscv, trace, power), the gate-level evaluator
+// (internal/rtl), and the fleet, rate-check and model-check layers
+// listed in checkedDirs. It flags the three ways
 // nondeterminism usually leaks into a Go simulator:
 //
 //   - importing "time" (wall-clock reads in simulated-time code),
@@ -45,6 +48,12 @@ var checkedDirs = []string{
 	"internal/connections",
 	"internal/gals",
 	"internal/noc",
+	"internal/soc",
+	"internal/matchlib",
+	"internal/axi",
+	"internal/riscv",
+	"internal/trace",
+	"internal/power",
 	"internal/rtl",
 	// The fleet layer's result bytes must be spec-determined: the wire
 	// codec admits no wall-clock or map-order at all, and the gateway's

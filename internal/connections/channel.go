@@ -271,7 +271,7 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 	}
 	// Every channel is a component: its counters surface through the
 	// simulator's metrics registry under the channel name as a path.
-	clk.Sim().Component(name).Source(c.emitStats)
+	clk.Sim().Metrics().Source(name, c.emitStats)
 	return c
 }
 

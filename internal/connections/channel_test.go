@@ -229,7 +229,7 @@ func TestLatencyDoesNotAddCapacity(t *testing.T) {
 				th.Wait()
 			}
 		})
-		clk.AtMonitor(func() {
+		clk.AtMonitorNamed("occupancy", func() {
 			if occ := ch.Occupancy(); occ > maxOcc {
 				maxOcc = occ
 			}

@@ -53,7 +53,7 @@ func checkLazyStats(t *testing.T, kind Kind, latency int, stall bool) {
 				where, clk.Cycle(), got.Cycles, got.OccupancySum, done, sum)
 		}
 	}
-	clk.AtMonitor(func() {
+	clk.AtMonitorNamed("check", func() {
 		done++
 		sum += occ
 		occ = uint64(ch.Occupancy())

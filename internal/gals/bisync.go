@@ -68,7 +68,7 @@ func NewPausibleBisyncFIFO[T any](s *sim.Simulator, name string, prod, cons *sim
 	f.notEmpty = func() bool { return f.rptr != f.wptr }
 	f.evs[0] = &f.ev
 	f.sub = s.Tracer().Subject(name)
-	s.Component(name).Source(func(emit stats.Emit) {
+	s.Metrics().Source(name, func(emit stats.Emit) {
 		emit("pauses", float64(f.Pauses))
 		emit("transfers", float64(f.Transfers))
 		emit("occupancy", float64(f.Occupancy()))
@@ -253,7 +253,7 @@ func NewBruteForceSyncFIFO[T any](s *sim.Simulator, name string, prod, cons *sim
 		f.rptrSyncToProd[1] = f.rptrSyncToProd[0]
 		f.rptrSyncToProd[0] = f.rptr
 	})
-	s.Component(name).Source(func(emit stats.Emit) {
+	s.Metrics().Source(name, func(emit stats.Emit) {
 		emit("transfers", float64(f.Transfers))
 		emit("occupancy", float64(f.Occupancy()))
 	})

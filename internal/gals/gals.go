@@ -84,7 +84,7 @@ func NewClockGen(s *sim.Simulator, name string, nominalPS float64, noise *Supply
 	g.Clock = s.AddClock(name, sim.Time(g.safePeriod(noise.VMin())), phase)
 	if adaptive {
 		clk := g.Clock
-		clk.AtCommit(func() {
+		clk.AtCommitNamed(name+"/adapt", func() {
 			v := noise.At(clk.Now())
 			g.Clock.SetPeriod(sim.Time(g.safePeriod(v)))
 		})

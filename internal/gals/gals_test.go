@@ -131,7 +131,7 @@ func TestPauseWindowTracksShiftedEdges(t *testing.T) {
 	f := NewPausibleBisyncFIFO[int](s, "pf", a, b, 4, 40)
 
 	var bEdges []sim.Time
-	b.AtCommit(func() { bEdges = append(bEdges, s.Now()) })
+	b.AtCommitNamed("edges", func() { bEdges = append(bEdges, s.Now()) })
 
 	// Probe clocks fire exactly one edge each inside the run window,
 	// modelling a pointer crossing toward b at that instant.

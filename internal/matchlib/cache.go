@@ -93,7 +93,7 @@ func NewCache(clk *sim.Clock, name string, capacityWords, lineWords, ways int) *
 	for s := range c.lines {
 		c.lines[s] = make([]cacheLine, ways)
 	}
-	clk.Sim().Component(name).Source(func(emit stats.Emit) {
+	clk.Sim().Metrics().Source(name, func(emit stats.Emit) {
 		emit("hits", float64(c.stats.Hits))
 		emit("misses", float64(c.stats.Misses))
 		emit("evictions", float64(c.stats.Evictions))

@@ -46,7 +46,7 @@ func NewStructuralCrossbar[T any](clk *sim.Clock, name string, n, qdepth int,
 		x.inq[i] = NewFIFO[XbarMsg[T]](qdepth)
 		x.arbs[i] = NewArbiter(n)
 	}
-	clk.AtCommit(x.cycle)
+	clk.AtCommitNamed(name, x.cycle)
 	return x
 }
 

@@ -54,7 +54,7 @@ func NewSFRouter(clk *sim.Clock, name string, nPorts, pktQ int, route RouteFunc)
 		r.arbs[i] = matchlib.NewArbiter(nPorts)
 	}
 	clk.Spawn(name+".sf", func(th *sim.Thread) { r.run(th) })
-	clk.Sim().Component(name).Source(r.Stats.emit)
+	clk.Sim().Metrics().Source(name, r.Stats.emit)
 	return r
 }
 

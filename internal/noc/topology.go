@@ -108,7 +108,7 @@ func NewNI(clk *sim.Clock, name string, node, nVCs int, vcPick func(Packet) int)
 			}
 		}
 	})
-	clk.Sim().Component(name).Source(func(emit stats.Emit) {
+	clk.Sim().Metrics().Source(name, func(emit stats.Emit) {
 		emit("packets_injected", float64(ni.Injected))
 		emit("packets_ejected", float64(ni.Ejected))
 	})

@@ -88,7 +88,7 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 		r.arbs[i] = matchlib.NewArbiter(nPorts * nVCs)
 	}
 	clk.Spawn(name+".whvc", func(th *sim.Thread) { r.run(th) })
-	clk.Sim().Component(name).Source(r.Stats.emit)
+	clk.Sim().Metrics().Source(name, r.Stats.emit)
 	return r
 }
 

@@ -195,7 +195,7 @@ type Partition struct {
 }
 
 // Collision records two design objects claiming the same name. Because
-// the component registry merges equal paths silently, a duplicate name
+// the metrics registry merges equal paths silently, a duplicate name
 // means merged stats and trace channels — lint reports it as CON-4.
 type Collision struct {
 	Name   string

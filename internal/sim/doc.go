@@ -3,21 +3,24 @@
 // the paper's OOHLS flow (DESIGN.md §2).
 //
 // The kernel advances time in picoseconds from clock edge to clock edge.
-// Every clock edge runs five phases, in order:
+// Every clock edge runs four phases, in order:
 //
 //  1. Threads  — coroutine processes bound to the clock resume and run
 //     until they call Thread.Wait (one simulated cycle of work).
 //  2. Drive    — registered drive hooks compute output signals from the
 //     state committed in previous cycles.
-//  3. Resolve  — registered resolvers iterate to a fixpoint, modelling
-//     combinational paths between components (ready/valid coupling,
-//     arbitration) within the cycle.
-//  4. Commit   — commit hooks latch state, completing the
+//  3. Commit   — commit hooks latch state, completing the
 //     register-transfer semantics of the cycle: first the hooks
 //     registered to run on every edge (Clock.AtCommitNamed), then the
 //     on-touch hooks (Clock.AtCommitOnTouch) whose handle was touched
-//     during this edge's phases 1-3 or that asked to run again.
-//  5. Monitor  — observation-only hooks (statistics, traces).
+//     by a thread or drive hook during this edge or that asked to run
+//     again.
+//  4. Monitor  — observation-only hooks (statistics, traces).
+//
+// There is no combinational phase: components talk only through
+// latency-insensitive channels that latch at commit, so nothing couples
+// within a cycle. Every thread and hook carries a non-empty name
+// (registering one without panics), which Simulator.Processes reports.
 //
 // Threads are runtime coroutines (iter.Pull), not goroutines synchronized
 // over channels: the kernel switches into a thread and the thread's Wait
@@ -49,8 +52,7 @@
 // parked coroutine. soc.SoC.Run closes its simulator; other harnesses
 // defer Close after their last look at the final state.
 //
-// Every simulated component can register into a hierarchical component
-// tree (Simulator.Component) whose paths ("soc/pe[3]/inject") key the
+// Component paths ("soc/pe[3]/inject") key Simulator.Metrics(), the
 // unified metrics registry (internal/stats) shared by channels, routers,
 // memories, power, and coverage.
 //

@@ -34,7 +34,7 @@ func TestAtCommitOnTouchRunsOnTouchedEdges(t *testing.T) {
 			th.Wait()
 		}
 	})
-	clk.AtDrive(func() {
+	clk.AtDriveNamed("retouch", func() {
 		if clk.Cycle() == 10 {
 			h.Touch()
 		}
@@ -57,7 +57,7 @@ func TestCommittedCountsCompletedCommitPhases(t *testing.T) {
 			th.Wait()
 		}
 	})
-	clk.AtMonitor(func() { inMonitor = append(inMonitor, clk.Committed()) })
+	clk.AtMonitorNamed("observe", func() { inMonitor = append(inMonitor, clk.Committed()) })
 	s.RunCycles(clk, 3)
 	if !reflect.DeepEqual(inThread, []uint64{0, 1, 2}) || !reflect.DeepEqual(inMonitor, []uint64{1, 2, 3}) {
 		t.Fatalf("Committed: threads saw %v, monitors %v", inThread, inMonitor)
@@ -71,9 +71,9 @@ func TestTouchInCommitOrMonitorPanics(t *testing.T) {
 		h := clk.AtCommitOnTouch("ch", func() bool { return false })
 		touch := func() { h.Touch() }
 		if phase == "commit" {
-			clk.AtCommit(touch)
+			clk.AtCommitNamed("touch", touch)
 		} else {
-			clk.AtMonitor(touch)
+			clk.AtMonitorNamed("touch", touch)
 		}
 		func() {
 			defer func() {
@@ -113,7 +113,7 @@ func TestTouchAllocatesNothing(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		hs = append(hs, clk.AtCommitOnTouch("h", func() bool { return i%3 == 0 }))
 	}
-	clk.AtDrive(func() {
+	clk.AtDriveNamed("touch", func() {
 		for _, h := range hs {
 			h.Touch()
 		}

@@ -12,7 +12,7 @@ func TestWaitOnMatchesPollingLoop(t *testing.T) {
 		flag := false
 		var ev Event
 		evs := []*Event{&ev}
-		clk.AtCommit(func() {
+		clk.AtCommitNamed("flag", func() {
 			// Raise the flag on cycles 4 and 9, clear it the cycle after.
 			if next := clk.Cycle() == 4 || clk.Cycle() == 9; next != flag {
 				flag = next
@@ -142,7 +142,7 @@ func TestParkedThreadKeepsRegistrationOrder(t *testing.T) {
 	ready := false
 	var ev Event
 	evs := []*Event{&ev}
-	clk.AtCommit(func() {
+	clk.AtCommitNamed("ready", func() {
 		ready = clk.Cycle() == 3
 		ev.Notify()
 	})
@@ -175,7 +175,7 @@ func TestCoincidentEdgesWithParkedThreads(t *testing.T) {
 		ready := false
 		var ev Event
 		evs := []*Event{&ev}
-		a.AtCommit(func() {
+		a.AtCommitNamed("ready", func() {
 			ready = a.Cycle() >= 3
 			ev.Notify()
 		})

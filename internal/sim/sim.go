@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/stats"
@@ -18,7 +17,7 @@ type Time uint64
 // Infinity is a time later than any event.
 const Infinity Time = math.MaxUint64
 
-// Simulator owns clocks, threads, components, and simulated time.
+// Simulator owns clocks, threads, metrics, and simulated time.
 type Simulator struct {
 	clocks []*Clock
 	now    Time
@@ -35,8 +34,6 @@ type Simulator struct {
 	due          []*Clock
 
 	metrics *stats.Registry
-	root    *Component
-	comps   map[string]*Component
 	design  *Design
 
 	tracer *trace.Recorder
@@ -98,7 +95,9 @@ func (s *Simulator) Stopped() bool { return s.stopped.Load() }
 func (s *Simulator) Err() error { return s.err }
 
 // Metrics returns the simulator's metrics registry, creating it on first
-// use. The kernel publishes its own counters under the "sim" component.
+// use. Components key their metrics by "/"-separated paths, with a
+// bracketed index segment for replicated elements ("soc/pe[3]/inject");
+// the kernel publishes its own counters under "sim".
 func (s *Simulator) Metrics() *stats.Registry {
 	if s.metrics == nil {
 		s.metrics = stats.New()
@@ -133,121 +132,6 @@ func (s *Simulator) Arm(r *trace.Recorder) { s.tracer = r }
 // safe), keeping every emission site a single pointer check.
 func (s *Simulator) Tracer() *trace.Recorder { return s.tracer }
 
-// Component is a node in the design hierarchy. Paths are "/"-separated
-// segments from the root ("soc/pe[3]/inject"); replicated elements use a
-// bracketed index segment. Components key the metrics registry and give
-// threads and hooks an introspectable home.
-type Component struct {
-	sim      *Simulator
-	parent   *Component
-	name     string // final path segment; "" for the root
-	path     string // full path; "" for the root
-	children map[string]*Component
-	order    []string // child names in creation order
-}
-
-// Root returns the root of the component tree, creating it on first use.
-func (s *Simulator) Root() *Component {
-	if s.root == nil {
-		s.root = &Component{sim: s, children: make(map[string]*Component)}
-		s.comps = map[string]*Component{"": s.root}
-	}
-	return s.root
-}
-
-// Component returns the component at path, creating it (and any missing
-// ancestors) on first use. The empty path names the root.
-func (s *Simulator) Component(path string) *Component {
-	c := s.Root()
-	if path == "" {
-		return c
-	}
-	if got, ok := s.comps[path]; ok {
-		return got
-	}
-	for _, seg := range strings.Split(path, "/") {
-		c = c.Child(seg)
-	}
-	return c
-}
-
-// Lookup returns the component at path without creating it.
-func (s *Simulator) Lookup(path string) (*Component, bool) {
-	if s.comps == nil {
-		return nil, false
-	}
-	c, ok := s.comps[path]
-	return c, ok
-}
-
-// Child returns the direct child with the given name, creating it on
-// first use. Names must be non-empty and must not contain "/".
-func (c *Component) Child(name string) *Component {
-	if name == "" || strings.Contains(name, "/") {
-		panic(fmt.Sprintf("sim: bad component name %q", name))
-	}
-	if got, ok := c.children[name]; ok {
-		return got
-	}
-	path := name
-	if c.path != "" {
-		path = c.path + "/" + name
-	}
-	child := &Component{
-		sim:      c.sim,
-		parent:   c,
-		name:     name,
-		path:     path,
-		children: make(map[string]*Component),
-	}
-	c.children[name] = child
-	c.order = append(c.order, name)
-	c.sim.comps[path] = child
-	return child
-}
-
-// Name returns the component's final path segment ("" for the root).
-func (c *Component) Name() string { return c.name }
-
-// Path returns the component's full hierarchical path ("" for the root).
-func (c *Component) Path() string { return c.path }
-
-// Parent returns the enclosing component (nil for the root).
-func (c *Component) Parent() *Component { return c.parent }
-
-// Children returns the direct children in creation order.
-func (c *Component) Children() []*Component {
-	out := make([]*Component, 0, len(c.order))
-	for _, n := range c.order {
-		out = append(out, c.children[n])
-	}
-	return out
-}
-
-// Walk visits c and every descendant in creation order.
-func (c *Component) Walk(fn func(*Component)) {
-	fn(c)
-	for _, n := range c.order {
-		c.children[n].Walk(fn)
-	}
-}
-
-// Counter returns the metric counter (c.Path(), name).
-func (c *Component) Counter(name string) *stats.Counter {
-	return c.sim.Metrics().Counter(c.path, name)
-}
-
-// Gauge returns the metric gauge (c.Path(), name).
-func (c *Component) Gauge(name string) *stats.Gauge {
-	return c.sim.Metrics().Gauge(c.path, name)
-}
-
-// Source registers a snapshot-time metrics callback under the
-// component's path.
-func (c *Component) Source(fn func(stats.Emit)) {
-	c.sim.Metrics().Source(c.path, fn)
-}
-
 // Clock is a clock domain. Processes and threads attach to exactly one
 // clock and observe its rising edges. All clocks of a simulator are
 // stepped by one kernel goroutine, so the scheduling state is plain data.
@@ -268,7 +152,6 @@ type Clock struct {
 
 	threads  []*thread
 	drives   []namedHook
-	resolves []namedResolver
 	monitors []namedHook
 
 	// commits lists every commit hook in registration order, for
@@ -287,16 +170,11 @@ type Clock struct {
 }
 
 // namedHook is a phase callback with an introspectable identity; the
-// name is conventionally the owning component's path (plus a suffix when
-// one component registers several hooks in a phase).
+// name, never empty, is conventionally the owning component's path (plus
+// a suffix when one component registers several hooks in a phase).
 type namedHook struct {
 	name string
 	fn   func()
-}
-
-type namedResolver struct {
-	name string
-	fn   func() bool
 }
 
 // AddClock creates a clock with the given period in picoseconds whose first
@@ -363,30 +241,25 @@ func (c *Clock) nextEdge() Time {
 // the clock has been paused or carries a phase offset.
 func (c *Clock) NextEdge() Time { return c.nextEdge() }
 
-// AtDrive registers f to run in the drive phase of every edge.
-func (c *Clock) AtDrive(f func()) { c.AtDriveNamed("", f) }
+// mustName panics when a process or hook is registered without a name:
+// Processes and per-hook attribution tell them apart by name.
+func mustName(kind, name string) {
+	if name == "" {
+		panic("sim: unnamed " + kind)
+	}
+}
 
-// AtDriveNamed registers a named drive-phase hook.
+// AtDriveNamed registers a named hook that runs in the drive phase of
+// every edge.
 func (c *Clock) AtDriveNamed(name string, f func()) {
+	mustName("drive hook", name)
 	c.drives = append(c.drives, namedHook{name: name, fn: f})
 }
 
-// AtResolve registers f in the combinational resolve phase. f must return
-// true if it changed any visible signal; the kernel iterates all resolvers
-// until a full pass makes no changes.
-func (c *Clock) AtResolve(f func() bool) { c.AtResolveNamed("", f) }
-
-// AtResolveNamed registers a named resolve-phase hook.
-func (c *Clock) AtResolveNamed(name string, f func() bool) {
-	c.resolves = append(c.resolves, namedResolver{name: name, fn: f})
-}
-
-// AtCommit registers f to run in the commit (state-latch) phase.
-func (c *Clock) AtCommit(f func()) { c.AtCommitNamed("", f) }
-
-// AtCommitNamed registers a named commit-phase hook that runs on every
-// edge.
+// AtCommitNamed registers a named commit-phase (state-latch) hook that
+// runs on every edge.
 func (c *Clock) AtCommitNamed(name string, f func()) {
+	mustName("commit hook", name)
 	c.commits = append(c.commits, namedHook{name: name, fn: f})
 	c.everyEdge = append(c.everyEdge, f)
 }
@@ -402,11 +275,12 @@ type OnTouch struct {
 
 // AtCommitOnTouch registers a named commit hook that runs only on edges
 // where the returned handle was touched. Touch lists the hook on this
-// edge's commit list, once per edge; phase 4 runs the every-edge hooks
+// edge's commit list, once per edge; phase 3 runs the every-edge hooks
 // and then the listed ones. A hook that returns again stays listed for
 // the next edge, so state still draining (a skid, a delay line) keeps
 // committing without being touched.
 func (c *Clock) AtCommitOnTouch(name string, fn func() (again bool)) *OnTouch {
+	mustName("commit hook", name)
 	c.commits = append(c.commits, namedHook{name: name})
 	// Each hook is listed at most once per edge, so this capacity keeps
 	// Touch from allocating.
@@ -415,9 +289,9 @@ func (c *Clock) AtCommitOnTouch(name string, fn func() (again bool)) *OnTouch {
 }
 
 // Touch lists the hook for the commit phase of its clock's current edge,
-// or of the next edge when called between edges. Only threads, drive and
-// resolve hooks may touch: a touch during the clock's own commit or
-// monitor phase panics.
+// or of the next edge when called between edges. Only threads and drive
+// hooks may touch: a touch during the clock's own commit or monitor
+// phase panics.
 func (h *OnTouch) Touch() {
 	if h.listed {
 		return
@@ -430,15 +304,14 @@ func (h *OnTouch) Touch() {
 }
 
 // Committed returns the number of commit phases the clock has completed.
-// A read during phases 1-3 of an edge does not count that edge; a read
-// from a monitor hook does.
+// A read from a thread or drive hook does not count the current edge; a
+// read from a monitor hook does.
 func (c *Clock) Committed() uint64 { return c.committed }
 
-// AtMonitor registers an observation-only hook that runs after commit.
-func (c *Clock) AtMonitor(f func()) { c.AtMonitorNamed("", f) }
-
-// AtMonitorNamed registers a named monitor-phase hook.
+// AtMonitorNamed registers a named observation-only hook that runs after
+// commit.
 func (c *Clock) AtMonitorNamed(name string, f func()) {
+	mustName("monitor hook", name)
 	c.monitors = append(c.monitors, namedHook{name: name, fn: f})
 }
 
@@ -479,8 +352,8 @@ func (e *Event) register(th *thread) {
 // ProcessInfo describes one registered process or hook for introspection.
 type ProcessInfo struct {
 	Clock string // owning clock's name
-	Phase string // "thread", "drive", "resolve", "commit", or "monitor"
-	Name  string // process name; "" for an anonymous hook
+	Phase string // "thread", "drive", "commit", or "monitor"
+	Name  string // process or hook name, never empty
 }
 
 // Processes returns every process and hook registered on the clock, in
@@ -492,9 +365,6 @@ func (c *Clock) Processes() []ProcessInfo {
 	}
 	for _, h := range c.drives {
 		out = append(out, ProcessInfo{Clock: c.name, Phase: "drive", Name: h.name})
-	}
-	for _, h := range c.resolves {
-		out = append(out, ProcessInfo{Clock: c.name, Phase: "resolve", Name: h.name})
 	}
 	for _, h := range c.commits {
 		out = append(out, ProcessInfo{Clock: c.name, Phase: "commit", Name: h.name})
@@ -561,26 +431,7 @@ func (c *Clock) runEdgeAt(t Time) {
 		c.drives[i].fn()
 	}
 
-	// Phase 3: combinational resolve to fixpoint.
-	if len(c.resolves) > 0 {
-		limit := len(c.resolves)*len(c.resolves) + 16
-		for iter := 0; ; iter++ {
-			changed := false
-			for i := range c.resolves {
-				if c.resolves[i].fn() {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-			if iter > limit {
-				panic(fmt.Sprintf("sim: combinational loop on clock %q did not converge", c.name))
-			}
-		}
-	}
-
-	// Phase 4: commit. The every-edge hooks run first, then the hooks
+	// Phase 3: commit. The every-edge hooks run first, then the hooks
 	// touched this edge; those that ask to run again stay listed,
 	// compacted in place.
 	c.sealed = true
@@ -599,7 +450,7 @@ func (c *Clock) runEdgeAt(t Time) {
 	c.touched = c.touched[:n]
 	c.committed++
 
-	// Phase 5: monitors.
+	// Phase 4: monitors.
 	for i := range c.monitors {
 		c.monitors[i].fn()
 	}

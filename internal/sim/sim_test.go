@@ -9,7 +9,7 @@ func TestSingleClockCycles(t *testing.T) {
 	s := New()
 	clk := s.AddClock("clk", 1000, 0)
 	var ticks int
-	clk.AtCommit(func() { ticks++ })
+	clk.AtCommitNamed("tick", func() { ticks++ })
 	s.RunCycles(clk, 10)
 	if ticks != 10 {
 		t.Fatalf("ticks = %d, want 10", ticks)
@@ -33,20 +33,11 @@ func TestPhaseOrdering(t *testing.T) {
 			th.Wait()
 		}
 	})
-	clk.AtDrive(func() { order = append(order, "drive") })
-	resolved := false
-	clk.AtResolve(func() bool {
-		order = append(order, "resolve")
-		if !resolved {
-			resolved = true
-			return true // force a second pass
-		}
-		return false
-	})
-	clk.AtCommit(func() { order = append(order, "commit") })
-	clk.AtMonitor(func() { order = append(order, "monitor") })
+	clk.AtDriveNamed("drive", func() { order = append(order, "drive") })
+	clk.AtCommitNamed("commit", func() { order = append(order, "commit") })
+	clk.AtMonitorNamed("monitor", func() { order = append(order, "monitor") })
 	s.RunCycles(clk, 1)
-	want := []string{"thread", "drive", "resolve", "resolve", "commit", "monitor"}
+	want := []string{"thread", "drive", "commit", "monitor"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -83,8 +74,8 @@ func TestMultiClockRatio(t *testing.T) {
 	fast := s.AddClock("fast", 1000, 0)
 	slow := s.AddClock("slow", 3000, 0)
 	var fastN, slowN int
-	fast.AtCommit(func() { fastN++ })
-	slow.AtCommit(func() { slowN++ })
+	fast.AtCommitNamed("count", func() { fastN++ })
+	slow.AtCommitNamed("count", func() { slowN++ })
 	s.Run(9001) // edges at 0..9000
 	if fastN != 10 {
 		t.Errorf("fast edges = %d, want 10", fastN)
@@ -98,7 +89,7 @@ func TestClockPhase(t *testing.T) {
 	s := New()
 	c := s.AddClock("c", 1000, 250)
 	var firstEdge Time
-	c.AtCommit(func() {
+	c.AtCommitNamed("first", func() {
 		if firstEdge == 0 {
 			firstEdge = s.Now()
 		}
@@ -113,7 +104,7 @@ func TestPausePostponesEdge(t *testing.T) {
 	s := New()
 	c := s.AddClock("c", 1000, 0)
 	var edges []Time
-	c.AtCommit(func() { edges = append(edges, s.Now()) })
+	c.AtCommitNamed("edges", func() { edges = append(edges, s.Now()) })
 	s.RunCycles(c, 1) // edge at 0
 	c.Pause(2500)     // next edge would be 1000; pushed to 2500
 	s.RunCycles(c, 2)
@@ -147,7 +138,7 @@ func TestCrossClockPause(t *testing.T) {
 			b := s.AddClock("b", 100, tc.bPhase)
 			var aEdges, bEdges []Time
 			paused := false
-			a.AtCommit(func() {
+			a.AtCommitNamed("conflict", func() {
 				aEdges = append(aEdges, a.Now())
 				if a.Now() != 200 {
 					return
@@ -159,7 +150,7 @@ func TestCrossClockPause(t *testing.T) {
 					b.Pause(until) // an uncovered pause must change nothing
 				}
 			})
-			b.AtCommit(func() { bEdges = append(bEdges, b.Now()) })
+			b.AtCommitNamed("edges", func() { bEdges = append(bEdges, b.Now()) })
 			s.Run(500)
 			if paused != tc.paused {
 				t.Fatalf("conflict test paused=%v, want %v", paused, tc.paused)
@@ -178,7 +169,7 @@ func TestSetPeriod(t *testing.T) {
 	s := New()
 	c := s.AddClock("c", 1000, 0)
 	var edges []Time
-	c.AtCommit(func() {
+	c.AtCommitNamed("retune", func() {
 		edges = append(edges, s.Now())
 		if len(edges) == 2 {
 			c.SetPeriod(400)
@@ -237,26 +228,14 @@ func TestThreadRetires(t *testing.T) {
 	}
 }
 
-func TestCombinationalLoopPanics(t *testing.T) {
-	s := New()
-	c := s.AddClock("c", 1000, 0)
-	c.AtResolve(func() bool { return true }) // never converges
-	defer func() {
-		if recover() == nil {
-			t.Fatal("combinational loop did not panic")
-		}
-	}()
-	s.RunCycles(c, 1)
-}
-
 func TestCoincidentEdgesDeterministicOrder(t *testing.T) {
 	s := New()
 	// Registration order b, a — but firing order must be name order a, b.
 	b := s.AddClock("b", 1000, 0)
 	a := s.AddClock("a", 1000, 0)
 	var order []string
-	a.AtCommit(func() { order = append(order, "a") })
-	b.AtCommit(func() { order = append(order, "b") })
+	a.AtCommitNamed("order", func() { order = append(order, "a") })
+	b.AtCommitNamed("order", func() { order = append(order, "b") })
 	s.RunCycles(a, 1)
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("order = %v, want [a b]", order)
@@ -302,6 +281,32 @@ func TestSetPeriodRejectsZero(t *testing.T) {
 	c.SetPeriod(0)
 }
 
+// Every registrar rejects an empty name, so each entry of Processes can
+// be told apart.
+func TestUnnamedRegistrationPanics(t *testing.T) {
+	regs := []struct {
+		name string
+		reg  func(c *Clock)
+	}{
+		{"Spawn", func(c *Clock) { c.Spawn("", func(*Thread) {}) }},
+		{"AtDriveNamed", func(c *Clock) { c.AtDriveNamed("", func() {}) }},
+		{"AtCommitNamed", func(c *Clock) { c.AtCommitNamed("", func() {}) }},
+		{"AtCommitOnTouch", func(c *Clock) { c.AtCommitOnTouch("", func() bool { return false }) }},
+		{"AtMonitorNamed", func(c *Clock) { c.AtMonitorNamed("", func() {}) }},
+	}
+	for _, r := range regs {
+		t.Run(r.name, func(t *testing.T) {
+			c := New().AddClock("c", 1000, 0)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s with an empty name did not panic", r.name)
+				}
+			}()
+			r.reg(c)
+		})
+	}
+}
+
 // Close retires every started thread wherever it is suspended (in Wait,
 // parked on WaitN, parked on WaitOn), running its deferred calls and
 // recording no error; a thread that never started stays untouched.
@@ -341,6 +346,74 @@ func TestCloseRetiresThreads(t *testing.T) {
 	s.Close() // idempotent
 	if len(unwound) != 3 {
 		t.Fatalf("second Close unwound again: %v", unwound)
+	}
+}
+
+func TestKernelMetricsSource(t *testing.T) {
+	s := New()
+	clk := s.AddClock("main", 1000, 0)
+	clk.Spawn("t", func(th *Thread) {
+		for {
+			th.Wait()
+		}
+	})
+	reg := s.Metrics() // registered before running; polls at snapshot time
+	s.RunCycles(clk, 5)
+	get := func(path, name string) float64 {
+		for _, m := range reg.Snapshot() {
+			if m.Path == path && m.Name == name {
+				return m.Value
+			}
+		}
+		t.Fatalf("metric %s.%s missing", path, name)
+		return 0
+	}
+	if v := get("sim", "total_edges"); v != 5 {
+		t.Fatalf("total_edges = %v, want 5", v)
+	}
+	if v := get("sim/clk[main]", "cycles"); v != 5 {
+		t.Fatalf("clk cycles = %v, want 5", v)
+	}
+	if v := get("sim/clk[main]", "processes"); v != 1 {
+		t.Fatalf("processes = %v, want 1", v)
+	}
+}
+
+func TestProcessesIntrospection(t *testing.T) {
+	s := New()
+	clk := s.AddClock("clk", 1000, 0)
+	clk.Spawn("dut/worker", func(th *Thread) {})
+	clk.AtDriveNamed("dut/drv", func() {})
+	clk.AtCommitNamed("dut/latch", func() {})
+	clk.AtMonitorNamed("dut/mon", func() {})
+
+	ps := s.Processes()
+	byPhase := map[string][]string{}
+	for _, p := range ps {
+		if p.Clock != "clk" {
+			t.Fatalf("process %+v has wrong clock", p)
+		}
+		byPhase[p.Phase] = append(byPhase[p.Phase], p.Name)
+	}
+	checks := []struct {
+		phase, name string
+	}{
+		{"thread", "dut/worker"},
+		{"drive", "dut/drv"},
+		{"commit", "dut/latch"},
+		{"monitor", "dut/mon"},
+	}
+	for _, c := range checks {
+		found := false
+		for _, n := range byPhase[c.phase] {
+			found = found || n == c.name
+		}
+		if !found {
+			t.Fatalf("phase %s missing process %q: %v", c.phase, c.name, byPhase)
+		}
+	}
+	if len(ps) != len(checks) {
+		t.Fatalf("processes = %v, want one per phase", ps)
 	}
 }
 

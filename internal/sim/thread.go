@@ -40,13 +40,14 @@ type thread struct {
 	sens     []*Event    // the event slice the thread last registered on
 }
 
-// Spawn registers a coroutine process on clock c. The body starts running
-// at the first rising edge and is resumed once per edge after each Wait.
-// When the body returns the thread retires. A body must not call
+// Spawn registers a named coroutine process on clock c. The body starts
+// running at the first rising edge and is resumed once per edge after
+// each Wait. When the body returns the thread retires. A body must not call
 // runtime.Goexit (for example through testing.T.FailNow): under a
 // coroutine that unwinds the kernel's goroutine instead of retiring the
 // thread.
 func (c *Clock) Spawn(name string, body func(*Thread)) {
+	mustName("thread", name)
 	c.threads = append(c.threads, &thread{name: name, clock: c, body: body})
 }
 

@@ -22,11 +22,11 @@ func hbLoad(c *Clock, x *uint64, ev *Event) {
 			}
 		}
 	})
-	c.AtDrive(func() {
+	c.AtDriveNamed("mix", func() {
 		*x += c.Cycle()
 		ev.Notify()
 	})
-	c.AtCommit(func() {
+	c.AtCommitNamed("scramble", func() {
 		*x ^= *x >> 7
 		ev.Notify()
 	})

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
+	"time" //detvet:ok Fig. 6 reports TLM and RTL-cosim wall time; it never feeds simulated state
 
 	"repro/internal/connections"
 	"repro/internal/exp"
@@ -21,8 +21,8 @@ type Fig6Row struct {
 	Speedup     float64 // RTL wall / TLM wall
 	CycleErrPct float64 // (RTL-TLM)/RTL elapsed-cycle difference
 
-	// Machine-readable metrics snapshots (stats JSON dumps of the whole
-	// component tree), for downstream consumers like cmd/benchfig.
+	// Machine-readable metrics snapshots (stats JSON dumps of every
+	// component path), for downstream consumers like cmd/benchfig.
 	TLMStats []byte
 	RTLStats []byte
 }

@@ -56,7 +56,7 @@ func newMemNode(clk *sim.Clock, name string, id, words, banks int,
 		doneQ:  matchlib.NewFIFO[int](64),
 	}
 	clk.Spawn(name+"/handler", func(th *sim.Thread) { n.run(th) })
-	clk.Sim().Component(name).Source(func(emit stats.Emit) {
+	clk.Sim().Metrics().Source(name, func(emit stats.Emit) {
 		emit("writes_in", float64(n.Stats.WritesIn))
 		emit("reads_out", float64(n.Stats.ReadsOut))
 		emit("kernels", float64(n.Stats.Kernels))

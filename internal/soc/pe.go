@@ -89,7 +89,7 @@ func newPE(clk *sim.Clock, name string, id, scratchWords, lanes int, mode connec
 		})
 		pe.gateSim = lane0
 	}
-	clk.Sim().Component(name).Source(func(emit stats.Emit) {
+	clk.Sim().Metrics().Source(name, func(emit stats.Emit) {
 		emit("gate_toggles", float64(pe.GateToggles()))
 	})
 	return pe

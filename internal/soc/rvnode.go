@@ -119,7 +119,7 @@ func newRVNode(clk *sim.Clock, name string, id, ramWords int, program []uint32,
 			th.Wait()
 		}
 	})
-	clk.Sim().Component(name).Source(func(emit stats.Emit) {
+	clk.Sim().Metrics().Source(name, func(emit stats.Emit) {
 		emit("instret", float64(r.CPU.Instret))
 		emit("done_count", float64(r.doneCount))
 		emit("axi_txns", float64(r.axiTxns))
