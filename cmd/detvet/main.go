@@ -71,6 +71,10 @@ var checkedDirs = []string{
 	// rendered counterexamples are all under the determinism contract —
 	// and under no-float, since its state space is packed integers.
 	"internal/mc",
+	// The design-rule checker and the pass table render the cacheable
+	// lint, rateck and verify result bodies whose bytes are pinned.
+	"internal/lint",
+	"internal/analysis",
 }
 
 // floatFreeDirs are checked packages additionally barred from floating

@@ -159,9 +159,6 @@ type core[T any] struct {
 	latency     int
 	inflightBuf []inflight[T]
 
-	// Signal-accurate per-endpoint handshake results.
-	lastPushOK bool
-
 	// Stall injection.
 	rng          *rand.Rand
 	pStallValid  float64
@@ -319,10 +316,6 @@ func (c *core[T]) rtlEval() {
 	}
 	c.rtlSigs = img
 }
-
-// RTLToggles returns accumulated wire toggles in RTL-cosim mode — the
-// switching-activity feed for power analysis.
-func (c *core[T]) RTLToggles() uint64 { return c.rtlToggles }
 
 // skidFree reports whether the producer-side skid can accept a push.
 func (c *core[T]) skidFree() bool {

@@ -2,12 +2,10 @@ package connections
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func bitvecNew(w int) bitvec.Vec { return bitvec.New(w) }
@@ -484,38 +482,6 @@ func TestSplitFlitsZeroWidthMessage(t *testing.T) {
 		}
 	}()
 	SplitFlits(bitvecNew(8), 0)
-}
-
-func TestChannelTrace(t *testing.T) {
-	s := sim.New()
-	clk := s.AddClock("clk", 1000, 0)
-	out, in, ch := Connect[int](clk, "ch", KindBuffer, 4)
-	var sb strings.Builder
-	v := trace.NewVCD(&sb)
-	ch.Trace(v, "ch")
-	clk.Spawn("p", func(th *sim.Thread) {
-		for i := 0; i < 5; i++ {
-			out.Push(th, i)
-			th.WaitN(2)
-		}
-	})
-	clk.Spawn("c", func(th *sim.Thread) {
-		for i := 0; i < 5; i++ {
-			in.Pop(th)
-			th.WaitN(3)
-		}
-		th.Sim().Stop()
-	})
-	s.Run(sim.Infinity - 1)
-	outStr := sb.String()
-	for _, want := range []string{"ch.occ", "ch.valid", "ch.ready", "$enddefinitions"} {
-		if !strings.Contains(outStr, want) {
-			t.Fatalf("trace missing %q:\n%s", want, outStr)
-		}
-	}
-	if strings.Count(outStr, "#") < 3 {
-		t.Fatalf("trace has too few timesteps:\n%s", outStr)
-	}
 }
 
 // Property: random interleavings of blocking/non-blocking producers and

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // In is a consumer-side port terminal. Module code holds an In and calls
@@ -233,29 +232,6 @@ func (ch Channel[T]) Stats() Stats { return ch.c.Stats() }
 // RTLToggles returns accumulated wire toggles (ModeRTLCosim only), the
 // switching-activity feed for power analysis.
 func (ch Channel[T]) RTLToggles() uint64 { return ch.c.rtlToggles }
-
-// Trace samples the channel's occupancy and handshake state into a VCD
-// waveform every cycle — the per-channel slice of the flow's signal
-// trace. Call before the simulation starts.
-func (ch Channel[T]) Trace(v *trace.VCD, name string) {
-	c := ch.c
-	occ := v.Declare(name+".occ", 8)
-	valid := v.Declare(name+".valid", 1)
-	ready := v.Declare(name+".ready", 1)
-	c.clk.AtMonitorNamed(c.name+"/trace", func() {
-		occ.Set(uint64(len(c.queue)))
-		var vb, rb uint64
-		if _, ok := c.peek(); ok {
-			vb = 1
-		}
-		if c.skidFree() && !c.stalledReady {
-			rb = 1
-		}
-		valid.Set(vb)
-		ready.Set(rb)
-		v.Sample(c.clk.Cycle())
-	})
-}
 
 // Occupancy returns the number of committed messages currently held.
 func (ch Channel[T]) Occupancy() int { return len(ch.c.queue) }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // The deadlock passes view the design as a component graph: one node per
@@ -170,38 +169,4 @@ func cyclicSCCs(edges []dlkEdge) [][]string {
 	}
 	sort.Slice(sccs, func(i, j int) bool { return stats.PathLess(sccs[i][0], sccs[j][0]) })
 	return sccs
-}
-
-// CrossReference joins the static result against a dynamic trace report:
-// a DLK-2 warning whose cycle contains a channel the backpressure
-// diagnoser already marked as a deadlock suspect stops being a maybe —
-// the ring demonstrably wedged — so the diagnostic is promoted to an
-// error. It returns the number of promotions.
-func CrossReference(r *Result, rep *trace.Report) int {
-	if rep == nil || len(rep.Suspects) == 0 {
-		return 0
-	}
-	suspect := make(map[string]bool, len(rep.Suspects))
-	for _, s := range rep.Suspects {
-		suspect[s] = true
-	}
-	n := 0
-	for i := range r.Diags {
-		d := &r.Diags[i]
-		if d.Rule != "DLK-2" || d.Severity == SevError {
-			continue
-		}
-		for _, ch := range d.Channels {
-			if suspect[ch] {
-				d.Severity = SevError
-				d.Message += fmt.Sprintf("; the dynamic trace marks %s as a deadlock suspect", ch)
-				n++
-				break
-			}
-		}
-	}
-	if n > 0 {
-		r.Diags.Sort()
-	}
-	return n
 }

@@ -11,8 +11,7 @@
 //	CDC-1  channel endpoints on different clocks without a synchronizer (error)
 //	CDC-2  synchronizer joining a clock domain to itself (warning)
 //	DLK-1  cycle of zero-latency combinational/bypass channels (error)
-//	DLK-2  zero-slack buffered channel cycle (warning; error when a
-//	       dynamic trace report lists a member channel as a suspect)
+//	DLK-2  zero-slack buffered channel cycle (warning)
 //	CON-1  port declared with ownership but never bound (error)
 //	CON-2  bound channel with exactly one owned endpoint, not terminated (warning)
 //	CON-3  channel declared with capacity < 1 (error)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hls"
 	"repro/internal/lint"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // one returns the single diagnostic with the given rule, failing the
@@ -254,27 +253,6 @@ func TestDLK2LatencyCountsAsSlack(t *testing.T) {
 	connections.Buffer(a, "yx", 1, yOut, xIn)
 	if r := lint.Check(s); len(r.Diags) != 0 {
 		t.Fatalf("retimed cycle diagnosed: %+v", r.Diags)
-	}
-}
-
-func TestCrossReferencePromotesSuspectCycle(t *testing.T) {
-	s := sim.New()
-	chans := ring(s, []int{1, 1})
-	r := lint.Check(s)
-	if r.Errors() != 0 || r.Warnings() != 1 {
-		t.Fatalf("before cross-reference: %d errors, %d warnings", r.Errors(), r.Warnings())
-	}
-	// A report that suspects an unrelated channel changes nothing.
-	if n := lint.CrossReference(r, &trace.Report{Suspects: []string{"elsewhere"}}); n != 0 {
-		t.Fatalf("unrelated suspect promoted %d diagnostics", n)
-	}
-	// A report that suspects a cycle member promotes the warning.
-	if n := lint.CrossReference(r, &trace.Report{Suspects: []string{chans[0]}}); n != 1 {
-		t.Fatalf("CrossReference = %d, want 1", n)
-	}
-	d := one(t, r, "DLK-2")
-	if d.Severity != lint.SevError || !strings.Contains(d.Message, "deadlock suspect") {
-		t.Fatalf("promoted diagnostic = %+v", d)
 	}
 }
 

@@ -27,15 +27,26 @@ type Fig3Row struct {
 // channels of the given mode until every source has delivered msgs
 // messages, and returns elapsed cycles divided by msgs.
 func xbarTLMCyclesPerTxn(n, msgs int, mode connections.Mode, seed int64) float64 {
-	s := sim.New()
+	s, clk := xbarTLMHarness(n, msgs, mode, seed)
 	defer s.Close()
+	s.Run(sim.Infinity - 1)
+	return float64(clk.Cycle()) / float64(msgs)
+}
+
+// xbarTLMHarness builds, but does not run, the saturated-traffic harness
+// of xbarTLMCyclesPerTxn: one source thread and input channel per input
+// port, one sink thread and output channel per output port, each named
+// by its port index. The sinks stop the simulation once n*msgs messages
+// arrived.
+func xbarTLMHarness(n, msgs int, mode connections.Mode, seed int64) (*sim.Simulator, *sim.Clock) {
+	s := sim.New()
 	clk := s.AddClock("clk", 1000, 0)
 	x := NewArbitratedCrossbar[int](clk, "x", n, 2)
 	for i := 0; i < n; i++ {
 		srcOut := connections.NewOut[XbarMsg[int]]()
-		connections.Buffer(clk, "in", 2, srcOut, x.In[i], connections.WithMode(mode))
+		connections.Buffer(clk, fmt.Sprintf("in[%d]", i), 2, srcOut, x.In[i], connections.WithMode(mode))
 		r := rand.New(rand.NewSource(seed + int64(i)))
-		clk.Spawn("src", func(th *sim.Thread) {
+		clk.Spawn(fmt.Sprintf("src[%d]", i), func(th *sim.Thread) {
 			for k := 0; k < msgs; k++ {
 				srcOut.Push(th, XbarMsg[int]{Dst: r.Intn(n)})
 				th.Wait()
@@ -45,8 +56,8 @@ func xbarTLMCyclesPerTxn(n, msgs int, mode connections.Mode, seed int64) float64
 	total := 0
 	for j := 0; j < n; j++ {
 		sinkIn := connections.NewIn[int]()
-		connections.Buffer(clk, "out", 2, x.Out[j], sinkIn, connections.WithMode(mode))
-		clk.Spawn("sink", func(th *sim.Thread) {
+		connections.Buffer(clk, fmt.Sprintf("out[%d]", j), 2, x.Out[j], sinkIn, connections.WithMode(mode))
+		clk.Spawn(fmt.Sprintf("sink[%d]", j), func(th *sim.Thread) {
 			for {
 				if _, ok := sinkIn.PopNB(th); ok {
 					total++
@@ -58,8 +69,7 @@ func xbarTLMCyclesPerTxn(n, msgs int, mode connections.Mode, seed int64) float64
 			}
 		})
 	}
-	s.Run(sim.Infinity - 1)
-	return float64(clk.Cycle()) / float64(msgs)
+	return s, clk
 }
 
 // xbarRTLCyclesPerTxn drives the structural RTL crossbar with saturated

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/connections"
+	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -162,6 +163,21 @@ func TestFig3Shape(t *testing.T) {
 				t.Errorf("RTL series not flat: %.2f at %d ports vs %.2f at %d", r.RTL, r.Ports, rows[0].RTL, rows[0].Ports)
 			}
 		}
+	}
+}
+
+// TestFig3HarnessNamesUnique: the Figure 3 TLM harness names every
+// channel by its port index, so its design graph has no CON-4 name
+// collisions.
+func TestFig3HarnessNamesUnique(t *testing.T) {
+	for _, mode := range []connections.Mode{connections.ModeSimAccurate, connections.ModeSignalAccurate} {
+		s, _ := xbarTLMHarness(4, 1, mode, 1)
+		for _, d := range lint.Check(s).Diags {
+			if d.Rule == "CON-4" {
+				t.Errorf("%v: %s: %s", mode, d.Path, d.Message)
+			}
+		}
+		s.Close()
 	}
 }
 

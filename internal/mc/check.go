@@ -107,7 +107,8 @@ type Result struct {
 	Notes           []string
 
 	// Model shape, for the report and for callers deciding how much the
-	// proof covers (see verif.ModelCheckThenRun).
+	// proof covers (an open model's verdicts hold only for the declared
+	// subgraph).
 	Nodes         int
 	Edges         int
 	StateBits     int

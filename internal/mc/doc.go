@@ -46,8 +46,8 @@
 // bound, frontier nonempty), "violated" (counterexample attached), or
 // "inconclusive" (state/step budget exhausted, or the per-state choice
 // fan-out forced partial firing-subset enumeration). Counterexamples
-// replay as trace.Recorder lanes so the existing VCD and analyzer
-// tooling renders them; see Result.Replay.
+// replay into a trace.Recorder in time order, so the existing VCD and
+// analyzer tooling renders them; see Result.Replay.
 //
 // Everything is integer arithmetic over deterministic orders: no floats,
 // no wall clock, no map iteration into output (cmd/detvet enforces all

@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"sort"
+
 	"repro/internal/trace"
 )
 
@@ -17,7 +19,15 @@ func (r *Result) Replay(rec *trace.Recorder, cx *Counterexample) {
 		return
 	}
 	m := r.model
-	lane := rec.NewLane()
+	// Edges sample on their own periods, so the walk below emits out of
+	// time order; the events are collected, put in time order and then
+	// emitted.
+	type emission struct {
+		sub         *trace.Subject
+		k           trace.Kind
+		t, i, value uint64
+	}
+	var out []emission
 	bad := map[string]bool{}
 	for _, c := range cx.Channels {
 		bad[c] = true
@@ -48,7 +58,6 @@ func (r *Result) Replay(rec *trace.Recorder, cx *Counterexample) {
 				period = 1000
 			}
 			t := uint64(i) * period
-			lane.BeginEdge(t, 0)
 			sub := rec.Subject(e.Name)
 			occ := uint64(m.used(st, ei))
 			valid := uint64(0)
@@ -59,13 +68,17 @@ func (r *Result) Replay(rec *trace.Recorder, cx *Counterexample) {
 			if m.used(st, ei)+e.ProdRate <= e.Storage() {
 				ready = 1
 			}
-			sub.EmitOn(lane, trace.KindOcc, t, uint64(i), occ)
-			sub.EmitOn(lane, trace.KindValid, t, uint64(i), valid)
-			sub.EmitOn(lane, trace.KindReady, t, uint64(i), ready)
+			out = append(out,
+				emission{sub, trace.KindOcc, t, uint64(i), occ},
+				emission{sub, trace.KindValid, t, uint64(i), valid},
+				emission{sub, trace.KindReady, t, uint64(i), ready})
 			if i == len(cx.Steps)-1 && bad[e.Name] {
-				sub.EmitOn(lane, trace.KindStall, t, uint64(i), 1)
+				out = append(out, emission{sub, trace.KindStall, t, uint64(i), 1})
 			}
 		}
 	}
-	rec.MergeLanes([]*trace.Lane{lane})
+	sort.SliceStable(out, func(a, b int) bool { return out[a].t < out[b].t })
+	for _, e := range out {
+		e.sub.Emit(e.k, e.t, e.i, e.value)
+	}
 }

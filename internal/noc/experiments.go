@@ -60,9 +60,6 @@ func runLoadPoint(w, h int, load float64, cycles uint64, payloadWords int, seed 
 	clk := s.AddClock("clk", 1000, 0)
 	m := BuildMesh(clk, "m", w, h, 2, 4)
 	n := w * h
-
-	inject := make([]uint64, 0, 1024)
-	_ = inject
 	sent := map[uint64]uint64{}
 	var delivered int
 	var latSum uint64
@@ -126,8 +123,9 @@ func PrintLoadLatency(wr io.Writer, w, h int, pts []LoadPoint) {
 	}
 }
 
-// ModeLatencyComparison measures the same light traffic under the three
-// Connections cost models — the Figure 3 story told with NoC latency.
+// ModeLatencyComparison measures the same light traffic under two
+// Connections cost models, sim-accurate and RTL cosim — the Figure 3
+// story told with NoC latency.
 func ModeLatencyComparison(w, h int, cycles uint64, seed int64) map[connections.Mode]float64 {
 	out := map[connections.Mode]float64{}
 	for _, mode := range []connections.Mode{
@@ -143,7 +141,7 @@ func ModeLatencyComparison(w, h int, cycles uint64, seed int64) map[connections.
 		for src := 0; src < n; src++ {
 			src := src
 			r := rand.New(rand.NewSource(seed + int64(src)))
-			clk.Spawn("g", func(th *sim.Thread) {
+			clk.Spawn(fmt.Sprintf("gen[%d]", src), func(th *sim.Thread) {
 				var id uint64
 				for th.Cycle() < cycles {
 					if r.Float64() < 0.02 {
@@ -160,7 +158,7 @@ func ModeLatencyComparison(w, h int, cycles uint64, seed int64) map[connections.
 		}
 		for dst := 0; dst < n; dst++ {
 			dst := dst
-			clk.Spawn("s", func(th *sim.Thread) {
+			clk.Spawn(fmt.Sprintf("sink[%d]", dst), func(th *sim.Thread) {
 				for {
 					if p, ok := m.Eject[dst].PopNB(th); ok {
 						if t0, ok2 := sent[p.ID]; ok2 {

@@ -84,15 +84,6 @@ type SoC struct {
 
 	Routers []*noc.WHVCRouter
 	Pauses  func() uint64 // total pausible-FIFO pauses (GALS mode)
-
-	// pktChans are the per-node packet inject/eject channels, kept for
-	// waveform tracing.
-	pktChans []tracedChan
-}
-
-type tracedChan struct {
-	name string
-	ch   connections.Channel[noc.Packet]
 }
 
 // Tracer returns the armed handshake-event recorder, or nil when the
@@ -100,15 +91,6 @@ type tracedChan struct {
 // Recorder.WriteVCD for waveforms or Recorder.Analyze for the
 // backpressure/deadlock report.
 func (s *SoC) Tracer() *trace.Recorder { return s.Sim.Tracer() }
-
-// TraceChannels streams every node's packet inject/eject channel state
-// (occupancy, valid, ready) into a VCD waveform — the SoC-level slice of
-// the flow's signal trace. Call before Run.
-func (s *SoC) TraceChannels(v *trace.VCD) {
-	for _, tc := range s.pktChans {
-		tc.ch.Trace(v, tc.name)
-	}
-}
 
 // New builds the SoC and loads the firmware into the controller.
 func New(cfg Config, firmware []uint32) *SoC {
@@ -215,11 +197,8 @@ func New(cfg Config, firmware []uint32) *SoC {
 		// Nodes issue and absorb traffic on program-driven schedules, so
 		// like the routers they bound any SDF region at their ports.
 		clk.Sim().Design().DeclareActor(base, sim.ActorSwitch, clk, sim.Rat{})
-		c1 := connections.Buffer(clk, base+"/inject", 2, inj, nis[i].PktIn, opts...)
-		c2 := connections.Buffer(clk, base+"/eject", 2, nis[i].PktOut, ej, opts...)
-		s.pktChans = append(s.pktChans,
-			tracedChan{base + "/inject", c1},
-			tracedChan{base + "/eject", c2})
+		connections.Buffer(clk, base+"/inject", 2, inj, nis[i].PktIn, opts...)
+		connections.Buffer(clk, base+"/eject", 2, nis[i].PktOut, ej, opts...)
 		return inj, ej
 	}
 	for i := 0; i < NumPEs; i++ {

@@ -3,12 +3,10 @@ package soc
 import (
 	"os"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/connections"
 	"repro/internal/riscv"
-	"repro/internal/trace"
 )
 
 const maxCycles = 5_000_000
@@ -318,27 +316,6 @@ func TestExtraWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestTraceChannels(t *testing.T) {
-	s, verify := buildMemcpy(DefaultConfig())
-	var sb strings.Builder
-	s.TraceChannels(trace.NewVCD(&sb))
-	if _, err := s.Run(maxCycles); err != nil {
-		t.Fatal(err)
-	}
-	if err := verify(s); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"soc/pe[0]/inject.occ", "soc/io/eject.valid", "$enddefinitions"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("SoC trace missing %q", want)
-		}
-	}
-	if strings.Count(out, "#") < 100 {
-		t.Fatal("SoC trace suspiciously short")
 	}
 }
 

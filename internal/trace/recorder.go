@@ -2,7 +2,8 @@ package trace
 
 import (
 	"sort"
-	"strings"
+
+	"repro/internal/stats"
 )
 
 // Kind classifies one latency-insensitive handshake observation.
@@ -165,46 +166,7 @@ func (r *Recorder) sortedSubjects() []int {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		return pathLess(r.subjects[idx[a]].path, r.subjects[idx[b]].path)
+		return stats.PathLess(r.subjects[idx[a]].path, r.subjects[idx[b]].path)
 	})
 	return idx
 }
-
-// pathLess orders component paths with numeric runs compared by value
-// ("pe[2]" before "pe[10]"), matching the stats registry's natural order
-// without importing it (stats.PathLess is the same relation).
-func pathLess(a, b string) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		ca, cb := a[i], b[j]
-		if isDigit(ca) && isDigit(cb) {
-			si, sj := i, j
-			for i < len(a) && isDigit(a[i]) {
-				i++
-			}
-			for j < len(b) && isDigit(b[j]) {
-				j++
-			}
-			ra, rb := a[si:i], b[sj:j]
-			na, nb := strings.TrimLeft(ra, "0"), strings.TrimLeft(rb, "0")
-			if len(na) != len(nb) {
-				return len(na) < len(nb)
-			}
-			if na != nb {
-				return na < nb
-			}
-			if len(ra) != len(rb) {
-				return len(ra) > len(rb)
-			}
-			continue
-		}
-		if ca != cb {
-			return ca < cb
-		}
-		i++
-		j++
-	}
-	return len(a)-i < len(b)-j
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -61,35 +59,6 @@ func TestKindStrings(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Fatalf("Kind(%d).String() = %q, want %q", k, got, want)
 		}
-	}
-}
-
-// pathLess must implement the same relation as the stats registry's
-// natural order, since trace artifacts and metric dumps list the same
-// component paths side by side.
-func TestPathLessMatchesStatsOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	segs := []string{"pe[0]", "pe[2]", "pe[10]", "noc", "r[1]", "vc[0]", "a", "z9", "z10"}
-	paths := make([]string, 300)
-	for i := range paths {
-		n := 1 + rng.Intn(3)
-		parts := make([]string, n)
-		for j := range parts {
-			parts[j] = segs[rng.Intn(len(segs))]
-		}
-		paths[i] = strings.Join(parts, "/")
-	}
-	a := append([]string(nil), paths...)
-	b := append([]string(nil), paths...)
-	sort.SliceStable(a, func(i, j int) bool { return pathLess(a[i], a[j]) })
-	sort.SliceStable(b, func(i, j int) bool { return stats.PathLess(b[i], b[j]) })
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("order diverges at %d: trace %q vs stats %q", i, a[i], b[i])
-		}
-	}
-	if !pathLess("pe[2]", "pe[10]") || pathLess("pe[10]", "pe[2]") {
-		t.Fatal("numeric runs not compared by value")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // VCD accumulates signal declarations and change events.
@@ -154,7 +156,7 @@ func (v *VCD) writeScope(n *scopeNode) {
 		}
 	}
 	kids := append([]string(nil), n.order...)
-	sort.Slice(kids, func(i, j int) bool { return pathLess(kids[i], kids[j]) })
+	sort.Slice(kids, func(i, j int) bool { return stats.PathLess(kids[i], kids[j]) })
 	for _, name := range kids {
 		v.printf("$scope module %s $end\n", name)
 		v.writeScope(n.children[name])
