@@ -12,7 +12,8 @@ import (
 
 // TestSoCStatsPinned pins the whole metrics snapshot of two SoC tests —
 // every channel's transfers, stall cycles and mean occupancy, every
-// router's flit counts, every clock's cycles — by the FNV-64a hash of its
+// router's flit counts, every clock's cycles, the gate-level shadow's
+// toggles and the published power estimate — by the FNV-64a hash of its
 // canonical JSON. golden.json in the benchmark module holds only cycle,
 // instret, edge and pause counts, so a kernel change that moved a
 // channel counter without moving a cycle would otherwise pass unseen.
@@ -28,18 +29,24 @@ func TestSoCStatsPinned(t *testing.T) {
 		{"signal", func(c *Config) { c.Mode = connections.ModeSignalAccurate }},
 		{"rtl", func(c *Config) { c.Mode = connections.ModeRTLCosim }},
 		{"stall", func(c *Config) { c.StallP, c.StallSeed = 0.1, 1 }},
+		{"rtl-shadow", func(c *Config) { c.Mode, c.ShadowNetlists = connections.ModeRTLCosim, true }},
+		{"power", func(*Config) {}},
 	}
 	want := map[string]string{
-		"memcpy/tlm":     "088e76ec21f1f4ad",
-		"memcpy/gals":    "ff4dd53af36ded59",
-		"memcpy/signal":  "130d8a91180978d0",
-		"memcpy/rtl":     "a98b12a1d3a83609",
-		"memcpy/stall":   "8a5a62fe46928089",
-		"maxpool/tlm":    "3fcba288351a66cc",
-		"maxpool/gals":   "7e5cdc5021e6c2ca",
-		"maxpool/signal": "8535a99faa363f8a",
-		"maxpool/rtl":    "910b560fc031ea05",
-		"maxpool/stall":  "20f6e50cc57d5c32",
+		"memcpy/tlm":         "088e76ec21f1f4ad",
+		"memcpy/gals":        "ff4dd53af36ded59",
+		"memcpy/signal":      "130d8a91180978d0",
+		"memcpy/rtl":         "a98b12a1d3a83609",
+		"memcpy/stall":       "8a5a62fe46928089",
+		"memcpy/rtl-shadow":  "5b08db14b4b3e85d",
+		"memcpy/power":       "9613ba81f0db0c77",
+		"maxpool/tlm":        "3fcba288351a66cc",
+		"maxpool/gals":       "7e5cdc5021e6c2ca",
+		"maxpool/signal":     "8535a99faa363f8a",
+		"maxpool/rtl":        "910b560fc031ea05",
+		"maxpool/stall":      "20f6e50cc57d5c32",
+		"maxpool/rtl-shadow": "8614beaed320a64a",
+		"maxpool/power":      "84ceb1c87fb74ee8",
 	}
 	for _, tc := range Tests() {
 		if tc.Name != "memcpy" && tc.Name != "maxpool" {
@@ -51,11 +58,15 @@ func TestSoCStatsPinned(t *testing.T) {
 				cfg := DefaultConfig()
 				c.edit(&cfg)
 				s, verify := tc.Build(cfg)
-				if _, err := s.Run(maxCycles); err != nil {
+				cycles, err := s.Run(maxCycles)
+				if err != nil {
 					t.Fatal(err)
 				}
 				if err := verify(s); err != nil {
 					t.Fatal(err)
+				}
+				if c.name == "power" {
+					s.PowerEstimate(cycles, 1100)
 				}
 				var buf bytes.Buffer
 				if err := stats.WriteMetricsJSON(&buf, s.Sim.Metrics().Snapshot()); err != nil {
