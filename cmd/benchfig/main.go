@@ -172,16 +172,14 @@ func main() {
 	}
 }
 
-// printFig6Activity aggregates each run's machine-readable metrics dump:
-// the stats JSON that RunFig6 snapshots per test is parsed back and
-// rolled up by path prefix, giving the activity columns behind the power
-// model (NoC flit-hops, channel transfers, scratchpad accesses).
+// printFig6Activity rolls each run's metrics snapshot up by path prefix,
+// giving the activity columns behind the power model (NoC flit-hops,
+// channel transfers, scratchpad accesses).
 func printFig6Activity(rows []soc.Fig6Row) {
 	fmt.Printf("%-10s %12s %14s %12s %12s\n",
 		"test", "noc flits", "ch transfers", "mem reads", "mem writes")
 	for _, r := range rows {
-		ms, err := stats.ParseJSON(r.TLMStats)
-		check(err)
+		ms := r.TLMStats
 		fmt.Printf("%-10s %12.0f %14.0f %12.0f %12.0f\n", r.Test,
 			stats.Total(ms, "soc/noc", "flits_out"),
 			stats.Total(ms, "soc", "transfers"),

@@ -75,6 +75,9 @@ var checkedDirs = []string{
 	// lint, rateck and verify result bodies whose bytes are pinned.
 	"internal/lint",
 	"internal/analysis",
+	// The metrics registry renders the canonical metrics JSON that
+	// cacheable result bodies embed.
+	"internal/stats",
 }
 
 // floatFreeDirs are checked packages additionally barred from floating

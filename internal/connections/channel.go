@@ -102,7 +102,6 @@ type options struct {
 	stallValid float64
 	stallReady float64
 	stallSeed  int64
-	packer     func(any) bitvec.Vec
 	terminated bool
 }
 
@@ -175,10 +174,10 @@ type core[T any] struct {
 
 	// Activity. A successful push or pop touches the commit hook, which
 	// then runs on this edge and stays listed while the skid or delay
-	// line holds messages (every edge with a stall stream, which rolls
-	// each edge). ev notifies port threads parked on the predicates above
-	// of every push, pop and state-changing commit; evs is ev as the
-	// slice they park on.
+	// line holds messages (every edge in RTL-cosim mode or with a stall
+	// stream; see runsEachEdge). ev notifies port threads parked on the
+	// predicates above of every push, pop and state-changing commit; evs
+	// is ev as the slice they park on.
 	touch *sim.OnTouch
 	ev    sim.Event
 	evs   [1]*sim.Event
@@ -230,18 +229,14 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 		latency:     o.latency,
 		pStallValid: o.stallValid,
 		pStallReady: o.stallReady,
-		pack:        o.packer,
 	}
 	if c.mode == ModeRTLCosim && c.latency == 0 {
 		c.latency = 1 // HLS-generated RTL always has at least one pipe stage
 	}
-	if c.pack == nil {
-		// Auto-detect Packable message types so RTL-cosim channels do
-		// bit-level work without explicit configuration.
-		var zero T
-		if _, ok := any(zero).(Packable); ok {
-			c.pack = func(v any) bitvec.Vec { return v.(Packable).PackBits() }
-		}
+	// Packable message types give RTL-cosim channels bit-level work.
+	var zero T
+	if _, ok := any(zero).(Packable); ok {
+		c.pack = func(v any) bitvec.Vec { return v.(Packable).PackBits() }
 	}
 	if c.pStallValid > 0 || c.pStallReady > 0 {
 		h := fnv.New64a()
@@ -258,12 +253,9 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 		// schedules exactly the hooks it did before tracing existed.
 		clk.AtMonitorNamed(name+"/trace", c.traceMonitor)
 	}
-	if c.mode == ModeRTLCosim {
-		clk.AtDriveNamed(name+"/rtl_eval", c.rtlEval)
-	}
 	c.touch = clk.AtCommitOnTouch(name, c.commit)
 	c.synced = clk.Committed()
-	if c.rng != nil {
+	if c.runsEachEdge() {
 		c.touch.Touch()
 	}
 	// Every channel is a component: its counters surface through the
@@ -292,7 +284,8 @@ func (c *core[T]) emitStats(emit stats.Emit) {
 // rtlEval recomputes the channel's wire image once per cycle — the
 // signal-level evaluation cost an RTL simulator pays whether or not a
 // transfer happens — and accumulates switching activity for the power
-// trace.
+// trace. It runs at the head of commit, before this edge's staged
+// operations latch.
 func (c *core[T]) rtlEval() {
 	var msg bitvec.Vec
 	if v, ok := c.peek(); ok && c.pack != nil {
@@ -480,12 +473,23 @@ func (c *core[T]) peek() (T, bool) {
 	return zero, false
 }
 
+// runsEachEdge reports whether the channel commits on every edge: an
+// RTL-cosim channel evaluates its wires each cycle, and a stall stream
+// rolls each cycle.
+func (c *core[T]) runsEachEdge() bool {
+	return c.mode == ModeRTLCosim || c.rng != nil
+}
+
 // commit is the channel's kernel process, run on the edges it was
-// touched or asked to run again: it latches this edge's staged
-// operations, matures the delay line, transmits from the skid, and rolls
-// the next edge's stalls. It asks to run again while messages remain in
-// the skid or delay line, or while a stall stream is rolling.
+// touched or asked to run again: it evaluates an RTL-cosim channel's
+// wires, latches this edge's staged operations, matures the delay line,
+// transmits from the skid, and rolls the next edge's stalls. It asks to
+// run again while messages remain in the skid or delay line, or on every
+// edge when runsEachEdge holds.
 func (c *core[T]) commit() (again bool) {
+	if c.mode == ModeRTLCosim {
+		c.rtlEval()
+	}
 	// This edge and the idle ones since the last commit, when the
 	// committed queue held.
 	edges := c.clk.Committed() + 1 - c.synced
@@ -559,7 +563,7 @@ func (c *core[T]) commit() (again bool) {
 	if moved > 0 {
 		c.ev.Notify()
 	}
-	return c.rng != nil || len(c.skid) > 0 || len(c.inflightBuf) > 0
+	return c.runsEachEdge() || len(c.skid) > 0 || len(c.inflightBuf) > 0
 }
 
 // shift drops the first n entries of s, moving the rest to the front so

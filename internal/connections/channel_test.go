@@ -455,11 +455,12 @@ func TestRTLTogglesAccumulate(t *testing.T) {
 	}
 }
 
+// A Packable element type is detected at bind, with no option: the RTL
+// channel still delivers after its one pipeline stage.
 func TestWithPackableExplicit(t *testing.T) {
 	s := sim.New()
 	clk := s.AddClock("clk", 1000, 0)
-	out, in, _ := Connect[word](clk, "ch", KindBuffer, 2,
-		WithMode(ModeRTLCosim), WithPackable[word]())
+	out, in, _ := Connect[word](clk, "ch", KindBuffer, 2, WithMode(ModeRTLCosim))
 	clk.Spawn("t", func(th *sim.Thread) {
 		out.Push(th, word{v: 5})
 		th.WaitN(2) // RTL mode inserts one pipeline-register stage

@@ -317,12 +317,3 @@ func Connect[T any](clk *sim.Clock, name string, kind Kind, capacity int, opts .
 type Packable interface {
 	PackBits() bitvec.Vec
 }
-
-// WithPackable enables bit-level signal work in ModeRTLCosim for channels
-// whose message type implements Packable. Bind helpers call this
-// automatically when T implements Packable, so it is rarely needed.
-func WithPackable[T Packable]() Option {
-	return func(o *options) {
-		o.packer = func(v any) bitvec.Vec { return v.(T).PackBits() }
-	}
-}

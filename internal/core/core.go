@@ -10,7 +10,6 @@ import (
 	"repro/internal/physical"
 	"repro/internal/power"
 	"repro/internal/rtl"
-	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
@@ -121,20 +120,6 @@ func widthMask(w int) uint64 {
 		return ^uint64(0)
 	}
 	return 1<<uint(w) - 1
-}
-
-// Publish mirrors the compilation report into a metrics registry under
-// flow/<design>, using the same path/name idiom as the simulation-side
-// counters so flow QoR and runtime activity share one reporting surface.
-func (r Report) Publish(reg *stats.Registry) {
-	path := "flow/" + r.Design
-	reg.Gauge(path, "ops").Set(float64(r.Ops))
-	reg.Gauge(path, "stages").Set(float64(r.Stages))
-	reg.Gauge(path, "clock_ps").Set(float64(r.Clock))
-	reg.Gauge(path, "gates").Set(float64(r.Area.GateCount))
-	reg.Gauge(path, "fmax_mhz").Set(r.Timing.FmaxMHz)
-	reg.Gauge(path, "power_mw").Set(r.Power.TotalMW)
-	reg.Gauge(path, "vectors_checked").Set(float64(r.VectorsChecked))
 }
 
 func (r Report) String() string {

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -31,8 +30,8 @@ type Ctx struct {
 	// worker count or scheduling order.
 	Seed int64
 
-	ctx       context.Context
-	statsJSON []byte
+	ctx   context.Context
+	stats []stats.Metric
 }
 
 // Context returns the job's context: the campaign context installed
@@ -44,17 +43,9 @@ type Ctx struct {
 // around a simulation. A job that never looks runs to completion.
 func (c *Ctx) Context() context.Context { return c.ctx }
 
-// Publish snapshots reg in the stats JSON dump format and attaches it to
-// the job's Result. Call it at most once, after the job's simulation has
-// finished.
-func (c *Ctx) Publish(reg *stats.Registry) error {
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		return err
-	}
-	c.statsJSON = buf.Bytes()
-	return nil
-}
+// Publish snapshots reg and attaches the snapshot to the job's Result.
+// Call it at most once, after the job's simulation has finished.
+func (c *Ctx) Publish(reg *stats.Registry) { c.stats = reg.Snapshot() }
 
 // Result is the outcome of one job.
 type Result struct {
@@ -67,7 +58,7 @@ type Result struct {
 	TimedOut bool
 	Canceled bool // campaign context canceled before or during the job
 	Wall     time.Duration
-	Stats    []byte // stats JSON dump published via Ctx.Publish, if any
+	Stats    []stats.Metric // snapshot published via Ctx.Publish, if any
 }
 
 // Failed reports whether the job ended in error, panic, or timeout.
@@ -230,7 +221,7 @@ func runOne(j Job, i int, cfg config) Result {
 	c := &Ctx{Name: j.Name, Seed: r.Seed, ctx: ctx}
 	start := time.Now()
 	r.Value, r.Panicked, r.Err = call(j, c)
-	r.Stats, r.Wall = c.statsJSON, time.Since(start)
+	r.Stats, r.Wall = c.stats, time.Since(start)
 	// A body that returned after its context ended computed a partial run.
 	switch {
 	case cfg.ctx.Err() != nil:
@@ -337,18 +328,12 @@ func (s *Summary) Metrics() []stats.Metric {
 			stats.Metric{Path: p, Name: "timed_out", Value: timedOut},
 			stats.Metric{Path: p, Name: "wall_seconds", Value: r.Wall.Seconds()},
 		)
-		if len(r.Stats) > 0 {
-			sub, err := stats.ParseJSON(r.Stats)
-			if err != nil {
-				continue // a malformed snapshot degrades to absence, not failure
+		for _, m := range r.Stats {
+			mp := p
+			if m.Path != "" {
+				mp = p + "/" + m.Path
 			}
-			for _, m := range sub {
-				mp := p
-				if m.Path != "" {
-					mp = p + "/" + m.Path
-				}
-				ms = append(ms, stats.Metric{Path: mp, Name: m.Name, Value: m.Value})
-			}
+			ms = append(ms, stats.Metric{Path: mp, Name: m.Name, Value: m.Value})
 		}
 	}
 	stats.SortMetrics(ms)

@@ -156,16 +156,17 @@ func TestTimeoutFencesStuckJob(t *testing.T) {
 // deadline keeps its value and published stats, and a job that returns
 // after it loses both, however much it computed.
 func TestInlineRunnerOutcomes(t *testing.T) {
-	publish := func(c *Ctx) error {
+	publish := func(c *Ctx) {
 		reg := stats.New()
-		reg.Counter("m", "n").Add(1)
-		return c.Publish(reg)
+		reg.Source("m", func(emit stats.Emit) { emit("n", 1) })
+		c.Publish(reg)
 	}
 	s := Run([]Job{
-		{Name: "ok", Run: func(c *Ctx) (any, error) { return 7, publish(c) }},
+		{Name: "ok", Run: func(c *Ctx) (any, error) { publish(c); return 7, nil }},
 		{Name: "late", Run: func(c *Ctx) (any, error) {
 			<-c.Context().Done()
-			return 8, publish(c)
+			publish(c)
+			return 8, nil
 		}},
 		{Name: "boom", Run: func(c *Ctx) (any, error) {
 			publish(c)
@@ -225,8 +226,9 @@ func TestSummaryMetricsFormat(t *testing.T) {
 	jobs := []Job{
 		{Name: "sweep/pt[0]", Run: func(c *Ctx) (any, error) {
 			reg := stats.New()
-			reg.Counter("soc/pe[0]", "kernels").Add(3)
-			return 1, c.Publish(reg)
+			reg.Source("soc/pe[0]", func(emit stats.Emit) { emit("kernels", 3) })
+			c.Publish(reg)
+			return 1, nil
 		}},
 		{Name: "sweep/pt[1]", Run: func(c *Ctx) (any, error) { return nil, errors.New("nope") }},
 	}
@@ -410,9 +412,12 @@ func TestSummaryWriteJSONGoldenBytes(t *testing.T) {
 func TestDeterministicMetricsDropWall(t *testing.T) {
 	jobs := []Job{{Name: "j", Run: func(c *Ctx) (any, error) {
 		reg := stats.New()
-		reg.Gauge("x", "wall_seconds").Set(3.3) // published leaf must drop too
-		reg.Counter("x", "flits").Add(2)
-		return 1, c.Publish(reg)
+		reg.Source("x", func(emit stats.Emit) {
+			emit("wall_seconds", 3.3) // published leaf must drop too
+			emit("flits", 2)
+		})
+		c.Publish(reg)
+		return 1, nil
 	}}}
 	for _, m := range Run(jobs, Named("d")).DeterministicMetrics() {
 		if m.Name == "wall_seconds" || m.Name == "parallel" {

@@ -3,19 +3,17 @@
 // the paper's OOHLS flow (DESIGN.md §2).
 //
 // The kernel advances time in picoseconds from clock edge to clock edge.
-// Every clock edge runs four phases, in order:
+// Every clock edge runs three phases, in order:
 //
 //  1. Threads  — coroutine processes bound to the clock resume and run
 //     until they call Thread.Wait (one simulated cycle of work).
-//  2. Drive    — registered drive hooks compute output signals from the
-//     state committed in previous cycles.
-//  3. Commit   — commit hooks latch state, completing the
-//     register-transfer semantics of the cycle: first the hooks
-//     registered to run on every edge (Clock.AtCommitNamed), then the
-//     on-touch hooks (Clock.AtCommitOnTouch) whose handle was touched
-//     by a thread or drive hook during this edge or that asked to run
-//     again.
-//  4. Monitor  — observation-only hooks (statistics, traces).
+//  2. Commit   — commit hooks latch state, completing the
+//     register-transfer semantics of the cycle. The clock keeps one
+//     commit list: an on-touch hook (Clock.AtCommitOnTouch) runs on the
+//     edges a thread touched it and on those after it asked to run
+//     again; an every-edge hook (Clock.AtCommitNamed) is an on-touch
+//     hook touched once and always run again.
+//  3. Monitor  — observation-only hooks (statistics, traces).
 //
 // There is no combinational phase: components talk only through
 // latency-insensitive channels that latch at commit, so nothing couples

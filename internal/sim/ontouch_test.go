@@ -30,13 +30,10 @@ func TestAtCommitOnTouchRunsOnTouchedEdges(t *testing.T) {
 			case 5:
 				drain = 3 // runs on 5, then again on 6 and 7
 				h.Touch()
+			case 10:
+				h.Touch()
 			}
 			th.Wait()
-		}
-	})
-	clk.AtDriveNamed("retouch", func() {
-		if clk.Cycle() == 10 {
-			h.Touch()
 		}
 	})
 	s.RunCycles(clk, 12)
@@ -87,8 +84,8 @@ func TestTouchInCommitOrMonitorPanics(t *testing.T) {
 	}
 }
 
-// On-touch hooks are listed by Processes under the commit phase, in
-// registration order among the every-edge hooks.
+// On-touch and every-edge hooks are listed by Processes under the commit
+// phase, in registration order.
 func TestProcessesListsOnTouchHooks(t *testing.T) {
 	s := New()
 	clk := s.AddClock("clk", 1000, 0)
@@ -113,9 +110,12 @@ func TestTouchAllocatesNothing(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		hs = append(hs, clk.AtCommitOnTouch("h", func() bool { return i%3 == 0 }))
 	}
-	clk.AtDriveNamed("touch", func() {
-		for _, h := range hs {
-			h.Touch()
+	clk.Spawn("touch", func(th *Thread) {
+		for {
+			for _, h := range hs {
+				h.Touch()
+			}
+			th.Wait()
 		}
 	})
 	s.Step()

@@ -151,16 +151,13 @@ type Clock struct {
 	now Time
 
 	threads  []*thread
-	drives   []namedHook
 	monitors []namedHook
 
 	// commits lists every commit hook in registration order, for
-	// Processes; on-touch hooks appear with a nil fn. everyEdge holds the
-	// hooks that run on every edge, and touched the on-touch hooks listed
-	// for this edge, its backing array reused from edge to edge.
-	commits   []namedHook
-	everyEdge []func()
-	touched   []*OnTouch
+	// Processes; touched lists the hooks to commit this edge, its backing
+	// array reused from edge to edge.
+	commits []*OnTouch
+	touched []*OnTouch
 
 	// sealed is set from the start of an edge's commit phase to the end
 	// of its monitor phase, where a touch is a bug; committed counts the
@@ -225,21 +222,17 @@ func (c *Clock) Pause(until Time) {
 	}
 }
 
-// nextEdge returns the effective time of the next rising edge: the
-// scheduled edge, or the pause deadline when a pause covers it.
-func (c *Clock) nextEdge() Time {
-	if c.pausedUntil > c.next {
-		return c.pausedUntil
-	}
-	return c.next
-}
-
 // NextEdge returns the time of the clock's next scheduled rising edge,
 // including the effect of any pending pause. Pausible-clocking models
 // use it to test a crossing against the edge that will actually sample
 // it, which a naive now-modulo-period phase test gets wrong as soon as
 // the clock has been paused or carries a phase offset.
-func (c *Clock) NextEdge() Time { return c.nextEdge() }
+func (c *Clock) NextEdge() Time {
+	if c.pausedUntil > c.next {
+		return c.pausedUntil
+	}
+	return c.next
+}
 
 // mustName panics when a process or hook is registered without a name:
 // Processes and per-hook attribution tell them apart by name.
@@ -249,19 +242,10 @@ func mustName(kind, name string) {
 	}
 }
 
-// AtDriveNamed registers a named hook that runs in the drive phase of
-// every edge.
-func (c *Clock) AtDriveNamed(name string, f func()) {
-	mustName("drive hook", name)
-	c.drives = append(c.drives, namedHook{name: name, fn: f})
-}
-
 // AtCommitNamed registers a named commit-phase (state-latch) hook that
-// runs on every edge.
+// runs on every edge: an on-touch hook touched once and always run again.
 func (c *Clock) AtCommitNamed(name string, f func()) {
-	mustName("commit hook", name)
-	c.commits = append(c.commits, namedHook{name: name, fn: f})
-	c.everyEdge = append(c.everyEdge, f)
+	c.AtCommitOnTouch(name, func() bool { f(); return true }).Touch()
 }
 
 // OnTouch is the handle of a commit hook that runs only on edges it was
@@ -275,23 +259,23 @@ type OnTouch struct {
 
 // AtCommitOnTouch registers a named commit hook that runs only on edges
 // where the returned handle was touched. Touch lists the hook on this
-// edge's commit list, once per edge; phase 3 runs the every-edge hooks
-// and then the listed ones. A hook that returns again stays listed for
-// the next edge, so state still draining (a skid, a delay line) keeps
-// committing without being touched.
+// edge's commit list, once per edge; the commit phase runs the listed
+// hooks in the order they were listed. A hook that returns again stays
+// listed for the next edge, so state still draining (a skid, a delay
+// line) keeps committing without being touched.
 func (c *Clock) AtCommitOnTouch(name string, fn func() (again bool)) *OnTouch {
 	mustName("commit hook", name)
-	c.commits = append(c.commits, namedHook{name: name})
+	h := &OnTouch{clk: c, name: name, fn: fn}
+	c.commits = append(c.commits, h)
 	// Each hook is listed at most once per edge, so this capacity keeps
 	// Touch from allocating.
 	c.touched = slices.Grow(c.touched, len(c.commits))
-	return &OnTouch{clk: c, name: name, fn: fn}
+	return h
 }
 
 // Touch lists the hook for the commit phase of its clock's current edge,
-// or of the next edge when called between edges. Only threads and drive
-// hooks may touch: a touch during the clock's own commit or monitor
-// phase panics.
+// or of the next edge when called between edges. A touch during the
+// clock's own commit or monitor phase panics.
 func (h *OnTouch) Touch() {
 	if h.listed {
 		return
@@ -304,8 +288,8 @@ func (h *OnTouch) Touch() {
 }
 
 // Committed returns the number of commit phases the clock has completed.
-// A read from a thread or drive hook does not count the current edge; a
-// read from a monitor hook does.
+// A read from a thread does not count the current edge; a read from a
+// monitor hook does.
 func (c *Clock) Committed() uint64 { return c.committed }
 
 // AtMonitorNamed registers a named observation-only hook that runs after
@@ -352,7 +336,7 @@ func (e *Event) register(th *thread) {
 // ProcessInfo describes one registered process or hook for introspection.
 type ProcessInfo struct {
 	Clock string // owning clock's name
-	Phase string // "thread", "drive", "commit", or "monitor"
+	Phase string // "thread", "commit", or "monitor"
 	Name  string // process or hook name, never empty
 }
 
@@ -362,9 +346,6 @@ func (c *Clock) Processes() []ProcessInfo {
 	var out []ProcessInfo
 	for _, th := range c.threads {
 		out = append(out, ProcessInfo{Clock: c.name, Phase: "thread", Name: th.name})
-	}
-	for _, h := range c.drives {
-		out = append(out, ProcessInfo{Clock: c.name, Phase: "drive", Name: h.name})
 	}
 	for _, h := range c.commits {
 		out = append(out, ProcessInfo{Clock: c.name, Phase: "commit", Name: h.name})
@@ -426,18 +407,9 @@ func (c *Clock) runEdgeAt(t Time) {
 		th.next()
 	}
 
-	// Phase 2: drive.
-	for i := range c.drives {
-		c.drives[i].fn()
-	}
-
-	// Phase 3: commit. The every-edge hooks run first, then the hooks
-	// touched this edge; those that ask to run again stay listed,
-	// compacted in place.
+	// Phase 2: commit. The hooks listed for this edge run; those that
+	// ask to run again stay listed, compacted in place.
 	c.sealed = true
-	for _, f := range c.everyEdge {
-		f()
-	}
 	n := 0
 	for _, h := range c.touched {
 		if h.fn() {
@@ -450,7 +422,7 @@ func (c *Clock) runEdgeAt(t Time) {
 	c.touched = c.touched[:n]
 	c.committed++
 
-	// Phase 4: monitors.
+	// Phase 3: monitors.
 	for i := range c.monitors {
 		c.monitors[i].fn()
 	}
@@ -467,7 +439,7 @@ func (c *Clock) runEdgeAt(t Time) {
 func (s *Simulator) nextEventTime() Time {
 	t := Infinity
 	for _, c := range s.clocks {
-		if e := c.nextEdge(); e < t {
+		if e := c.NextEdge(); e < t {
 			t = e
 		}
 	}
@@ -488,7 +460,7 @@ func (s *Simulator) stepAt(t Time) bool {
 	// affects the following edge), matching pausible-clocking semantics.
 	due := s.due[:0]
 	for _, c := range s.ordered {
-		if c.nextEdge() == t {
+		if c.NextEdge() == t {
 			due = append(due, c)
 		}
 	}
@@ -512,7 +484,7 @@ func (s *Simulator) Step() bool {
 	if len(s.clocks) == 1 {
 		// Single-clock fast path: no scan, no due list.
 		c := s.clocks[0]
-		s.now = c.nextEdge()
+		s.now = c.NextEdge()
 		c.runEdgeAt(s.now)
 		return !s.stopped.Load()
 	}
@@ -529,7 +501,7 @@ func (s *Simulator) Run(maxTime Time) {
 		// Single-clock fast path: one edge-time comparison per step.
 		c := s.clocks[0]
 		for !s.stopped.Load() {
-			t := c.nextEdge()
+			t := c.NextEdge()
 			if t >= maxTime {
 				return
 			}

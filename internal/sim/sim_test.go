@@ -33,11 +33,10 @@ func TestPhaseOrdering(t *testing.T) {
 			th.Wait()
 		}
 	})
-	clk.AtDriveNamed("drive", func() { order = append(order, "drive") })
 	clk.AtCommitNamed("commit", func() { order = append(order, "commit") })
 	clk.AtMonitorNamed("monitor", func() { order = append(order, "monitor") })
 	s.RunCycles(clk, 1)
-	want := []string{"thread", "drive", "commit", "monitor"}
+	want := []string{"thread", "commit", "monitor"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -289,7 +288,6 @@ func TestUnnamedRegistrationPanics(t *testing.T) {
 		reg  func(c *Clock)
 	}{
 		{"Spawn", func(c *Clock) { c.Spawn("", func(*Thread) {}) }},
-		{"AtDriveNamed", func(c *Clock) { c.AtDriveNamed("", func() {}) }},
 		{"AtCommitNamed", func(c *Clock) { c.AtCommitNamed("", func() {}) }},
 		{"AtCommitOnTouch", func(c *Clock) { c.AtCommitOnTouch("", func() bool { return false }) }},
 		{"AtMonitorNamed", func(c *Clock) { c.AtMonitorNamed("", func() {}) }},
@@ -383,7 +381,6 @@ func TestProcessesIntrospection(t *testing.T) {
 	s := New()
 	clk := s.AddClock("clk", 1000, 0)
 	clk.Spawn("dut/worker", func(th *Thread) {})
-	clk.AtDriveNamed("dut/drv", func() {})
 	clk.AtCommitNamed("dut/latch", func() {})
 	clk.AtMonitorNamed("dut/mon", func() {})
 
@@ -399,7 +396,6 @@ func TestProcessesIntrospection(t *testing.T) {
 		phase, name string
 	}{
 		{"thread", "dut/worker"},
-		{"drive", "dut/drv"},
 		{"commit", "dut/latch"},
 		{"monitor", "dut/mon"},
 	}

@@ -2,7 +2,7 @@ package sim
 
 import "testing"
 
-// hbLoad attaches to c a thread and drive/commit hooks that all read and
+// hbLoad attaches to c a thread and two commit hooks that all read and
 // write *x, a plain non-atomic variable, the hooks notifying ev after
 // each write. The kernel alone orders these accesses, so under -race any
 // thread switch that fails to order memory like a channel send/receive
@@ -22,7 +22,7 @@ func hbLoad(c *Clock, x *uint64, ev *Event) {
 			}
 		}
 	})
-	c.AtDriveNamed("mix", func() {
+	c.AtCommitNamed("mix", func() {
 		*x += c.Cycle()
 		ev.Notify()
 	})

@@ -76,7 +76,7 @@ func newPE(clk *sim.Clock, name string, id, scratchWords, lanes int, mode connec
 		var tick uint64
 		in0 := make([]uint64, len(lane0.InputPorts()))
 		in1 := make([]uint64, len(lane1.InputPorts()))
-		clk.AtDriveNamed(name+"/shadow_mac", func() {
+		clk.AtCommitNamed(name+"/shadow_mac", func() {
 			tick++
 			in0[ia] = tick * 0x9e3779b9
 			in0[ib] = tick ^ uint64(id)<<16

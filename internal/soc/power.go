@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/power"
+	"repro/internal/stats"
 )
 
 // PowerBreakdown is the SoC's architectural power estimate, assembled
@@ -71,16 +72,22 @@ func (s *SoC) PowerEstimate(cycles uint64, freqMHz float64) PowerBreakdown {
 
 // publish mirrors the breakdown into the metrics registry under
 // soc/power, so the estimate appears in the unified stats dump alongside
-// the activity counters it was derived from.
+// the activity counters it was derived from. The first estimate
+// registers the source; snapshots report the latest.
 func (pb PowerBreakdown) publish(s *SoC) {
-	reg := s.Sim.Metrics()
-	reg.Gauge("soc/power", "pes_mw").Set(pb.PEsMW)
-	reg.Gauge("soc/power", "noc_mw").Set(pb.NoCMW)
-	reg.Gauge("soc/power", "sram_mw").Set(pb.SRAMMW)
-	reg.Gauge("soc/power", "rv_mw").Set(pb.RVMW)
-	reg.Gauge("soc/power", "leak_mw").Set(pb.LeakMW)
-	reg.Gauge("soc/power", "total_mw").Set(pb.TotalMW)
-	reg.Gauge("soc/power", "freq_mhz").Set(pb.FreqMHz)
+	if s.power == nil {
+		s.Sim.Metrics().Source("soc/power", func(emit stats.Emit) {
+			p := s.power
+			emit("pes_mw", p.PEsMW)
+			emit("noc_mw", p.NoCMW)
+			emit("sram_mw", p.SRAMMW)
+			emit("rv_mw", p.RVMW)
+			emit("leak_mw", p.LeakMW)
+			emit("total_mw", p.TotalMW)
+			emit("freq_mhz", p.FreqMHz)
+		})
+	}
+	s.power = &pb
 }
 
 // Print renders the breakdown.

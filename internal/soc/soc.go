@@ -84,6 +84,8 @@ type SoC struct {
 
 	Routers []*noc.WHVCRouter
 	Pauses  func() uint64 // total pausible-FIFO pauses (GALS mode)
+
+	power *PowerBreakdown // latest published estimate; nil before one
 }
 
 // Tracer returns the armed handshake-event recorder, or nil when the

@@ -11,33 +11,6 @@ import (
 	"strings"
 )
 
-// Counter is a monotonically increasing metric. It is a bare word with
-// no synchronization: the simulation kernel serializes all component
-// execution, so counters are only ever touched from one goroutine at a
-// time.
-type Counter struct{ n uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Gauge is a last-value-wins metric (occupancies, power figures).
-type Gauge struct{ v float64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(x float64) { g.v = x }
-
-// Add adjusts the gauge value by d.
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // Metric is one (path, name, value) sample in a snapshot.
 type Metric struct {
 	Path  string  `json:"path"`
@@ -52,15 +25,11 @@ type Emit func(name string, value float64)
 // time; unlike Emit it may target any component path.
 type EmitAt func(path, name string, value float64)
 
-type metricKey struct{ path, name string }
-
-// Registry is the per-simulation metric store. All methods are intended
-// for single-goroutine use from simulation code (the kernel serializes
-// component execution).
+// Registry is the per-simulation metric store: a list of sources polled
+// at snapshot time. All methods are intended for single-goroutine use
+// from simulation code (the kernel serializes component execution).
 type Registry struct {
-	counters map[metricKey]*Counter
-	gauges   map[metricKey]*Gauge
-	sources  []source
+	sources []source
 }
 
 type source struct {
@@ -70,41 +39,11 @@ type source struct {
 }
 
 // New returns an empty registry.
-func New() *Registry {
-	return &Registry{
-		counters: make(map[metricKey]*Counter),
-		gauges:   make(map[metricKey]*Gauge),
-	}
-}
-
-// Counter returns the counter registered at (path, name), creating it
-// on first use. The same pointer is returned for repeated calls, so
-// components can cache it for the hot path.
-func (r *Registry) Counter(path, name string) *Counter {
-	k := metricKey{path, name}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge registered at (path, name), creating it on
-// first use.
-func (r *Registry) Gauge(path, name string) *Gauge {
-	k := metricKey{path, name}
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
-}
+func New() *Registry { return &Registry{} }
 
 // Source registers a callback that contributes metrics under path each
-// time a snapshot is taken. Components that keep compact internal
-// counter structs use this to surface them without per-event registry
+// time a snapshot is taken. Components keep their own compact counter
+// structs and surface them this way, without per-event registry
 // traffic.
 func (r *Registry) Source(path string, fn func(Emit)) {
 	r.sources = append(r.sources, source{path: path, fn: fn})
@@ -117,16 +56,10 @@ func (r *Registry) TreeSource(fn func(EmitAt)) {
 	r.sources = append(r.sources, source{tree: fn})
 }
 
-// Snapshot polls every source and collects all counters and gauges into
-// a deterministic, path-then-name sorted metric list.
+// Snapshot polls every source into a deterministic, path-then-name
+// sorted metric list.
 func (r *Registry) Snapshot() []Metric {
 	var ms []Metric
-	for k, c := range r.counters {
-		ms = append(ms, Metric{Path: k.path, Name: k.name, Value: float64(c.n)})
-	}
-	for k, g := range r.gauges {
-		ms = append(ms, Metric{Path: k.path, Name: k.name, Value: g.v})
-	}
 	for _, s := range r.sources {
 		if s.tree != nil {
 			s.tree(func(path, name string, value float64) {
@@ -146,9 +79,9 @@ func (r *Registry) Snapshot() []Metric {
 // SortMetrics orders a metric list path-then-name, with numeric runs in
 // paths compared by value so replicated components ("pe[2]" before
 // "pe[10]") list in natural index order in tree and JSON dumps. Ties on
-// (path, name) — a counter and a source emitting the same key, say —
-// break on value, so the order is total and the rendered bytes never
-// depend on map iteration or registration order.
+// (path, name) — two sources emitting the same key, say — break on
+// value, so the order is total and the rendered bytes never depend on
+// registration order.
 func SortMetrics(ms []Metric) {
 	sort.SliceStable(ms, func(i, j int) bool {
 		if c := naturalCmp(ms[i].Path, ms[j].Path); c != 0 {
@@ -222,12 +155,6 @@ func naturalCmp(a, b string) int {
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-// Total sums metric name over every path that equals prefix or starts
-// with prefix+"/". An empty prefix sums over all paths.
-func (r *Registry) Total(prefix, name string) float64 {
-	return Total(r.Snapshot(), prefix, name)
-}
 
 // Total sums metric name in ms over every path matching prefix (equal,
 // or below it in the hierarchy). An empty prefix matches all paths.

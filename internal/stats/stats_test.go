@@ -7,33 +7,10 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeIdentity(t *testing.T) {
-	r := New()
-	c := r.Counter("a/b", "hits")
-	c.Inc()
-	c.Add(2)
-	if r.Counter("a/b", "hits") != c {
-		t.Fatal("Counter did not return the cached pointer")
-	}
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
-	}
-	g := r.Gauge("a/b", "occ")
-	g.Set(1.5)
-	g.Add(0.5)
-	if r.Gauge("a/b", "occ") != g || g.Value() != 2 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
-	// Same name, different kind maps: counters and gauges don't collide.
-	if float64(r.Counter("a/b", "occ").Value()) == g.Value() {
-		t.Fatal("counter and gauge namespaces collided")
-	}
-}
-
 func TestSnapshotSortedAndPollsSources(t *testing.T) {
 	r := New()
-	r.Counter("b", "x").Inc()
-	r.Gauge("a", "y").Set(2)
+	r.Source("b", func(emit Emit) { emit("x", 1) })
+	r.Source("a", func(emit Emit) { emit("y", 2) })
 	n := 0.0
 	r.Source("c", func(emit Emit) { emit("dyn", n) })
 	r.TreeSource(func(emit EmitAt) { emit("a", "z", 9) })
@@ -58,29 +35,32 @@ func TestSnapshotSortedAndPollsSources(t *testing.T) {
 }
 
 func TestTotalPrefixSemantics(t *testing.T) {
-	r := New()
-	r.Counter("soc/noc/r[0]", "flits").Add(3)
-	r.Counter("soc/noc/r[1]", "flits").Add(4)
-	r.Counter("soc/nocx", "flits").Add(100) // sibling, must not match "soc/noc"
-	r.Counter("soc/noc", "flits").Add(1)    // exact path matches
-	r.Counter("soc/noc/r[0]", "other").Add(50)
+	ms := []Metric{
+		{"soc/noc/r[0]", "flits", 3},
+		{"soc/noc/r[1]", "flits", 4},
+		{"soc/nocx", "flits", 100}, // sibling, must not match "soc/noc"
+		{"soc/noc", "flits", 1},    // exact path matches
+		{"soc/noc/r[0]", "other", 50},
+	}
 
-	if got := r.Total("soc/noc", "flits"); got != 8 {
+	if got := Total(ms, "soc/noc", "flits"); got != 8 {
 		t.Fatalf("Total(soc/noc, flits) = %v, want 8", got)
 	}
-	if got := r.Total("", "flits"); got != 108 {
+	if got := Total(ms, "", "flits"); got != 108 {
 		t.Fatalf("Total(\"\", flits) = %v, want 108", got)
 	}
-	if got := r.Total("soc/noc/r[2]", "flits"); got != 0 {
+	if got := Total(ms, "soc/noc/r[2]", "flits"); got != 0 {
 		t.Fatalf("Total of absent path = %v, want 0", got)
 	}
 }
 
 func TestDumpTreeShape(t *testing.T) {
 	r := New()
-	r.Counter("soc/pe[0]", "kernels").Add(2)
-	r.Gauge("soc/pe[0]", "occ").Set(1.25)
-	r.Counter("soc/pe[1]", "kernels").Add(3)
+	r.Source("soc/pe[0]", func(emit Emit) {
+		emit("kernels", 2)
+		emit("occ", 1.25)
+	})
+	r.Source("soc/pe[1]", func(emit Emit) { emit("kernels", 3) })
 	var buf bytes.Buffer
 	r.Dump(&buf)
 	want := "soc\n" +
@@ -101,7 +81,7 @@ func TestSnapshotNaturalIndexOrder(t *testing.T) {
 	const numPEs = 12
 	// Register in a scrambled order so the sort does the work.
 	for _, i := range []int{7, 0, 10, 3, 11, 1, 8, 5, 2, 9, 6, 4} {
-		r.Counter(fmt.Sprintf("soc/pe[%d]", i), "kernels").Add(uint64(i))
+		r.Source(fmt.Sprintf("soc/pe[%d]", i), func(emit Emit) { emit("kernels", float64(i)) })
 	}
 	ms := r.Snapshot()
 	if len(ms) != numPEs {
@@ -152,10 +132,17 @@ func TestNaturalCmpProperties(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
+// seedRegistry holds a router's integral flit count and a fractional
+// power figure.
+func seedRegistry() *Registry {
 	r := New()
-	r.Counter("soc/noc/r[3]", "flits_out").Add(17)
-	r.Gauge("soc/power", "total_mw").Set(42.5)
+	r.Source("soc/noc/r[3]", func(emit Emit) { emit("flits_out", 17) })
+	r.Source("soc/power", func(emit Emit) { emit("total_mw", 42.5) })
+	return r
+}
+
+func TestJSONRoundTrip(t *testing.T) {
+	r := seedRegistry()
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -275,11 +262,8 @@ func inf() float64 { z := 0.0; return 1 / z }
 // the parsed metrics with WriteMetricsJSON and parsing them again gives
 // back equal metrics.
 func FuzzParseJSON(f *testing.F) {
-	r := New()
-	r.Counter("soc/noc/r[3]", "flits_out").Add(17)
-	r.Gauge("soc/power", "total_mw").Set(42.5)
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := seedRegistry().WriteJSON(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
