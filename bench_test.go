@@ -53,7 +53,7 @@ func BenchmarkTable1ChannelBypass(b *testing.B)   { benchChannel(b, connections.
 func BenchmarkTable1ChannelPipeline(b *testing.B) { benchChannel(b, connections.KindPipeline) }
 func BenchmarkTable1ChannelBuffer(b *testing.B)   { benchChannel(b, connections.KindBuffer) }
 func BenchmarkTable1ChannelStalled(b *testing.B) {
-	benchChannel(b, connections.KindBuffer, connections.WithStall(0.3, 0.3, 1))
+	benchChannel(b, connections.KindBuffer, connections.WithStall(0.3, 1))
 }
 
 // --- Figure 3: arbitrated-crossbar cycles/transaction, three models ---
@@ -192,7 +192,7 @@ func benchMeshTraffic(b *testing.B, opts ...connections.Option) {
 
 func BenchmarkNoCMeshClean(b *testing.B) { benchMeshTraffic(b) }
 func BenchmarkNoCMeshStalled(b *testing.B) {
-	benchMeshTraffic(b, connections.WithStall(0.2, 0.2, 3))
+	benchMeshTraffic(b, connections.WithStall(0.2, 3))
 }
 func BenchmarkNoCMeshRTLCosim(b *testing.B) {
 	benchMeshTraffic(b, connections.WithMode(connections.ModeRTLCosim))

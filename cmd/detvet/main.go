@@ -78,6 +78,10 @@ var checkedDirs = []string{
 	// The metrics registry renders the canonical metrics JSON that
 	// cacheable result bodies embed.
 	"internal/stats",
+	// Synthesis computes the gate counts in the cacheable QoR body, and
+	// the job service renders every cacheable body.
+	"internal/synth",
+	"internal/serve",
 }
 
 // floatFreeDirs are checked packages additionally barred from floating

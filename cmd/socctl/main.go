@@ -23,6 +23,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -113,85 +114,40 @@ func cmdSubmit(base string, args []string) error {
 	watch := fs.Bool("watch", false, "stream progress events, then print the result")
 	fs.Parse(args)
 
-	var spec []byte
-	if *specJSON != "" {
-		spec = []byte(*specJSON)
-	} else {
-		s := serve.Spec{
+	spec := []byte(*specJSON)
+	if *specJSON == "" {
+		var err error
+		spec, err = json.Marshal(serve.Spec{
 			Kind: *kind, Test: *test, Mode: *mode, GALS: *gals,
 			MaxCycles: *maxCycles, Stall: *stall, Seed: *seed,
 			Messages: *messages, Seeds: *seeds, Parallel: *parallel,
+			Depth: *depth,
+		})
+		if err != nil {
+			return err
 		}
-		var buf bytes.Buffer
-		fmt.Fprintf(&buf, `{"kind":%q`, s.Kind)
-		if s.Test != "" {
-			fmt.Fprintf(&buf, `,"test":%q`, s.Test)
-		}
-		if s.Mode != "" {
-			fmt.Fprintf(&buf, `,"mode":%q`, s.Mode)
-		}
-		if s.GALS {
-			buf.WriteString(`,"gals":true`)
-		}
-		if s.MaxCycles != 0 {
-			fmt.Fprintf(&buf, `,"max_cycles":%d`, s.MaxCycles)
-		}
-		if s.Stall != 0 {
-			fmt.Fprintf(&buf, `,"stall":%g`, s.Stall)
-		}
-		if s.Seed != 0 {
-			fmt.Fprintf(&buf, `,"seed":%d`, s.Seed)
-		}
-		if s.Messages != 0 {
-			fmt.Fprintf(&buf, `,"messages":%d`, s.Messages)
-		}
-		if s.Seeds != 0 {
-			fmt.Fprintf(&buf, `,"seeds":%d`, s.Seeds)
-		}
-		if s.Parallel != 0 {
-			fmt.Fprintf(&buf, `,"parallel":%d`, s.Parallel)
-		}
-		if *depth != 0 {
-			fmt.Fprintf(&buf, `,"depth":%d`, *depth)
-		}
-		buf.WriteString("}")
-		spec = buf.Bytes()
 	}
 
 	url := base + "/jobs"
 	if *wait && !*watch {
 		url += "?wait=1"
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(spec))
+	body, err := readReply(http.Post(url, "application/json", bytes.NewReader(spec)))
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode >= 400 {
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			return fmt.Errorf("%s (Retry-After: %ss): %s", resp.Status, ra, strings.TrimSpace(string(body)))
-		}
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	os.Stdout.Write(body)
-	if len(body) > 0 && body[len(body)-1] != '\n' {
-		fmt.Println()
-	}
+	writeBody(os.Stdout, body)
 	if !*watch {
 		return nil
 	}
-	id, err := fieldFromJSON(body, "id")
+	reply, err := decodeSubmit(body)
 	if err != nil {
 		return err
 	}
-	if err := streamEvents(base, id); err != nil {
+	if err := streamEvents(base, reply.ID); err != nil {
 		return err
 	}
-	return fetch(base+"/jobs/"+id+"/result", os.Stdout)
+	return fetch(base+"/jobs/"+reply.ID+"/result", os.Stdout)
 }
 
 // cmdCheck is the one-shot front door for every analysis pass: it
@@ -211,66 +167,68 @@ func cmdCheck(base string, p analysis.Pass, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: socctl %s [flags] <design>", p.Name)
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, `{"kind":%q,"test":%q`, p.Name, fs.Arg(0))
-	if *mode != "" {
-		fmt.Fprintf(&buf, `,"mode":%q`, *mode)
-	}
-	if *galsCk {
-		buf.WriteString(`,"gals":true`)
-	}
-	if depth > 0 {
-		fmt.Fprintf(&buf, `,"depth":%d`, depth)
-	}
-	buf.WriteString("}")
-
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(buf.Bytes()))
+	spec, err := json.Marshal(serve.Spec{
+		Kind: p.Name, Test: fs.Arg(0), Mode: *mode, GALS: *galsCk, Depth: depth,
+	})
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readReply(http.Post(base+"/jobs", "application/json", bytes.NewReader(spec)))
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode >= 400 {
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	id, err := fieldFromJSON(body, "id")
+	reply, err := decodeSubmit(body)
 	if err != nil {
 		return err
 	}
 	// A cached repeat is already done — skip the stream, which would
 	// otherwise just replay the recorded events, and print the result.
-	if bytes.Contains(body, []byte(`"cached": true`)) || bytes.Contains(body, []byte(`"cached":true`)) {
-		fmt.Printf("cached result (job %s):\n", id)
-		return fetch(base+"/jobs/"+id+"/result", os.Stdout)
+	if reply.Cached {
+		fmt.Printf("cached result (job %s):\n", reply.ID)
+		return fetch(base+"/jobs/"+reply.ID+"/result", os.Stdout)
 	}
-	fmt.Printf("submitted job %s\n", id)
-	if err := streamEvents(base, id); err != nil {
+	fmt.Printf("submitted job %s\n", reply.ID)
+	if err := streamEvents(base, reply.ID); err != nil {
 		return err
 	}
-	return fetch(base+"/jobs/"+id+"/result", os.Stdout)
+	return fetch(base+"/jobs/"+reply.ID+"/result", os.Stdout)
 }
 
-// fieldFromJSON pulls one top-level string field out of a small JSON
-// object without reflecting the whole response shape into the client.
-func fieldFromJSON(data []byte, field string) (string, error) {
-	needle := []byte(`"` + field + `": "`)
-	i := bytes.Index(data, needle)
-	if i < 0 {
-		needle = []byte(`"` + field + `":"`)
-		i = bytes.Index(data, needle)
+// readReply returns a response's body, or the daemon's refusal as an
+// error.
+func readReply(resp *http.Response, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
 	}
-	if i < 0 {
-		return "", fmt.Errorf("no %q in response %s", field, data)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
 	}
-	rest := data[i+len(needle):]
-	j := bytes.IndexByte(rest, '"')
-	if j < 0 {
-		return "", fmt.Errorf("unterminated %q in response", field)
+	if resp.StatusCode >= 400 {
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			return nil, fmt.Errorf("%s (Retry-After: %ss): %s", resp.Status, ra, strings.TrimSpace(string(body)))
+		}
+		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
-	return string(rest[:j]), nil
+	return body, nil
+}
+
+// submitReply is the part of a POST /jobs reply socctl reads.
+type submitReply struct {
+	ID     string `json:"id"`
+	Cached bool   `json:"cached"`
+}
+
+func decodeSubmit(body []byte) (submitReply, error) {
+	var r submitReply
+	if err := json.Unmarshal(body, &r); err != nil {
+		return r, fmt.Errorf("decoding submit reply: %v", err)
+	}
+	if r.ID == "" {
+		return r, fmt.Errorf("no job id in response %s", body)
+	}
+	return r, nil
 }
 
 func cmdWatch(base string, args []string) error {
@@ -309,21 +267,18 @@ func cmdGet(base string, args []string, pattern string) error {
 func cmdPlain(url string) error { return fetch(url, os.Stdout) }
 
 func fetch(url string, w io.Writer) error {
-	resp, err := http.Get(url)
+	body, err := readReply(http.Get(url))
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode >= 400 {
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
+	writeBody(w, body)
+	return nil
+}
+
+// writeBody writes body, ending it with a newline.
+func writeBody(w io.Writer, body []byte) {
 	w.Write(body)
 	if len(body) > 0 && body[len(body)-1] != '\n' {
 		fmt.Fprintln(w)
 	}
-	return nil
 }

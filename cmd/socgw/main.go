@@ -7,7 +7,7 @@
 //
 //	socgw                                  # clients on :9190, workers on :9191
 //	socgw -addr :0 -worker-addr :0         # ephemeral ports (printed on stdout)
-//	socgw -dead-after 5s -max-retries 5
+//	socgw -dead-after 5s
 //
 // Workers join with: socd -gateway <worker-addr> -name <name>.
 // Clients use cmd/socctl exactly as against a lone socd.
@@ -37,15 +37,13 @@ func main() {
 	addr := flag.String("addr", ":9190", "client HTTP listen address (use :0 for an ephemeral port)")
 	workerAddr := flag.String("worker-addr", ":9191", "worker wire-protocol listen address")
 	deadAfter := flag.Duration("dead-after", 5*time.Second, "silence window before a worker is declared dead")
-	maxRetries := flag.Int("max-retries", 5, "dispatch attempts per job before it fails")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget for in-flight jobs")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "socgw: ", log.LstdFlags)
 	gw := fleet.NewGateway(fleet.GatewayConfig{
-		DeadAfter:  *deadAfter,
-		MaxRetries: *maxRetries,
-		Logf:       logger.Printf,
+		DeadAfter: *deadAfter,
+		Logf:      logger.Printf,
 	})
 
 	clientLn, err := net.Listen("tcp", *addr)

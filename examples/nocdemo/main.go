@@ -78,6 +78,6 @@ func run(label string, opts ...connections.Option) {
 
 func main() {
 	run("clean links")
-	run("25% stall injection", connections.WithStall(0.25, 0.25, 7))
+	run("25% stall injection", connections.WithStall(0.25, 7))
 	run("RTL-cosim channels", connections.WithMode(connections.ModeRTLCosim))
 }

@@ -62,7 +62,7 @@ func main() {
 	cycles, _ := run(connections.KindBuffer, connections.WithLatency(6))
 	fmt.Printf("  %-14s  %4d cycles with 6 retiming registers added for floorplanning\n", "Buffer+retime", cycles)
 
-	cycles, st := run(connections.KindBuffer, connections.WithStall(0.4, 0.4, 99))
+	cycles, st := run(connections.KindBuffer, connections.WithStall(0.4, 99))
 	fmt.Printf("  %-14s  %4d cycles under 40%% stall injection — still %d/%d correct transfers\n",
 		"Buffer+stalls", cycles, st.Transfers, 200)
 

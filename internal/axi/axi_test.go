@@ -163,7 +163,7 @@ func TestInterconnectRandomProperty(t *testing.T) {
 		})
 		for j, slv := range []*MemSlave{NewMemSlave(clk, "s0", 256), NewMemSlave(clk, "s1", 256)} {
 			Connect(clk, fmt.Sprintf("b%d", j), 2, ic.SlavePorts[j], slv.Port,
-				connections.WithStall(0.2, 0.2, int64(iter)))
+				connections.WithStall(0.2, int64(iter)))
 		}
 		done := 0
 		for i := 0; i < nm; i++ {

@@ -99,8 +99,7 @@ type Option func(*options)
 type options struct {
 	mode       Mode
 	latency    int // extra pipeline-register stages (retiming registers)
-	stallValid float64
-	stallReady float64
+	stall      float64
 	stallSeed  int64
 	terminated bool
 }
@@ -120,12 +119,12 @@ func WithLatency(n int) Option {
 }
 
 // WithStall enables random stall injection: each cycle, valid is withheld
-// from the consumer with probability pValid and ready withheld from the
-// producer with probability pReady. The seed keeps runs reproducible.
-func WithStall(pValid, pReady float64, seed int64) Option {
+// from the consumer with probability p and, independently, ready is
+// withheld from the producer with probability p. The seed keeps runs
+// reproducible.
+func WithStall(p float64, seed int64) Option {
 	return func(o *options) {
-		o.stallValid = pValid
-		o.stallReady = pReady
+		o.stall = p
 		o.stallSeed = seed
 	}
 }
@@ -160,8 +159,7 @@ type core[T any] struct {
 
 	// Stall injection.
 	rng          *rand.Rand
-	pStallValid  float64
-	pStallReady  float64
+	pStall       float64
 	stalledValid bool
 	stalledReady bool
 
@@ -221,14 +219,13 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 		capacity = 1
 	}
 	c := &core[T]{
-		clk:         clk,
-		name:        name,
-		kind:        kind,
-		mode:        o.mode,
-		cap:         capacity,
-		latency:     o.latency,
-		pStallValid: o.stallValid,
-		pStallReady: o.stallReady,
+		clk:     clk,
+		name:    name,
+		kind:    kind,
+		mode:    o.mode,
+		cap:     capacity,
+		latency: o.latency,
+		pStall:  o.stall,
 	}
 	if c.mode == ModeRTLCosim && c.latency == 0 {
 		c.latency = 1 // HLS-generated RTL always has at least one pipe stage
@@ -238,7 +235,7 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 	if _, ok := any(zero).(Packable); ok {
 		c.pack = func(v any) bitvec.Vec { return v.(Packable).PackBits() }
 	}
-	if c.pStallValid > 0 || c.pStallReady > 0 {
+	if c.pStall > 0 {
 		h := fnv.New64a()
 		h.Write([]byte(name))
 		c.rng = rand.New(rand.NewSource(o.stallSeed ^ int64(h.Sum64())))
@@ -553,8 +550,8 @@ func (c *core[T]) commit() (again bool) {
 
 	// Roll stall injection for the next cycle.
 	if c.rng != nil {
-		valid := c.rng.Float64() < c.pStallValid
-		ready := c.rng.Float64() < c.pStallReady
+		valid := c.rng.Float64() < c.pStall
+		ready := c.rng.Float64() < c.pStall
 		if valid != c.stalledValid || ready != c.stalledReady {
 			moved++
 		}

@@ -80,7 +80,7 @@ func TestAllModesDeliverInOrder(t *testing.T) {
 func TestStallInjectionPreservesCorrectness(t *testing.T) {
 	for _, kind := range []Kind{KindCombinational, KindBypass, KindPipeline, KindBuffer} {
 		for seed := int64(0); seed < 5; seed++ {
-			got, _ := runProducerConsumer(t, kind, 3, 60, WithStall(0.4, 0.4, seed))
+			got, _ := runProducerConsumer(t, kind, 3, 60, WithStall(0.4, seed))
 			checkSequence(t, got, 60)
 		}
 	}
@@ -88,7 +88,7 @@ func TestStallInjectionPreservesCorrectness(t *testing.T) {
 
 func TestStallInjectionSlowsTraffic(t *testing.T) {
 	_, fast := runProducerConsumer(t, KindBuffer, 4, 200)
-	_, slow := runProducerConsumer(t, KindBuffer, 4, 200, WithStall(0.5, 0.5, 7))
+	_, slow := runProducerConsumer(t, KindBuffer, 4, 200, WithStall(0.5, 7))
 	if slow <= fast {
 		t.Fatalf("stalled run finished in %d cycles, unstalled in %d — injection had no effect", slow, fast)
 	}
@@ -500,7 +500,7 @@ func TestRandomizedTrafficProperty(t *testing.T) {
 		stall := r.Float64() * 0.5
 		seed := r.Int63()
 		got, _ := runProducerConsumer(t, kind, depth, n,
-			WithMode(mode), WithStall(stall, stall, seed), WithLatency(r.Intn(3)))
+			WithMode(mode), WithStall(stall, seed), WithLatency(r.Intn(3)))
 		if len(got) != n {
 			t.Fatalf("iter %d (%v/%v depth=%d stall=%.2f): got %d/%d", iter, kind, mode, depth, stall, len(got), n)
 		}

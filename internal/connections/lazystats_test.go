@@ -36,7 +36,7 @@ func checkLazyStats(t *testing.T, kind Kind, latency int, stall bool) {
 
 	opts := []Option{WithLatency(latency)}
 	if stall {
-		opts = append(opts, WithStall(0.3, 0.3, 11))
+		opts = append(opts, WithStall(0.3, 11))
 	}
 	out, in := NewOut[int](), NewIn[int]()
 	ch := Bind(clk, "ch", kind, 3, out, in, opts...)

@@ -43,7 +43,7 @@ func blockingOpCycles(kind Kind, latency int, stall, blockedPop, park bool) []ui
 	clk := s.AddClock("clk", 1000, 0)
 	opts := []Option{WithLatency(latency)}
 	if stall {
-		opts = append(opts, WithStall(0.2, 0.2, 5))
+		opts = append(opts, WithStall(0.2, 5))
 	}
 	out, in := NewOut[int](), NewIn[int]()
 	Bind(clk, "ch", kind, 2, out, in, opts...)

@@ -17,7 +17,7 @@ func TestStallInjectionReproducible(t *testing.T) {
 		s := sim.New()
 		clk := s.AddClock("clk", 1000, 0)
 		out, in, ch := Connect[int](clk, "repro_ch", KindBuffer, 3,
-			WithMode(mode), WithStall(0.35, 0.35, 99))
+			WithMode(mode), WithStall(0.35, 99))
 		const n = 80
 		clk.Spawn("p", func(th *sim.Thread) {
 			for i := 0; i < n; i++ {
@@ -59,7 +59,7 @@ func TestStallSeedChangesStream(t *testing.T) {
 	run := func(seed int64) Stats {
 		s := sim.New()
 		clk := s.AddClock("clk", 1000, 0)
-		out, in, ch := Connect[int](clk, "seed_ch", KindBuffer, 3, WithStall(0.35, 0.35, seed))
+		out, in, ch := Connect[int](clk, "seed_ch", KindBuffer, 3, WithStall(0.35, seed))
 		const n = 60
 		clk.Spawn("p", func(th *sim.Thread) {
 			for i := 0; i < n; i++ {

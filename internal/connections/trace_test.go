@@ -110,7 +110,7 @@ func TestTracedRunIsCycleIdenticalToUntraced(t *testing.T) {
 		}
 		clk := s.AddClock("clk", 1000, 0)
 		out, in := NewOut[int](), NewIn[int]()
-		ch := Buffer(clk, "ch", 2, out, in, WithStall(0.2, 0.2, 5))
+		ch := Buffer(clk, "ch", 2, out, in, WithStall(0.2, 5))
 		n := 50
 		clk.Spawn("producer", func(th *sim.Thread) {
 			for i := 0; i < n; i++ {

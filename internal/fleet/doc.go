@@ -26,8 +26,9 @@
 // preserved across the fleet.
 //
 // Saturated workers (heartbeat queue depth at capacity) and workers
-// that shed a specific job are skipped in preference order; a client
-// sees 429 only when every live worker is saturated at once.
+// that shed a specific job are skipped in preference order; a job with
+// no worker left parks and forgets its sheds, waiting for room. A
+// client sees 429 only when every live worker is saturated at once.
 //
 // # Failover
 //

@@ -81,9 +81,6 @@ func testGateway(t *testing.T, cfg GatewayConfig) (*Gateway, *httptest.Server, n
 	if cfg.DeadAfter == 0 {
 		cfg.DeadAfter = 2 * time.Second
 	}
-	if cfg.RetryEvery == 0 {
-		cfg.RetryEvery = 25 * time.Millisecond
-	}
 	gw := NewGateway(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -129,7 +126,6 @@ func testWorkerBeat(t *testing.T, name, gwAddr string, cfg serve.Config, beat ti
 		Name:      name,
 		Gateway:   gwAddr,
 		Heartbeat: beat,
-		Redial:    50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

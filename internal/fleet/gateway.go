@@ -19,12 +19,14 @@ import (
 // GatewayConfig sizes the gateway. Zero values take the defaults noted
 // on each field.
 type GatewayConfig struct {
-	Name       string                           // fleet name sent in registration acks (default "socgw")
-	DeadAfter  time.Duration                    // silence window before a worker is declared dead (default 5s)
-	RetryEvery time.Duration                    // parked-job redispatch tick (default 250ms)
-	MaxRetries int                              // failovers per job before it fails (default 5)
-	Logf       func(format string, args ...any) // optional logger
+	DeadAfter time.Duration                    // silence window before a worker is declared dead (default 5s)
+	Logf      func(format string, args ...any) // optional logger
 }
+
+const (
+	gatewayName = "socgw" // fleet name sent in registration acks
+	maxRetries  = 5       // failovers per job before it fails
+)
 
 // Gateway is socgw: a serve front — the daemon's own client routes, job
 // table, result cache and drain, so socctl works unchanged — over the
@@ -44,8 +46,7 @@ type Gateway struct {
 	jobs    map[string]*gwJob // admitted jobs not yet finished, by id
 	pending []*gwJob          // admitted jobs awaiting a dispatch slot
 
-	wg       sync.WaitGroup // conn handlers + redispatch ticker
-	stopTick chan struct{}
+	wg sync.WaitGroup // conn handlers
 
 	// Counters read lock-free by stats sources.
 	registered, deaths, resubmitted   atomic.Int64
@@ -88,38 +89,25 @@ type gwJob struct {
 	bumpEpoch uint64
 }
 
-// NewGateway builds a gateway and starts its redispatch ticker. Serve
-// workers with ServeWorkers, mount Handler on an http.Server, retire
-// with Shutdown.
+// NewGateway builds a gateway. Serve workers with ServeWorkers, mount
+// Handler on an http.Server, retire with Shutdown.
 func NewGateway(cfg GatewayConfig) *Gateway {
-	if cfg.Name == "" {
-		cfg.Name = "socgw"
-	}
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 5 * time.Second
-	}
-	if cfg.RetryEvery <= 0 {
-		cfg.RetryEvery = 250 * time.Millisecond
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 5
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	g := &Gateway{
-		cfg:      cfg,
-		mux:      http.NewServeMux(),
-		workers:  make(map[string]*remoteWorker),
-		jobs:     make(map[string]*gwJob),
-		stopTick: make(chan struct{}),
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		workers: make(map[string]*remoteWorker),
+		jobs:    make(map[string]*gwJob),
 	}
 	g.front = serve.NewFront(serve.Config{Logf: cfg.Logf}, g)
 	g.registerStats()
 	g.mux.HandleFunc("GET /workers", g.handleWorkers)
 	g.mux.Handle("/", g.front.Handler())
-	g.wg.Add(1)
-	go g.redispatchTicker()
 	return g
 }
 
@@ -137,8 +125,8 @@ func (g *Gateway) BeginDrain() { g.front.BeginDrain() }
 
 // Shutdown drains the gateway: stop admitting, wait for in-flight jobs
 // to finish on their workers until ctx expires, then drop every worker
-// connection and stop the ticker. Callers close their listeners first
-// so no new connections race the teardown.
+// connection. Callers close their listeners first so no new
+// connections race the teardown.
 func (g *Gateway) Shutdown(ctx context.Context) error { return g.front.Shutdown(ctx) }
 
 func (g *Gateway) registerStats() {
@@ -244,7 +232,7 @@ func (g *Gateway) handleConn(conn net.Conn) {
 	// Ack before the worker becomes dispatchable: the first frame a
 	// worker reads must be the ack, and a parked-job redispatch could
 	// otherwise slip a submit in ahead of it.
-	if err := g.send(rw, &wire.Ack{Gateway: g.cfg.Name}); err != nil {
+	if err := g.send(rw, &wire.Ack{Gateway: gatewayName}); err != nil {
 		g.cfg.Logf("fleet: worker %s handshake ack: %v", reg.Name, err)
 		conn.Close()
 		if old != nil {
@@ -280,7 +268,6 @@ func (g *Gateway) handleConn(conn net.Conn) {
 			rw.inFlight = int(m.InFlight)
 			rw.capacity = int(m.Capacity)
 			g.mu.Unlock()
-			g.dispatchPending()
 		case *wire.Progress:
 			g.handleProgress(rw, m)
 		case *wire.Result:
@@ -290,6 +277,8 @@ func (g *Gateway) handleConn(conn net.Conn) {
 		default:
 			g.cfg.Logf("fleet: worker %s sent unexpected %v", rw.name, m.Type())
 		}
+		// Every frame is a chance that room appeared for parked jobs.
+		g.dispatchPending()
 	}
 }
 
@@ -469,9 +458,9 @@ func (g *Gateway) Load() (queued, running, width int) {
 	return queued, len(g.jobs) - queued, len(g.workers)
 }
 
-// Drain drops every worker connection and stops the ticker. The front
-// calls it once admitted jobs have finished or its deadline passed;
-// jobs still out on workers are abandoned.
+// Drain drops every worker connection. The front calls it once
+// admitted jobs have finished or its deadline passed; jobs still out on
+// workers are abandoned.
 func (g *Gateway) Drain(ctx context.Context) {
 	g.mu.Lock()
 	conns := make([]*remoteWorker, 0, len(g.workers))
@@ -484,7 +473,6 @@ func (g *Gateway) Drain(ctx context.Context) {
 	for _, rw := range conns {
 		rw.conn.Close()
 	}
-	close(g.stopTick)
 	g.wg.Wait()
 }
 
@@ -517,8 +505,8 @@ func (g *Gateway) pickWorker(j *gwJob) (*remoteWorker, error) {
 
 // dispatch assigns and sends a live job; a job that finished meanwhile
 // is left alone. On errSaturated or errNoWorkers the caller decides:
-// admission refuses the job, failover parks it for the redispatch
-// ticker.
+// admission refuses the job, failover parks it until dispatchPending
+// finds room.
 func (g *Gateway) dispatch(j *gwJob) error {
 	id := j.job.ID()
 	g.mu.Lock()
@@ -550,6 +538,10 @@ func (g *Gateway) dispatch(j *gwJob) error {
 
 // redispatch is dispatch for jobs that already ran somewhere: it
 // enforces the retry budget and parks when the fleet is full or empty.
+// A parked job forgets which workers shed it, so it waits for room
+// rather than for a worker under a new name; each shed already spent
+// one retry. After parking it calls dispatchPending once, in case a
+// worker registered between the failed dispatch and the park.
 func (g *Gateway) redispatch(j *gwJob) {
 	g.mu.Lock()
 	if g.jobs[j.job.ID()] != j {
@@ -557,7 +549,7 @@ func (g *Gateway) redispatch(j *gwJob) {
 		return
 	}
 	j.retries++
-	if j.retries > g.cfg.MaxRetries {
+	if j.retries > maxRetries {
 		delete(g.jobs, j.job.ID())
 		g.mu.Unlock()
 		j.job.Finish("failed", nil, fmt.Sprintf("fleet: gave up after %d dispatch attempts", j.retries), false)
@@ -567,15 +559,20 @@ func (g *Gateway) redispatch(j *gwJob) {
 	if err := g.dispatch(j); err != nil {
 		g.mu.Lock()
 		j.owner = ""
+		clear(j.shedBy)
 		g.pending = append(g.pending, j)
 		g.mu.Unlock()
 		g.parked.Add(1)
 		g.cfg.Logf("fleet: %s parked (%v)", j.job.ID(), err)
+		g.dispatchPending()
 	}
 }
 
-// dispatchPending retries parked jobs; called when capacity may have
-// appeared (heartbeat, registration) and from the ticker.
+// dispatchPending retries parked jobs. pickWorker reads only worker
+// membership, worker load and shedBy, so room can appear only when a
+// worker registers or a frame lowers a worker's load (heartbeat, result,
+// shed). Registration and every handled frame call this, and each live
+// worker's heartbeats keep frames coming, so no timer is needed.
 func (g *Gateway) dispatchPending() {
 	g.mu.Lock()
 	parked := g.pending
@@ -591,20 +588,6 @@ func (g *Gateway) dispatchPending() {
 				}
 			}
 			g.mu.Unlock()
-			return
-		}
-	}
-}
-
-func (g *Gateway) redispatchTicker() {
-	defer g.wg.Done()
-	t := time.NewTicker(g.cfg.RetryEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			g.dispatchPending()
-		case <-g.stopTick:
 			return
 		}
 	}

@@ -106,6 +106,51 @@ func TestShedReroute(t *testing.T) {
 	}
 }
 
+// TestShedByEveryWorkerNotStranded: a job shed by the only worker is
+// parked, and the worker's next heartbeat with room gets it back — the
+// shed does not bar that worker for good.
+func TestShedByEveryWorkerNotStranded(t *testing.T) {
+	_, ts, ln := testGateway(t, GatewayConfig{})
+	fw := dialFake(t, ln.Addr().String(), "strand-w1", 8)
+	waitRegistered(t, ts.URL, 1)
+
+	// Submit without waiting, so a stranded job cannot hang cleanup.
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"kind":"fleettest","messages":19}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&accepted)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sub := fw.expectSubmit()
+	fw.send(&wire.Shed{Job: sub.Job, RetryAfter: 1, Depth: 8})
+	fw.send(&wire.Heartbeat{Depth: 0, Capacity: 8})
+	re := fw.expectSubmit()
+	if re.Job != sub.Job || re.Job != accepted.ID {
+		t.Fatalf("resubmitted job %q, want %q (accepted %q)", re.Job, sub.Job, accepted.ID)
+	}
+	fw.send(&wire.Result{Job: re.Job, Status: wire.StatusDone, Body: []byte(`{"ok":1}`)})
+
+	waitFor(t, "job done", func() bool {
+		resp, err := http.Get(ts.URL + "/jobs/" + accepted.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
+	if got := metric(t, ts.URL, "fleet/failover", "parked_total"); got != 1 {
+		t.Errorf("parked_total = %v, want 1", got)
+	}
+}
+
 // readSubmitFromEither returns the fake worker rendezvous chose (and
 // the submit frame it received) plus the one it passed over. It polls
 // the two connections in turn with short deadlines instead of spawning

@@ -11,12 +11,14 @@ import (
 	"repro/internal/serve"
 )
 
+// redial is the reconnect backoff after a lost gateway.
+const redial = time.Second
+
 // WorkerConfig wires one socd process into a fleet.
 type WorkerConfig struct {
 	Name      string                           // unique worker name (required)
 	Gateway   string                           // gateway worker-port address to dial (required)
 	Heartbeat time.Duration                    // load-report cadence (default 1s)
-	Redial    time.Duration                    // reconnect backoff after a lost gateway (default 1s)
 	Logf      func(format string, args ...any) // optional logger
 }
 
@@ -42,9 +44,6 @@ func NewWorker(srv *serve.Server, cfg WorkerConfig) (*Worker, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
 	}
-	if cfg.Redial <= 0 {
-		cfg.Redial = time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -52,7 +51,7 @@ func NewWorker(srv *serve.Server, cfg WorkerConfig) (*Worker, error) {
 }
 
 // Run dials the gateway and serves one session after another — a lost
-// connection is retried every Redial until ctx is canceled. Jobs
+// connection is retried every second until ctx is canceled. Jobs
 // already running on the local server keep running across reconnects;
 // their results simply have no session to report to, which is fine:
 // the gateway has already failed them over, and the local cache keeps
@@ -60,12 +59,12 @@ func NewWorker(srv *serve.Server, cfg WorkerConfig) (*Worker, error) {
 func (w *Worker) Run(ctx context.Context) error {
 	for {
 		if err := w.session(ctx); err != nil && ctx.Err() == nil {
-			w.cfg.Logf("fleet: gateway session: %v (redial in %v)", err, w.cfg.Redial)
+			w.cfg.Logf("fleet: gateway session: %v (redial in %v)", err, redial)
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(w.cfg.Redial):
+		case <-time.After(redial):
 		}
 	}
 }

@@ -27,11 +27,6 @@ type Options struct {
 	// MaxSteps caps successor computations (default 262144), the actual
 	// work bound on models whose choice fan-out dwarfs the state count.
 	MaxSteps int
-	// MaxChoice is the largest enabled-actor count for which every
-	// firing subset is enumerated (default 12, i.e. 4096 successors).
-	// Above it the search falls back to a partial stall adversary —
-	// still able to find violations, never able to prove their absence.
-	MaxChoice int
 	// Progress, when set, is called once per completed unroll depth.
 	Progress func(depth, states int)
 }
@@ -39,6 +34,13 @@ type Options struct {
 // DefaultDepth is the unroll bound a zero Options.Depth selects; socd
 // normalizes verify jobs to it, so socsim's and socd's verdicts agree.
 const DefaultDepth = 64
+
+// maxChoice is the largest enabled-actor count for which every firing
+// subset is enumerated (4096 successors). Above it the search falls back
+// to a partial stall adversary — still able to find violations, never
+// able to prove their absence. The truncation note keeps calling it
+// MaxChoice, as golden files pin that text.
+const maxChoice = 12
 
 func (o Options) withDefaults() Options {
 	if o.Depth <= 0 {
@@ -49,9 +51,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSteps <= 0 {
 		o.MaxSteps = 1 << 18
-	}
-	if o.MaxChoice <= 0 {
-		o.MaxChoice = 12
 	}
 	return o
 }
@@ -411,7 +410,7 @@ func (s *search) expand(qi int32, e *entry) bool {
 		s.add(m.step(e.st, fire), qi, fire, e.depth+1)
 		return true
 	}
-	if len(en) <= s.opt.MaxChoice {
+	if len(en) <= maxChoice {
 		for mask := 0; mask < 1<<len(en); mask++ {
 			fire := make([]bool, len(m.Nodes))
 			for i, u := range en {
@@ -615,7 +614,7 @@ func (s *search) verdicts(r *Result) {
 		r.Counterexamples = append(r.Counterexamples, s.foundEQ)
 	}
 	if s.truncated {
-		r.Notes = append(r.Notes, fmt.Sprintf("choice fan-out exceeded MaxChoice=%d: partial stall adversary used; absence of violations is not proved", s.opt.MaxChoice))
+		r.Notes = append(r.Notes, fmt.Sprintf("choice fan-out exceeded MaxChoice=%d: partial stall adversary used; absence of violations is not proved", maxChoice))
 	}
 	if s.budget {
 		r.Notes = append(r.Notes, fmt.Sprintf("search budget exhausted (%d state(s), %d step(s)); coverage is partial", len(s.entries), s.steps))

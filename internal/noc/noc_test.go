@@ -151,7 +151,7 @@ func TestMesh4x4Delivery(t *testing.T) {
 func TestMeshUnderStallInjection(t *testing.T) {
 	// The paper's verification story: random stalls on every link must
 	// not break delivery.
-	runMeshTraffic(t, 2, 2, 10, 3, 73, connections.WithStall(0.25, 0.25, 5))
+	runMeshTraffic(t, 2, 2, 10, 3, 73, connections.WithStall(0.25, 5))
 }
 
 func TestMeshRTLCosimMode(t *testing.T) {

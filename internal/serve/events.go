@@ -53,7 +53,7 @@ func (h *eventLog) Publish(e Event) {
 	}
 	e.Seq = len(h.past)
 	h.past = append(h.past, e)
-	for id, ch := range h.subs {
+	for id, ch := range h.subs { //detvet:ok fan-out: each subscriber sees its own events in Seq order
 		select {
 		case ch <- e:
 		default:
@@ -63,7 +63,7 @@ func (h *eventLog) Publish(e Event) {
 	}
 	if e.Terminal() {
 		h.closed = true
-		for id, ch := range h.subs {
+		for id, ch := range h.subs { //detvet:ok closing every subscriber, order-free
 			close(ch)
 			delete(h.subs, id)
 		}

@@ -11,7 +11,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
+	"time" //detvet:ok wall-clock serves only Config.JobTimeout, never a result body
 
 	"repro/internal/stats"
 )

@@ -60,7 +60,7 @@ func buildMCBufEqv(cfg Config) (*SoC, func(*SoC) error) {
 // the checker can exhaust its reachable states.
 func buildMCSerdes(cfg Config) (*SoC, func(*SoC) error) {
 	s := &SoC{Sim: sim.New(), Cfg: cfg}
-	clk := s.Sim.AddClock("clk", cfg.ClockPS, 0)
+	clk := s.Sim.AddClock("clk", clockPS, 0)
 	s.Clks = []*sim.Clock{clk}
 	d := s.Sim.Design()
 
@@ -88,8 +88,8 @@ func buildMCSerdes(cfg Config) (*SoC, func(*SoC) error) {
 // crossing can neither deadlock nor drop the token-stream equivalence.
 func buildMCGals(cfg Config) (*SoC, func(*SoC) error) {
 	s := &SoC{Sim: sim.New(), Cfg: cfg}
-	tx := s.Sim.AddClock("tx", cfg.ClockPS, 0)
-	rx := s.Sim.AddClock("rx", cfg.ClockPS+7, 13)
+	tx := s.Sim.AddClock("tx", clockPS, 0)
+	rx := s.Sim.AddClock("rx", clockPS+7, 13)
 	s.Clks = []*sim.Clock{tx, rx}
 	gals.NewPausibleBisyncFIFO[noc.Flit](s.Sim, "tb/cross", tx, rx, 4, 40)
 	return s, neverRun

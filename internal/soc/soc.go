@@ -25,19 +25,25 @@ const (
 	MeshH = 5
 )
 
-// Config parameterizes a SoC build.
+// Testchip sizing, fixed for every build.
+const (
+	vecLanes     = 8       // PE vector width
+	scratchWords = 4096    // PE scratchpad size
+	gmWords      = 1 << 16 // words per global-memory half
+	ramWords     = 1 << 14 // RISC-V local RAM words
+	linkDepth    = 4       // per-VC link buffering
+	numVCs       = 2
+	clockPS      = sim.Time(909) // nominal partition clock period: 1.1 GHz signoff
+)
+
+// Config parameterizes a SoC build: channel model, clocking, stall
+// injection and observation. The chip's sizing is fixed by the
+// testchip constants above.
 type Config struct {
-	Mode         connections.Mode
-	GALS         bool // one local clock generator per partition
-	VecLanes     int  // PE vector width
-	ScratchWords int  // PE scratchpad size
-	GMWords      int  // words per global-memory half
-	RAMWords     int  // RISC-V local RAM words
-	LinkDepth    int  // per-VC link buffering
-	VCs          int
-	StallP       float64 // verification stall injection probability
-	StallSeed    int64
-	ClockPS      sim.Time // nominal partition clock period
+	Mode      connections.Mode
+	GALS      bool    // one local clock generator per partition
+	StallP    float64 // verification stall injection probability
+	StallSeed int64
 
 	// Trace arms channel-level handshake tracing for the whole chip:
 	// every LI channel, router, and pausible CDC FIFO records push/pop
@@ -56,16 +62,7 @@ type Config struct {
 
 // DefaultConfig returns the testchip-like configuration.
 func DefaultConfig() Config {
-	return Config{
-		Mode:         connections.ModeSimAccurate,
-		VecLanes:     8,
-		ScratchWords: 4096,
-		GMWords:      1 << 16,
-		RAMWords:     1 << 14,
-		LinkDepth:    4,
-		VCs:          2,
-		ClockPS:      909, // 1.1 GHz signoff
-	}
+	return Config{Mode: connections.ModeSimAccurate}
 }
 
 // SoC is a built prototype chip.
@@ -110,14 +107,14 @@ func New(cfg Config, firmware []uint32) *SoC {
 	clockOf := make([]*sim.Clock, NumNodes)
 	if cfg.GALS {
 		for i := 0; i < NumNodes; i++ {
-			period := cfg.ClockPS + sim.Time(i%7) // independent generators drift
-			phase := sim.Time((i * 131) % int(cfg.ClockPS))
+			period := clockPS + sim.Time(i%7) // independent generators drift
+			phase := sim.Time((i * 131) % int(clockPS))
 			c := s.Sim.AddClock(fmt.Sprintf("clk%d", i), period, phase)
 			clockOf[i] = c
 			s.Clks = append(s.Clks, c)
 		}
 	} else {
-		c := s.Sim.AddClock("clk", cfg.ClockPS, 0)
+		c := s.Sim.AddClock("clk", clockPS, 0)
 		s.Clks = []*sim.Clock{c}
 		for i := range clockOf {
 			clockOf[i] = c
@@ -135,7 +132,7 @@ func New(cfg Config, firmware []uint32) *SoC {
 	var opts []connections.Option
 	opts = append(opts, connections.WithMode(cfg.Mode))
 	if cfg.StallP > 0 {
-		opts = append(opts, connections.WithStall(cfg.StallP, cfg.StallP, cfg.StallSeed))
+		opts = append(opts, connections.WithStall(cfg.StallP, cfg.StallSeed))
 	}
 
 	// Routers and NIs, one per node, on the node's clock. Components use
@@ -144,27 +141,27 @@ func New(cfg Config, firmware []uint32) *SoC {
 	for i := 0; i < NumNodes; i++ {
 		clk := clockOf[i]
 		x, y := i%MeshW, i/MeshW
-		r := noc.NewWHVCRouter(clk, fmt.Sprintf("soc/noc/r[%d]", i), 5, cfg.VCs, noc.XYRoute(MeshW, x, y), nil)
+		r := noc.NewWHVCRouter(clk, fmt.Sprintf("soc/noc/r[%d]", i), 5, numVCs, noc.XYRoute(MeshW, x, y), nil)
 		s.Routers = append(s.Routers, r)
 		// VC selection pins each (src,dst) flow to one VC so that DMA
 		// chunk streams stay ordered end to end; different flows still
 		// spread across VCs.
-		ni := noc.NewNI(clk, fmt.Sprintf("soc/noc/ni[%d]", i), i, cfg.VCs, func(p noc.Packet) int { return (p.Src + p.Dst) % cfg.VCs })
+		ni := noc.NewNI(clk, fmt.Sprintf("soc/noc/ni[%d]", i), i, numVCs, func(p noc.Packet) int { return (p.Src + p.Dst) % numVCs })
 		nis[i] = ni
-		linkSame(clk, fmt.Sprintf("soc/noc/l[%d]/in", i), cfg.LinkDepth, ni.FlitOut, r.In[noc.PortLocal], opts)
-		linkSame(clk, fmt.Sprintf("soc/noc/l[%d]/out", i), cfg.LinkDepth, r.Out[noc.PortLocal], ni.FlitIn, opts)
+		linkSame(clk, fmt.Sprintf("soc/noc/l[%d]/in", i), linkDepth, ni.FlitOut, r.In[noc.PortLocal], opts)
+		linkSame(clk, fmt.Sprintf("soc/noc/l[%d]/out", i), linkDepth, r.Out[noc.PortLocal], ni.FlitIn, opts)
 	}
 
 	// Inter-router links: same-clock buffers or pausible CDC pairs.
 	link := func(i, pi, j, pj int) {
 		name := fmt.Sprintf("soc/noc/lnk[%d.%d-%d.%d]", i, pi, j, pj)
 		if clockOf[i] == clockOf[j] {
-			linkSame(clockOf[i], name, cfg.LinkDepth, s.Routers[i].Out[pi], s.Routers[j].In[pj], opts)
+			linkSame(clockOf[i], name, linkDepth, s.Routers[i].Out[pi], s.Routers[j].In[pj], opts)
 			return
 		}
-		for v := 0; v < cfg.VCs; v++ {
+		for v := 0; v < numVCs; v++ {
 			f := cdcLink(s.Sim, fmt.Sprintf("%s/vc[%d]", name, v), clockOf[i], clockOf[j],
-				s.Routers[i].Out[pi][v], s.Routers[j].In[pj][v], cfg.LinkDepth, opts)
+				s.Routers[i].Out[pi][v], s.Routers[j].In[pj][v], linkDepth, opts)
 			pauses = append(pauses, f)
 		}
 	}
@@ -205,23 +202,23 @@ func New(cfg Config, firmware []uint32) *SoC {
 	}
 	for i := 0; i < NumPEs; i++ {
 		inj, ej := endpoints(i)
-		s.PEs = append(s.PEs, newPE(clockOf[i], fmt.Sprintf("soc/pe[%d]", i), i, cfg.ScratchWords, cfg.VecLanes, cfg.Mode, cfg.ShadowNetlists, inj, ej))
+		s.PEs = append(s.PEs, newPE(clockOf[i], fmt.Sprintf("soc/pe[%d]", i), i, scratchWords, vecLanes, cfg.Mode, cfg.ShadowNetlists, inj, ej))
 	}
 	{
 		inj, ej := endpoints(NodeGML)
-		s.GML = newMemNode(clockOf[NodeGML], "soc/gml", NodeGML, cfg.GMWords, 8, inj, ej)
+		s.GML = newMemNode(clockOf[NodeGML], "soc/gml", NodeGML, gmWords, 8, inj, ej)
 	}
 	{
 		inj, ej := endpoints(NodeGMR)
-		s.GMR = newMemNode(clockOf[NodeGMR], "soc/gmr", NodeGMR, cfg.GMWords, 8, inj, ej)
+		s.GMR = newMemNode(clockOf[NodeGMR], "soc/gmr", NodeGMR, gmWords, 8, inj, ej)
 	}
 	{
 		inj, ej := endpoints(NodeIO)
-		s.IO = newMemNode(clockOf[NodeIO], "soc/io", NodeIO, cfg.GMWords/4, 4, inj, ej)
+		s.IO = newMemNode(clockOf[NodeIO], "soc/io", NodeIO, gmWords/4, 4, inj, ej)
 	}
 	{
 		inj, ej := endpoints(NodeRV)
-		s.RV = newRVNode(clockOf[NodeRV], "soc/rv", NodeRV, cfg.RAMWords, firmware, inj, ej)
+		s.RV = newRVNode(clockOf[NodeRV], "soc/rv", NodeRV, ramWords, firmware, inj, ej)
 	}
 
 	// The Figure 5 AXI bus: the controller reaches both global-memory
@@ -231,10 +228,10 @@ func New(cfg Config, firmware []uint32) *SoC {
 	{
 		clk := clockOf[NodeRV]
 		ic := axi.NewInterconnect(clk, "soc/axi/bus", 1, []axi.Region{
-			{Base: 0, Size: cfg.GMWords, Slave: 0},
-			{Base: cfg.GMWords, Size: cfg.GMWords, Slave: 1},
+			{Base: 0, Size: gmWords, Slave: 0},
+			{Base: gmWords, Size: gmWords, Slave: 1},
 		})
-		axi.Connect(clk, "soc/axi/m0", 2, s.RV.axiPort(2*cfg.GMWords), ic.MasterPorts[0], opts...)
+		axi.Connect(clk, "soc/axi/m0", 2, s.RV.axiPort(2*gmWords), ic.MasterPorts[0], opts...)
 		sl := axi.NewMemSlaveBacked(clk, "soc/axi/gml", s.GML.Mem)
 		sr := axi.NewMemSlaveBacked(clk, "soc/axi/gmr", s.GMR.Mem)
 		axi.Connect(clk, "soc/axi/s0", 2, ic.SlavePorts[0], sl.Port, opts...)

@@ -261,7 +261,7 @@ func TestAXIBusControlPlane(t *testing.T) {
 	fw.WaitDone(1)
 	// Read back GMR[0..n) through AXI (second half of the window) and
 	// verify in firmware.
-	gmrBase := uint32(cfg.GMWords * 4)
+	gmrBase := uint32(gmWords * 4)
 	p.LI(riscv.S1, 0)
 	p.Label("rd")
 	p.SLLI(riscv.T1, riscv.S1, 2)

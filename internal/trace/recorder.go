@@ -90,7 +90,7 @@ func (s *Subject) Path() string { return s.path }
 // which keeps the disarmed fast path free of any recorder work.
 func (s *Subject) Emit(k Kind, time, cycle, value uint64) {
 	r := s.r
-	if r.limit > 0 && len(r.events) >= r.limit {
+	if len(r.events) >= r.limit {
 		r.dropped++
 		return
 	}
@@ -99,7 +99,7 @@ func (s *Subject) Emit(k Kind, time, cycle, value uint64) {
 
 // DefaultEventLimit bounds a recorder's memory: beyond it events are
 // counted as dropped instead of stored (a full SoC test run stays well
-// under it; raise with SetLimit for very long armed runs).
+// under it).
 const DefaultEventLimit = 1 << 22
 
 // Recorder collects handshake events from every armed component of one
@@ -119,9 +119,6 @@ type Recorder struct {
 func NewRecorder() *Recorder {
 	return &Recorder{byPath: make(map[string]int), limit: DefaultEventLimit}
 }
-
-// SetLimit replaces the event cap; n <= 0 removes it.
-func (r *Recorder) SetLimit(n int) { r.limit = n }
 
 // Subject interns path and returns its emitter handle. Calling it on a
 // nil recorder returns nil, so construction-time caching can be written

@@ -37,7 +37,7 @@ func TestNilRecorderSubjectIsNil(t *testing.T) {
 
 func TestEventLimitDrops(t *testing.T) {
 	r := NewRecorder()
-	r.SetLimit(2)
+	r.limit = 2
 	s := r.Subject("ch")
 	for i := 0; i < 5; i++ {
 		s.Emit(KindPush, uint64(i), uint64(i), 1)

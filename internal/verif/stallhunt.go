@@ -179,7 +179,7 @@ func runStallHunt(ctx context.Context, pStall float64, seed int64, messages int,
 
 	var opts []connections.Option
 	if pStall > 0 {
-		opts = append(opts, connections.WithStall(pStall, pStall, seed))
+		opts = append(opts, connections.WithStall(pStall, seed))
 	}
 
 	aOut, aIn := connections.NewOut[int](), connections.NewIn[int]()
