@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench vet analysis serve-smoke fleet-smoke fleet-soak
+.PHONY: build test check bench vet analysis serve-smoke fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -39,15 +39,10 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # End-to-end smoke of the socgw fleet: gateway + 3 workers, a mid-batch
-# worker kill/restart with zero lost jobs, and byte-identity of every
-# result against a single-daemon rerun.
+# worker kill/restart with zero lost jobs, the restarted worker serving
+# again, and byte-identity of every result against a single-daemon rerun.
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
-
-# Sustained-load soak of the fleet with mid-soak worker chaos; heavier
-# than fleet-smoke, run on demand (ROUNDS=n to lengthen).
-fleet-soak:
-	sh scripts/fleet_soak.sh
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -60,7 +60,7 @@ func BenchmarkTable1ChannelStalled(b *testing.B) {
 
 func BenchmarkFig3Crossbar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := matchlib.RunFig3([]int{2, 4, 8, 16}, 100, 7)
+		rows, _ := matchlib.RunFig3Campaign([]int{2, 4, 8, 16}, 100, 7, 1)
 		if i == 0 {
 			for _, r := range rows {
 				b.ReportMetric(r.SigAcc/r.RTL, "sigacc/rtl@"+itoa(r.Ports))
@@ -73,17 +73,15 @@ func BenchmarkFig3Crossbar(b *testing.B) {
 
 func BenchmarkXbarQoRSrcLoop32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d := hls.Optimize(hls.CrossbarSrcLoopDesign(32, 32))
-		s := hls.Pipeline(d, hls.DefaultConstraints())
-		synth.Report(synth.Optimize(synth.Map(s)), &synth.Default16nm)
+		_, nl := synth.Compile(hls.CrossbarSrcLoopDesign(32, 32), hls.DefaultConstraints())
+		synth.Report(nl, &synth.Default16nm)
 	}
 }
 
 func BenchmarkXbarQoRDstLoop32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d := hls.Optimize(hls.CrossbarDstLoopDesign(32, 32))
-		s := hls.Pipeline(d, hls.DefaultConstraints())
-		synth.Report(synth.Optimize(synth.Map(s)), &synth.Default16nm)
+		_, nl := synth.Compile(hls.CrossbarDstLoopDesign(32, 32), hls.DefaultConstraints())
+		synth.Report(nl, &synth.Default16nm)
 	}
 }
 

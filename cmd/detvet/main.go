@@ -78,8 +78,10 @@ var checkedDirs = []string{
 	// The metrics registry renders the canonical metrics JSON that
 	// cacheable result bodies embed.
 	"internal/stats",
-	// Synthesis computes the gate counts in the cacheable QoR body, and
-	// the job service renders every cacheable body.
+	// HLS computes the schedule behind every QoR gate count, synthesis
+	// computes the gate counts in the cacheable QoR body, and the job
+	// service renders every cacheable body.
+	"internal/hls",
 	"internal/synth",
 	"internal/serve",
 }

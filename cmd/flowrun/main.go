@@ -106,15 +106,12 @@ func main() {
 	fmt.Printf("  power:  %v\n", rep.Power)
 	fmt.Printf("  hls:    %d scheduler steps, %d pipeline stages\n", rep.Steps, rep.Stages)
 
+	sched := rep.Schedule
 	if *iiSweep {
-		d := hls.Optimize(build())
-		sched := hls.Pipeline(d, flow.Cons)
-		hls.PrintIISweep(os.Stdout, d.Name, hls.IISweep(sched, []int{1, 2, 4, 8}))
+		hls.PrintIISweep(os.Stdout, sched.Design.Name, hls.IISweep(sched, []int{1, 2, 4, 8}))
 	}
 	if *prove {
-		d := build()
-		sched := hls.Pipeline(hls.Optimize(build()), flow.Cons)
-		n, err := synth.ProveEquivalence(d, sched.Latency, rep.Netlist, 16)
+		n, err := synth.ProveEquivalence(build(), sched.Latency, rep.Netlist, 16)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "flowrun:", err)
 			os.Exit(1)
@@ -131,20 +128,11 @@ func main() {
 		fmt.Printf("  wrote %s (%d cells, %d flops)\n", *verilog, comb, flops)
 	}
 	if *tb != "" {
-		d := hls.Optimize(build())
-		sched := hls.Pipeline(d, flow.Cons)
+		d := sched.Design
 		r := rand.New(rand.NewSource(3))
 		var vecs, exps []map[string]uint64
 		for k := 0; k < *vectors; k++ {
-			in := map[string]uint64{}
-			for _, p := range d.Inputs {
-				w := uint(p.Width)
-				x := r.Uint64()
-				if w < 64 {
-					x &= 1<<w - 1
-				}
-				in[p.Name] = x
-			}
+			in := d.RandomInputs(r)
 			vecs = append(vecs, in)
 			exps = append(exps, d.Interpret(in))
 		}
@@ -169,18 +157,8 @@ func main() {
 		}
 		sim.AttachVCD(v)
 		r := rand.New(rand.NewSource(2))
-		d := build()
 		for k := 0; k < *vectors; k++ {
-			in := map[string]uint64{}
-			for _, p := range d.Inputs {
-				w := uint(p.Width)
-				x := r.Uint64()
-				if w < 64 {
-					x &= 1<<w - 1
-				}
-				in[p.Name] = x
-			}
-			sim.Step(in)
+			sim.Step(sched.Design.RandomInputs(r))
 		}
 		if err := v.Err(); err != nil {
 			fmt.Fprintln(os.Stderr, "flowrun:", err)

@@ -46,14 +46,8 @@ func main() {
 	flag.Parse()
 
 	cfg := soc.DefaultConfig()
-	switch *mode {
-	case "tlm":
-		cfg.Mode = connections.ModeSimAccurate
-	case "signal":
-		cfg.Mode = connections.ModeSignalAccurate
-	case "rtl":
-		cfg.Mode = connections.ModeRTLCosim
-	default:
+	var ok bool
+	if cfg.Mode, ok = connections.ParseMode(*mode); !ok {
 		fmt.Fprintf(os.Stderr, "socsim: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}

@@ -27,6 +27,20 @@ const (
 	ModeRTLCosim
 )
 
+// ParseMode maps a channel-model name as the tools spell it (tlm,
+// signal or rtl) to its Mode.
+func ParseMode(name string) (Mode, bool) {
+	switch name {
+	case "tlm":
+		return ModeSimAccurate, true
+	case "signal":
+		return ModeSignalAccurate, true
+	case "rtl":
+		return ModeRTLCosim, true
+	}
+	return ModeSimAccurate, false
+}
+
 func (m Mode) String() string {
 	switch m {
 	case ModeSimAccurate:

@@ -75,6 +75,17 @@ func TestAllModesDeliverInOrder(t *testing.T) {
 	}
 }
 
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]Mode{"tlm": ModeSimAccurate, "signal": ModeSignalAccurate, "rtl": ModeRTLCosim} {
+		if m, ok := ParseMode(name); !ok || m != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, m, ok, want)
+		}
+	}
+	if _, ok := ParseMode("sim-accurate"); ok {
+		t.Error("ParseMode accepted a Mode.String name")
+	}
+}
+
 // The paper's verification feature: random stall injection must perturb
 // timing without breaking functional correctness (loss/dup/reorder).
 func TestStallInjectionPreservesCorrectness(t *testing.T) {

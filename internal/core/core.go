@@ -45,6 +45,10 @@ type Report struct {
 	Wall    time.Duration
 	Netlist *rtl.Netlist
 
+	// Schedule is the pipelined schedule the netlist was mapped from;
+	// its Design is the optimized design.
+	Schedule *hls.Schedule
+
 	VectorsChecked int // equivalence vectors verified against the golden model
 }
 
@@ -53,73 +57,36 @@ type Report struct {
 // random vectors (collecting switching activity) → power estimate.
 func (f *Flow) Run(d *hls.Design, vectors int, seed int64) (Report, error) {
 	start := time.Now()
-	opt := hls.Optimize(d)
-	sched := hls.Pipeline(opt, f.Cons)
-	nl := synth.Optimize(synth.Map(sched))
+	sched, nl := synth.Compile(d, f.Cons)
 	rep := Report{
-		Design:  d.Name,
-		Ops:     opt.OpCount(),
-		Stages:  sched.Latency + 1,
-		Clock:   f.Cons.ClockPS,
-		Timing:  synth.STA(nl, f.Lib),
-		Area:    synth.Report(nl, f.Lib),
-		Steps:   sched.Steps,
-		Netlist: nl,
+		Design:   d.Name,
+		Ops:      sched.Design.OpCount(),
+		Stages:   sched.Latency + 1,
+		Clock:    f.Cons.ClockPS,
+		Timing:   synth.STA(nl, f.Lib),
+		Area:     synth.Report(nl, f.Lib),
+		Steps:    sched.Steps,
+		Netlist:  nl,
+		Schedule: sched,
 	}
 
 	// RTL cosimulation doubles as verification and activity capture. It
 	// runs on the simulator's word-slice fast path (compiled backend
-	// when the netlist allows it), keeping the per-vector loop free of
-	// per-cycle map allocations.
+	// when the netlist allows it).
 	sim, err := rtl.NewSimulator(nl)
 	if err != nil {
 		return rep, fmt.Errorf("core: %s: %w", d.Name, err)
 	}
-	inPorts := sim.InputPorts()
-	outIdx := map[string]int{}
-	for i, p := range sim.OutputPorts() {
-		outIdx[p.Name] = i
-	}
-	inw := make([]uint64, len(inPorts))
-	outw := make([]uint64, len(sim.OutputPorts()))
 	r := rand.New(rand.NewSource(seed))
-	var history []map[string]uint64
-	for k := 0; k < vectors+sched.Latency; k++ {
-		in := map[string]uint64{}
-		for _, p := range opt.Inputs {
-			in[p.Name] = r.Uint64() & widthMask(p.Width)
-		}
-		history = append(history, in)
-		for i := range inPorts {
-			inw[i] = in[inPorts[i].Name]
-		}
-		sim.StepWords(inw, outw)
-		if k < sched.Latency {
-			continue
-		}
-		want := d.Interpret(history[k-sched.Latency])
-		for name, w := range want {
-			var got uint64
-			if gi, ok := outIdx[name]; ok {
-				got = outw[gi]
-			}
-			if got != w {
-				return rep, fmt.Errorf("core: %s: netlist/golden mismatch on vector %d output %s: %#x vs %#x",
-					d.Name, k, name, got, w)
-			}
-		}
-		rep.VectorsChecked++
+	rep.VectorsChecked, err = synth.Cosim(d, sched.Latency, sim, vectors, func(int) map[string]uint64 {
+		return d.RandomInputs(r)
+	})
+	if err != nil {
+		return rep, fmt.Errorf("core: %w", err)
 	}
 	rep.Power = f.Power.FromSimulation(d.Name, sim, nl, f.Lib, rep.Timing.FmaxMHz)
 	rep.Wall = time.Since(start)
 	return rep, nil
-}
-
-func widthMask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(w) - 1
 }
 
 func (r Report) String() string {

@@ -97,12 +97,10 @@ type XbarSweepRow struct {
 func XbarSweep(f *Flow, lanes []int, width int) ([]XbarSweepRow, error) {
 	var rows []XbarSweepRow
 	for _, n := range lanes {
-		srcD := hls.Optimize(hls.CrossbarSrcLoopDesign(n, width))
-		dstD := hls.Optimize(hls.CrossbarDstLoopDesign(n, width))
-		srcS := hls.Pipeline(srcD, f.Cons)
-		dstS := hls.Pipeline(dstD, f.Cons)
-		srcA := synth.Report(synth.Optimize(synth.Map(srcS)), f.Lib)
-		dstA := synth.Report(synth.Optimize(synth.Map(dstS)), f.Lib)
+		srcS, srcNl := synth.Compile(hls.CrossbarSrcLoopDesign(n, width), f.Cons)
+		dstS, dstNl := synth.Compile(hls.CrossbarDstLoopDesign(n, width), f.Cons)
+		srcA := synth.Report(srcNl, f.Lib)
+		dstA := synth.Report(dstNl, f.Lib)
 		rows = append(rows, XbarSweepRow{
 			Lanes:        n,
 			SrcGates:     srcA.GateCount,

@@ -55,26 +55,6 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 }
 
-// Sequential wrappers must return exactly what their campaigns return.
-func TestSequentialWrappersMatchCampaigns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweeps in -short mode")
-	}
-	ports := []int{2, 4}
-	rows := matchlib.RunFig3(ports, 80, 11)
-	crows, _ := matchlib.RunFig3Campaign(ports, 80, 11, 4)
-	if !reflect.DeepEqual(rows, crows) {
-		t.Fatalf("RunFig3 != RunFig3Campaign:\n%+v\n%+v", rows, crows)
-	}
-
-	loads := []float64{0.05, 0.30}
-	pts := noc.LoadLatencySweep(4, 4, loads, 1000, 2, 11)
-	cpts, _ := noc.LoadLatencyCampaign(4, 4, loads, 1000, 2, 11, 4)
-	if !reflect.DeepEqual(pts, cpts) {
-		t.Fatalf("LoadLatencySweep != LoadLatencyCampaign:\n%+v\n%+v", pts, cpts)
-	}
-}
-
 // benchmarkFig3NoC is the paper-evaluation inner loop: the Figure 3
 // crossbar sweep plus the NoC load-latency sweep, as one campaign-sized
 // unit of work per iteration.

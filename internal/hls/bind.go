@@ -3,6 +3,7 @@ package hls
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Binding is the resource-sharing result for a schedule executed at an
@@ -26,15 +27,12 @@ type Binding struct {
 	SavingsPct   float64
 }
 
-// shareable reports whether an op kind occupies a functional unit worth
-// time-multiplexing (wide arithmetic; cheap logic is never shared).
-func shareable(k OpKind) bool {
-	switch k {
-	case OpMul, OpAdd, OpSub:
-		return true
-	}
-	return false
-}
+// shareableKinds are the op kinds that occupy a functional unit worth
+// time-multiplexing (wide arithmetic; cheap logic is never shared), in
+// the fixed order the area sums visit them.
+var shareableKinds = []OpKind{OpMul, OpAdd, OpSub}
+
+func shareable(k OpKind) bool { return slices.Contains(shareableKinds, k) }
 
 // Bind computes the resource sharing achievable at the given initiation
 // interval for an already-pipelined design.
@@ -66,9 +64,9 @@ func Bind(s *Schedule, ii int) Binding {
 		}
 	}
 	units := map[OpKind]int{}
-	for k, n := range slots {
-		if n > units[k.kind] {
-			units[k.kind] = n
+	for _, kind := range shareableKinds {
+		for slot := 0; slot < ii; slot++ {
+			units[kind] = max(units[kind], slots[key{kind, slot}])
 		}
 	}
 	b.MulUnits = units[OpMul]
@@ -77,8 +75,8 @@ func Bind(s *Schedule, ii int) Binding {
 	regArea := float64(s.RegBits) * RegBitArea
 	b.UnsharedArea = fixedArea + regArea
 	b.SharedArea = fixedArea + regArea
-	for kind, total := range counts {
-		w := maxW[kind]
+	for _, kind := range shareableKinds {
+		total, w := counts[kind], maxW[kind]
 		unit := opArea(&Op{Kind: kind, Width: w, Args: []*Op{{Width: w}, {Width: w}}})
 		b.UnsharedArea += float64(total) * unit
 		u := units[kind]

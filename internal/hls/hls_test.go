@@ -6,14 +6,6 @@ import (
 	"testing"
 )
 
-func randInputs(r *rand.Rand, d *Design) map[string]uint64 {
-	in := map[string]uint64{}
-	for _, p := range d.Inputs {
-		in[p.Name] = r.Uint64() & mask(p.Width)
-	}
-	return in
-}
-
 func TestInterpretMAC(t *testing.T) {
 	d := MACDesign(16)
 	out := d.Interpret(map[string]uint64{"a": 3, "b": 5, "acc": 7})
@@ -167,7 +159,7 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 			t.Errorf("%s: optimize grew ops %d -> %d", d.Name, d.OpCount(), opt.OpCount())
 		}
 		for iter := 0; iter < 50; iter++ {
-			in := randInputs(r, d)
+			in := d.RandomInputs(r)
 			a, b := d.Interpret(in), opt.Interpret(in)
 			for name := range a {
 				if a[name] != b[name] {

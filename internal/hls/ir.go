@@ -1,6 +1,9 @@
 package hls
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // OpKind enumerates dataflow operations. All values are unsigned words of
 // at most 64 bits; arithmetic wraps at the operation width.
@@ -155,6 +158,17 @@ func (d *Design) Interpret(inputs map[string]uint64) map[string]uint64 {
 		out[o.Name] = vals[o.ID]
 	}
 	return out
+}
+
+// RandomInputs draws one input vector from r: a masked word per input
+// port, in port order, so a seeded stream is the same for a design and
+// its optimized form.
+func (d *Design) RandomInputs(r *rand.Rand) map[string]uint64 {
+	in := make(map[string]uint64, len(d.Inputs))
+	for _, p := range d.Inputs {
+		in[p.Name] = r.Uint64() & mask(p.Width)
+	}
+	return in
 }
 
 // OpCount returns the number of non-port operations, the unrolled design

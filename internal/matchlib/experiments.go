@@ -95,13 +95,6 @@ func xbarRTLCyclesPerTxn(n, msgs int, seed int64) float64 {
 	return float64(clk.Cycle()) / float64(msgs)
 }
 
-// RunFig3 measures all three series for the given port counts. It is
-// the sequential form of RunFig3Campaign and returns identical rows.
-func RunFig3(ports []int, msgsPerPort int, seed int64) []Fig3Row {
-	rows, _ := RunFig3Campaign(ports, msgsPerPort, seed, 1)
-	return rows
-}
-
 // RunFig3Campaign measures the figure's series with one campaign job per
 // x-position (port count), sharded over the runner's worker pool. All
 // three series of a row share that row's derived seed so the comparison

@@ -144,7 +144,7 @@ func TestStructuralCrossbarBackpressure(t *testing.T) {
 // counts: the sim-accurate model tracks the RTL model closely at every
 // size, while the signal-accurate model's cost grows with port count.
 func TestFig3Shape(t *testing.T) {
-	rows := RunFig3([]int{2, 4, 8, 16}, 150, 5)
+	rows, _ := RunFig3Campaign([]int{2, 4, 8, 16}, 150, 5, 1)
 	for i, r := range rows {
 		ratio := r.SimAcc / r.RTL
 		if ratio < 0.80 || ratio > 1.20 {

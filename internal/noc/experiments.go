@@ -18,16 +18,6 @@ type LoadPoint struct {
 	Delivered   int
 }
 
-// LoadLatencySweep runs uniform-random traffic on a W×H wormhole mesh at
-// each offered load for the given number of cycles and measures delivered
-// throughput and mean packet latency — the standard NoC characterization
-// curve (latency flat at low load, diverging past saturation). It is the
-// sequential form of LoadLatencyCampaign and returns identical points.
-func LoadLatencySweep(w, h int, loads []float64, cycles uint64, payloadWords int, seed int64) []LoadPoint {
-	pts, _ := LoadLatencyCampaign(w, h, loads, cycles, payloadWords, seed, 1)
-	return pts
-}
-
 // LoadLatencyCampaign measures the sweep with one campaign job per
 // offered-load point, sharded over the runner's worker pool. Each
 // point's traffic seed is derived from the point's job name and the

@@ -274,7 +274,7 @@ func TestWormholeNoInterleaving(t *testing.T) {
 // at low load, rising sharply past saturation, with throughput
 // monotonically non-decreasing up to saturation.
 func TestLoadLatencyCurveShape(t *testing.T) {
-	pts := LoadLatencySweep(4, 4, []float64{0.02, 0.10, 0.30, 0.60}, 3000, 2, 5)
+	pts, _ := LoadLatencyCampaign(4, 4, []float64{0.02, 0.10, 0.30, 0.60}, 3000, 2, 5, 1)
 	for i, p := range pts {
 		if p.Delivered == 0 {
 			t.Fatalf("load %.2f delivered nothing", p.OfferedLoad)

@@ -10,19 +10,14 @@ import (
 )
 
 func TestFromSimulation(t *testing.T) {
-	d := hls.Optimize(hls.AdderTreeDesign(8, 16))
-	nl := synth.Optimize(synth.Map(hls.Pipeline(d, hls.DefaultConstraints())))
+	s, nl := synth.Compile(hls.AdderTreeDesign(8, 16), hls.DefaultConstraints())
 	sim, err := rtl.NewSimulator(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(1))
 	for k := 0; k < 100; k++ {
-		in := map[string]uint64{}
-		for _, p := range d.Inputs {
-			in[p.Name] = r.Uint64() & 0xffff
-		}
-		sim.Step(in)
+		sim.Step(s.Design.RandomInputs(r))
 	}
 	rep := Default16nm.FromSimulation("addtree", sim, nl, &synth.Default16nm, 1100)
 	if rep.DynamicMW <= 0 || rep.LeakageMW <= 0 {
@@ -49,8 +44,7 @@ func TestFromSimulation(t *testing.T) {
 func TestVoltageScaling(t *testing.T) {
 	low := Default16nm
 	low.VDD = 0.6
-	d := hls.Optimize(hls.MACDesign(8))
-	nl := synth.Optimize(synth.Map(hls.Pipeline(d, hls.DefaultConstraints())))
+	_, nl := synth.Compile(hls.MACDesign(8), hls.DefaultConstraints())
 	sim, err := rtl.NewSimulator(nl)
 	if err != nil {
 		t.Fatal(err)

@@ -88,14 +88,7 @@ func marshalBody(v any) ([]byte, error) {
 
 func simConfig(spec Spec) soc.Config {
 	cfg := soc.DefaultConfig()
-	switch spec.Mode {
-	case "signal":
-		cfg.Mode = connections.ModeSignalAccurate
-	case "rtl":
-		cfg.Mode = connections.ModeRTLCosim
-	default:
-		cfg.Mode = connections.ModeSimAccurate
-	}
+	cfg.Mode, _ = connections.ParseMode(spec.Mode)
 	cfg.GALS = spec.GALS
 	cfg.StallP = spec.Stall
 	cfg.StallSeed = spec.Seed

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/connections"
 	"repro/internal/mc"
 	"repro/internal/soc"
 )
@@ -64,9 +65,6 @@ type Spec struct {
 	// the verify kind existed is unchanged.
 	Depth int `json:"depth,omitempty"`
 }
-
-// simModes are the accepted channel models, matching socsim -mode.
-var simModes = map[string]bool{"tlm": true, "signal": true, "rtl": true}
 
 // Normalize validates the spec and rewrites it into canonical form:
 // defaults filled, fields foreign to the kind zeroed. It must be called
@@ -182,7 +180,7 @@ func (s *Spec) normalizeMode() error {
 	if s.Mode == "" {
 		s.Mode = "tlm"
 	}
-	if !simModes[s.Mode] {
+	if _, ok := connections.ParseMode(s.Mode); !ok {
 		return fmt.Errorf("serve: unknown mode %q", s.Mode)
 	}
 	return nil

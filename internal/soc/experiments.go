@@ -34,14 +34,6 @@ type fig6Run struct {
 	Wall   time.Duration
 }
 
-// RunFig6 executes every SoC test in both modes and measures elapsed
-// cycles and wall-clock time. It is the sequential form of
-// RunFig6Campaign and returns identical rows.
-func RunFig6(maxCycles uint64) ([]Fig6Row, error) {
-	rows, s := RunFig6Campaign(maxCycles, 1)
-	return rows, s.Err()
-}
-
 // RunFig6Campaign runs the figure with one campaign job per (test, mode)
 // pair — "<test>/tlm" and "<test>/rtl" — sharded over the runner's
 // worker pool. Each job publishes its full component-tree metrics

@@ -41,8 +41,7 @@ var (
 
 func shadowNetlist() *rtl.Netlist {
 	shadowOnce.Do(func() {
-		d := hls.Optimize(hls.MACDesign(32))
-		shadowNl = synth.Optimize(synth.Map(hls.Pipeline(d, hls.DefaultConstraints())))
+		_, shadowNl = synth.Compile(hls.MACDesign(32), hls.DefaultConstraints())
 	})
 	return shadowNl
 }

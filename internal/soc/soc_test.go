@@ -159,8 +159,8 @@ func TestFig6Bands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full RTL-cosim measurement is slow")
 	}
-	rows, err := RunFig6(maxCycles)
-	if err != nil {
+	rows, s := RunFig6Campaign(maxCycles, 1)
+	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
@@ -187,8 +187,8 @@ func TestFig6Bands(t *testing.T) {
 			break
 		}
 		t.Logf("%s below band, re-measuring once (transient load?)", low)
-		if rows, err = RunFig6(maxCycles); err != nil {
-			t.Fatal(err)
+		if rows, s = RunFig6Campaign(maxCycles, 1); s.Err() != nil {
+			t.Fatal(s.Err())
 		}
 	}
 }

@@ -1,18 +1,12 @@
 package synth
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/hls"
 	"repro/internal/rtl"
 )
-
-func compile(t *testing.T, d *hls.Design, clock int) (*hls.Schedule, *rtl.Netlist) {
-	t.Helper()
-	opt := hls.Optimize(d)
-	s := hls.Pipeline(opt, hls.Constraints{ClockPS: clock})
-	return s, Optimize(Map(s))
-}
 
 // Complete formal equivalence for every bundled design small enough to
 // enumerate, combinational and pipelined.
@@ -35,9 +29,7 @@ func TestProveEquivalenceExhaustive(t *testing.T) {
 		{hls.FIRDesign(2, 4), 400}, // pipelined
 	}
 	for _, c := range cases {
-		opt := hls.Optimize(c.d)
-		s := hls.Pipeline(opt, hls.Constraints{ClockPS: c.clock})
-		nl := Optimize(Map(s))
+		s, nl := Compile(c.d, hls.Constraints{ClockPS: c.clock})
 		proven, err := ProveEquivalence(c.d, s.Latency, nl, 16)
 		if err != nil {
 			t.Errorf("%s @ %dps: %v", c.d.Name, c.clock, err)
@@ -57,7 +49,7 @@ func TestProveEquivalenceExhaustive(t *testing.T) {
 // netlist and confirm non-equivalence is reported.
 func TestProveEquivalenceCatchesMutation(t *testing.T) {
 	d := hls.MACDesign(4)
-	s, nl := compile(t, d, 100000)
+	s, nl := Compile(d, hls.Constraints{ClockPS: 100000})
 	if _, err := ProveEquivalence(d, s.Latency, nl, 16); err != nil {
 		t.Fatalf("healthy netlist not equivalent: %v", err)
 	}
@@ -93,8 +85,39 @@ func TestProveEquivalenceCatchesMutation(t *testing.T) {
 
 func TestProveEquivalenceRefusesLargeSpace(t *testing.T) {
 	d := hls.MACDesign(16)
-	s, nl := compile(t, d, 100000)
+	s, nl := Compile(d, hls.Constraints{ClockPS: 100000})
 	if _, err := ProveEquivalence(d, s.Latency, nl, 16); err == nil {
 		t.Fatal("48-bit input space accepted for exhaustive proof")
+	}
+}
+
+// A netlist with several wrong outputs fails on the first one in port
+// order, every time.
+func TestEquivalenceFailureNamesFirstOutput(t *testing.T) {
+	d := hls.CrossbarDstLoopDesign(2, 4)
+	s, nl := Compile(d, hls.Constraints{ClockPS: 100000})
+	for i, b := range nl.Outputs {
+		switch b.Name {
+		case "out0":
+			nl.Outputs[i].Name = "out1"
+		case "out1":
+			nl.Outputs[i].Name = "out0"
+		}
+	}
+	msgs := map[string]int{}
+	for i := 0; i < 50; i++ {
+		_, err := ProveEquivalence(d, s.Latency, nl, 16)
+		if err == nil {
+			t.Fatal("netlist with swapped outputs proven equivalent")
+		}
+		msgs[err.Error()]++
+	}
+	if len(msgs) != 1 {
+		t.Fatalf("50 proofs gave %d different errors: %v", len(msgs), msgs)
+	}
+	for m := range msgs {
+		if !strings.Contains(m, "output out0 ") {
+			t.Fatalf("error names another output: %s", m)
+		}
 	}
 }

@@ -9,49 +9,25 @@ import (
 	"repro/internal/rtl"
 )
 
-func randVec(r *rand.Rand, d *hls.Design) map[string]uint64 {
-	in := map[string]uint64{}
-	for _, p := range d.Inputs {
-		w := uint(p.Width)
-		v := r.Uint64()
-		if w < 64 {
-			v &= 1<<w - 1
-		}
-		in[p.Name] = v
-	}
-	return in
-}
-
 // checkEquivalence streams random vectors through the gate-level netlist
 // and compares each delayed output against the golden interpreter.
 func checkEquivalence(t *testing.T, d *hls.Design, cons hls.Constraints, optimize bool, vectors int, seed int64) *rtl.Netlist {
 	t.Helper()
-	opt := hls.Optimize(d)
-	sched := hls.Pipeline(opt, cons)
-	nl := Map(sched)
+	var sched *hls.Schedule
+	var nl *rtl.Netlist
 	if optimize {
-		nl = Optimize(nl)
+		sched, nl = Compile(d, cons)
+	} else {
+		sched = hls.Pipeline(hls.Optimize(d), cons)
+		nl = Map(sched)
 	}
 	sim, err := rtl.NewSimulator(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(seed))
-	var history []map[string]uint64
-	for k := 0; k < vectors+sched.Latency; k++ {
-		in := randVec(r, d)
-		history = append(history, in)
-		got := sim.Step(in)
-		if k < sched.Latency {
-			continue // pipeline not yet full
-		}
-		want := d.Interpret(history[k-sched.Latency])
-		for name, w := range want {
-			if got[name] != w {
-				t.Fatalf("%s (opt=%v latency=%d): vector %d output %s = %#x, want %#x",
-					d.Name, optimize, sched.Latency, k, name, got[name], w)
-			}
-		}
+	if _, err := Cosim(d, sched.Latency, sim, vectors, func(int) map[string]uint64 { return d.RandomInputs(r) }); err != nil {
+		t.Fatalf("opt=%v latency=%d: %v", optimize, sched.Latency, err)
 	}
 	return nl
 }
@@ -108,8 +84,7 @@ func TestSTAMonotoneInWidth(t *testing.T) {
 	lib := &Default16nm
 	var prev int
 	for _, w := range []int{4, 8, 16, 32} {
-		d := hls.Optimize(hls.AdderTreeDesign(2, w))
-		nl := Optimize(Map(hls.Pipeline(d, hls.Constraints{ClockPS: 100000, NoPipeline: true})))
+		_, nl := Compile(hls.AdderTreeDesign(2, w), hls.Constraints{ClockPS: 100000, NoPipeline: true})
 		tm := STA(nl, lib)
 		if tm.CriticalPS <= prev {
 			t.Fatalf("width %d critical path %dps not longer than previous %dps", w, tm.CriticalPS, prev)
@@ -120,10 +95,9 @@ func TestSTAMonotoneInWidth(t *testing.T) {
 
 func TestPipeliningImprovesFmax(t *testing.T) {
 	lib := &Default16nm
-	d := hls.Optimize(hls.FIRDesign(8, 16))
-	comb := STA(Optimize(Map(hls.Pipeline(d, hls.Constraints{ClockPS: 100000, NoPipeline: true}))), lib)
-	d2 := hls.Optimize(hls.FIRDesign(8, 16))
-	piped := STA(Optimize(Map(hls.Pipeline(d2, hls.Constraints{ClockPS: 450}))), lib)
+	_, combNl := Compile(hls.FIRDesign(8, 16), hls.Constraints{ClockPS: 100000, NoPipeline: true})
+	_, pipedNl := Compile(hls.FIRDesign(8, 16), hls.Constraints{ClockPS: 450})
+	comb, piped := STA(combNl, lib), STA(pipedNl, lib)
 	if piped.CriticalPS >= comb.CriticalPS {
 		t.Fatalf("pipelined critical %dps >= combinational %dps", piped.CriticalPS, comb.CriticalPS)
 	}
@@ -138,8 +112,9 @@ func TestCrossbarQoRPenalty(t *testing.T) {
 	}
 	lib := &Default16nm
 	cons := hls.DefaultConstraints()
-	src := Report(Optimize(Map(hls.Pipeline(hls.Optimize(hls.CrossbarSrcLoopDesign(32, 32)), cons))), lib)
-	dst := Report(Optimize(Map(hls.Pipeline(hls.Optimize(hls.CrossbarDstLoopDesign(32, 32)), cons))), lib)
+	_, srcNl := Compile(hls.CrossbarSrcLoopDesign(32, 32), cons)
+	_, dstNl := Compile(hls.CrossbarDstLoopDesign(32, 32), cons)
+	src, dst := Report(srcNl, lib), Report(dstNl, lib)
 	ratio := src.Total / dst.Total
 	t.Logf("src-loop %d gates, dst-loop %d gates, penalty %.1f%%", src.GateCount, dst.GateCount, (ratio-1)*100)
 	if ratio < 1.10 || ratio > 1.60 {
@@ -149,8 +124,7 @@ func TestCrossbarQoRPenalty(t *testing.T) {
 
 func TestReportBreakdown(t *testing.T) {
 	lib := &Default16nm
-	d := hls.Optimize(hls.MACDesign(8))
-	nl := Optimize(Map(hls.Pipeline(d, hls.Constraints{ClockPS: 400})))
+	_, nl := Compile(hls.MACDesign(8), hls.Constraints{ClockPS: 400})
 	r := Report(nl, lib)
 	if r.Sequential == 0 {
 		t.Fatal("pipelined design reports no flop area")
@@ -164,8 +138,7 @@ func TestReportBreakdown(t *testing.T) {
 }
 
 func TestVerilogEmission(t *testing.T) {
-	d := hls.Optimize(hls.MACDesign(4))
-	nl := Optimize(Map(hls.Pipeline(d, hls.Constraints{ClockPS: 200})))
+	_, nl := Compile(hls.MACDesign(4), hls.Constraints{ClockPS: 200})
 	v := nl.Verilog()
 	for _, want := range []string{"module mac_4", "input clk", "endmodule", "always @(posedge clk)"} {
 		if !strings.Contains(v, want) {
@@ -175,15 +148,14 @@ func TestVerilogEmission(t *testing.T) {
 }
 
 func TestSimulatorTogglesCounted(t *testing.T) {
-	d := hls.Optimize(hls.AdderTreeDesign(4, 8))
-	nl := Optimize(Map(hls.Pipeline(d, hls.Constraints{ClockPS: 100000, NoPipeline: true})))
+	s, nl := Compile(hls.AdderTreeDesign(4, 8), hls.Constraints{ClockPS: 100000, NoPipeline: true})
 	sim, err := rtl.NewSimulator(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(5))
 	for k := 0; k < 20; k++ {
-		sim.Step(randVec(r, d))
+		sim.Step(s.Design.RandomInputs(r))
 	}
 	if sim.Toggles == 0 {
 		t.Fatal("no toggles recorded under random stimulus")
@@ -200,14 +172,12 @@ func BenchmarkMapCrossbarDst16(b *testing.B) {
 }
 
 func BenchmarkNetlistSimFIR(b *testing.B) {
-	d := hls.Optimize(hls.FIRDesign(8, 16))
-	nl := Optimize(Map(hls.Pipeline(d, hls.DefaultConstraints())))
+	s, nl := Compile(hls.FIRDesign(8, 16), hls.DefaultConstraints())
 	sim, err := rtl.NewSimulator(nl)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(6))
-	in := randVec(r, d)
+	in := s.Design.RandomInputs(rand.New(rand.NewSource(6)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step(in)

@@ -32,7 +32,8 @@ func rtlBenchDesigns() []*hls.Design {
 }
 
 func rtlBenchNetlist(d *hls.Design) *rtl.Netlist {
-	return synth.Optimize(synth.Map(hls.Pipeline(hls.Optimize(d), hls.DefaultConstraints())))
+	_, nl := synth.Compile(d, hls.DefaultConstraints())
+	return nl
 }
 
 // runRTLCycles drives cycles random vectors through sim. The

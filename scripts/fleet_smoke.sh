@@ -5,8 +5,9 @@
 # plus three workers on ephemeral ports, and drives the fleet through
 # the client API exactly like a lone daemon: jobs land on workers by
 # content hash, a worker killed mid-batch triggers failover with zero
-# lost jobs, and every result is byte-identical to a single-daemon run
-# of the same specs. Run via `make fleet-smoke`.
+# lost jobs, the restarted worker serves jobs again, and every result
+# is byte-identical to a single-daemon run of the same specs. Run via
+# `make fleet-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -101,6 +102,17 @@ for _ in $(seq 1 50); do
 done
 [ "$N" -eq 3 ] || fail "fleet did not heal to 3 workers after restart (got $N)"
 
+# The restarted worker must serve again: this spec's rendezvous order
+# over w1, w2, w3 is [w2 w3 w1], so the idle fleet routes it to w2.
+$CTL submit -spec '{"kind":"stallhunt","stall":0.3,"messages":60,"seeds":2,"seed":31}' -wait \
+	>"$WORK/rejoin.json" || fail "submission after restart failed"
+$CTL jobs >"$WORK/jobs.json" || fail "jobs listing failed"
+LAST=$(tr -d ' \n' <"$WORK/jobs.json" | sed 's/.*{//') # the newest job's row
+case "$LAST" in
+*'"worker":"w2"'*) ;;
+*) fail "restarted w2 did not serve the job it owns (row: $LAST)" ;;
+esac
+
 # Failover counters must show the death was seen and handled.
 $CTL metrics >"$WORK/metrics.json" || fail "metrics fetch failed"
 grep -q '"path":"fleet/failover","name":"worker_deaths","value":[1-9]' "$WORK/metrics.json" \
@@ -137,4 +149,4 @@ done
 wait "$GW_PID" || fail "socgw exited non-zero after SIGTERM"
 grep -q "drained, exiting" "$WORK/socgw.err" || fail "gateway drain log line missing"
 
-echo "fleet-smoke: PASS (socgw at $ADDR: 3 workers, failover, byte-identical, drain)"
+echo "fleet-smoke: PASS (socgw at $ADDR: 3 workers, failover, rejoin, byte-identical, drain)"
