@@ -20,6 +20,8 @@ func TestCheckBodiesPinned(t *testing.T) {
 		{`{"kind":"lint","test":"memcpy"}`, "c18731a293c6b7f2"},
 		{`{"kind":"lint","test":"memcpy","gals":true}`, "2d1a71847e2becfa"},
 		{`{"kind":"lint","test":"badcdc"}`, "61bdab25222b27be"},
+		{`{"kind":"rateck","test":"memcpy"}`, "24414bf6f604d32d"},
+		{`{"kind":"rateck","test":"memcpy","gals":true}`, "e3ad19196a339acc"},
 		{`{"kind":"rateck","test":"badrate"}`, "bc54566ab97b995f"},
 		{`{"kind":"rateck","test":"badbuf"}`, "04527be8e59b1baf"},
 		{`{"kind":"verify","test":"mcserdes"}`, "03f55ad2065fe55c"},
