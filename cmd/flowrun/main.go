@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hls"
 	"repro/internal/lint"
-	"repro/internal/ratecheck"
 	"repro/internal/rtl"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -80,15 +79,6 @@ func main() {
 	if lr := lint.CheckHLS(build()); len(lr.Diags) > 0 {
 		lr.WriteTree(os.Stderr)
 		if lr.Errors() > 0 {
-			os.Exit(1)
-		}
-	}
-	// Same gate for rate annotations: a bogus annotation (unknown port,
-	// non-positive rate, duplicate) fails before the flow runs, so the
-	// bounds the schedule report quotes are never built on bad input.
-	if rr := ratecheck.CheckHLS(build()); len(rr.Diags) > 0 {
-		rr.WriteTree(os.Stderr)
-		if rr.Errors() > 0 {
 			os.Exit(1)
 		}
 	}

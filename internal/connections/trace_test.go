@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"repro/internal/sim"
@@ -222,14 +221,7 @@ func TestDisarmedOverheadGuard(t *testing.T) {
 	if os.Getenv("TRACE_OVERHEAD_GUARD") != "1" {
 		t.Skip("set TRACE_OVERHEAD_GUARD=1 to run the overhead guard")
 	}
-	limitPct := 2.0
-	if v := os.Getenv("TRACE_OVERHEAD_LIMIT_PCT"); v != "" {
-		p, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			t.Fatalf("TRACE_OVERHEAD_LIMIT_PCT: %v", err)
-		}
-		limitPct = p
-	}
+	const limitPct = 2.0
 	// Interleaved best-of-R: pairing the two measurements round by round
 	// and taking each side's minimum cancels frequency drift and
 	// scheduler noise, which on shared machines exceeds the budget.

@@ -67,10 +67,6 @@ type Design struct {
 	Ops     []*Op // topologically ordered (SSA creation order)
 	Inputs  []*Op
 	Outputs []*Op
-
-	// Rates are the optional per-port token-rate annotations consumed by
-	// the static communication-rate pass; see DeclareRate.
-	Rates []RateAnno
 }
 
 // mask returns the width mask for w bits.

@@ -32,22 +32,6 @@ func NewSerializer[T connections.Packable](clk *sim.Clock, name string, flitWidt
 	return s
 }
 
-// DeclareRates registers the serializer with the static rate analysis as
-// an SDF actor firing once per flits cycles: each firing pops one message
-// and pushes flits flits (the caller knows the message width, so it
-// supplies the flit count the constructor never sees). The ports become
-// owned under name, so callers must bind both — which they already do,
-// or the serializer would deadlock.
-func (s *Serializer[T]) DeclareRates(clk *sim.Clock, name string, flits int64) *Serializer[T] {
-	if flits < 1 {
-		panic("matchlib: serializer flit count must be positive")
-	}
-	clk.Sim().Design().DeclareActor(name, sim.ActorSDF, clk, sim.NewRat(1, flits))
-	s.In.Owned(clk, name, "in").Rated(1, 1)
-	s.Out.Owned(clk, name, "out").Rated(flits, 1)
-	return s
-}
-
 // Deserializer reassembles flit streams into messages of msgWidth bits,
 // recovered by unpack.
 type Deserializer[T any] struct {
@@ -73,18 +57,5 @@ func NewDeserializer[T any](clk *sim.Clock, name string, msgWidth int, unpack fu
 			th.Wait()
 		}
 	})
-	return d
-}
-
-// DeclareRates is the deserializer mirror of Serializer.DeclareRates:
-// one firing per flits cycles, popping flits flits and pushing one
-// reassembled message.
-func (d *Deserializer[T]) DeclareRates(clk *sim.Clock, name string, flits int64) *Deserializer[T] {
-	if flits < 1 {
-		panic("matchlib: deserializer flit count must be positive")
-	}
-	clk.Sim().Design().DeclareActor(name, sim.ActorSDF, clk, sim.NewRat(1, flits))
-	d.In.Owned(clk, name, "in").Rated(flits, 1)
-	d.Out.Owned(clk, name, "out").Rated(1, 1)
 	return d
 }

@@ -92,19 +92,6 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 	return r
 }
 
-// DeclareSplit records the expected fraction of this router's output
-// traffic leaving through port (num/den). The ratio is advisory: the
-// rate analysis reports it beside the port's channels but never uses it
-// to tighten a throughput bound, because measured traffic under a
-// hotspot pattern may concentrate entirely on one port.
-func (r *WHVCRouter) DeclareSplit(port int, num, den int64) *WHVCRouter {
-	if port < 0 || port >= r.nPorts {
-		panic(fmt.Sprintf("noc: split port %d out of range [0,%d)", port, r.nPorts))
-	}
-	r.clk.Sim().Design().DeclareSplit(r.name, fmt.Sprintf("out[%d]", port), sim.NewRat(num, den))
-	return r
-}
-
 func (r *WHVCRouter) run(th *sim.Thread) {
 	// With every input VC empty the loop body below is a no-op (req stays
 	// zero for every output, so neither the arbiter state nor the counters are

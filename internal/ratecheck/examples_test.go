@@ -4,9 +4,9 @@ package ratecheck_test
 // design the repo ships must pass the rate analysis with zero
 // diagnostics under both clocking styles — the opt-in contract means a
 // design only collects findings where someone declared rates, and the
-// shipped declarations (router/NI/node switch actors, serdes rates) are
-// all consistent. The deliberately mis-rated fixtures are pinned to
-// their exact expected findings.
+// shipped declarations (router/NI/node switch actors) are all
+// consistent. The deliberately mis-rated fixtures are pinned to their
+// exact expected findings.
 
 import (
 	"strings"
@@ -48,10 +48,7 @@ func TestNocTopologiesRateClean(t *testing.T) {
 	t.Run("mesh", func(t *testing.T) {
 		s := sim.New()
 		clk := s.AddClock("clk", 1000, 0)
-		m := noc.BuildMesh(clk, "m", 3, 3, 2, 4)
-		// The center router of an XY-routed 3x3 mesh under uniform load
-		// carries the documented advisory split.
-		m.Routers[4].DeclareSplit(noc.PortLocal, 1, 9)
+		noc.BuildMesh(clk, "m", 3, 3, 2, 4)
 		r := ratecheck.Check(s)
 		if len(r.Diags) != 0 {
 			var b strings.Builder
@@ -60,9 +57,6 @@ func TestNocTopologiesRateClean(t *testing.T) {
 		}
 		if r.ActorsSwitch != 18 { // 9 routers + 9 NIs
 			t.Fatalf("mesh switch actors = %d, want 18", r.ActorsSwitch)
-		}
-		if len(r.Splits) != 1 {
-			t.Fatalf("splits = %+v", r.Splits)
 		}
 	})
 	t.Run("ring", func(t *testing.T) {
@@ -81,25 +75,39 @@ type rateMsg struct{ v uint64 }
 
 func (m rateMsg) PackBits() bitvec.Vec { return bitvec.FromUint64(m.v, 40) }
 
-// TestSerdesChainRateClean declares the matchlib serializer/deserializer
-// pair as SDF actors (40-bit messages over 16-bit flits = 3 flits) and
-// checks the balance equations accept the chain, with the link bound
-// tightened by the 1-firing-per-3-cycles service.
-func TestSerdesChainRateClean(t *testing.T) {
+// serdesChain builds src -> serializer -> link -> deserializer -> sink,
+// 40-bit messages over 16-bit flits (3 flits each), with the serializer
+// and deserializer declared as SDF actors firing once per 3 cycles: the
+// serializer pops 1 message and pushes 3 flits per firing, the
+// deserializer the mirror image.
+func serdesChain(linkDepth int) *sim.Simulator {
 	s := sim.New()
 	clk := s.AddClock("clk", 1000, 0)
-	ser := matchlib.NewSerializer[rateMsg](clk, "ser", 16).DeclareRates(clk, "ser", 3)
+	d := s.Design()
+	ser := matchlib.NewSerializer[rateMsg](clk, "ser", 16)
+	d.DeclareActor("ser", sim.ActorSDF, clk, sim.NewRat(1, 3))
+	ser.In.Owned(clk, "ser", "in").Rated(1, 1)
+	ser.Out.Owned(clk, "ser", "out").Rated(3, 1)
 	des := matchlib.NewDeserializer(clk, "des", 40, func(b bitvec.Vec) rateMsg {
 		return rateMsg{v: b.Uint64()}
-	}).DeclareRates(clk, "des", 3)
+	})
+	d.DeclareActor("des", sim.ActorSDF, clk, sim.NewRat(1, 3))
+	des.In.Owned(clk, "des", "in").Rated(3, 1)
+	des.Out.Owned(clk, "des", "out").Rated(1, 1)
 
 	srcOut := connections.NewOut[rateMsg]()
 	connections.Buffer(clk, "src", 2, srcOut, ser.In)
-	connections.Buffer(clk, "link", 3, ser.Out, des.In)
+	connections.Buffer(clk, "link", linkDepth, ser.Out, des.In)
 	sinkIn := connections.NewIn[rateMsg]()
 	connections.Buffer(clk, "sink", 2, des.Out, sinkIn)
+	return s
+}
 
-	r := ratecheck.Check(s)
+// TestSerdesChainRateClean checks the balance equations accept the
+// serdes chain, with the link bound tightened by the
+// 1-firing-per-3-cycles service.
+func TestSerdesChainRateClean(t *testing.T) {
+	r := ratecheck.Check(serdesChain(3))
 	if len(r.Diags) != 0 {
 		var b strings.Builder
 		r.WriteTree(&b)
@@ -125,19 +133,7 @@ func TestSerdesChainRateClean(t *testing.T) {
 // TestSerdesChainUnderBuffered shrinks the flit link below the burst
 // size and expects the RATE-3 recommendation.
 func TestSerdesChainUnderBuffered(t *testing.T) {
-	s := sim.New()
-	clk := s.AddClock("clk", 1000, 0)
-	ser := matchlib.NewSerializer[rateMsg](clk, "ser", 16).DeclareRates(clk, "ser", 3)
-	des := matchlib.NewDeserializer(clk, "des", 40, func(b bitvec.Vec) rateMsg {
-		return rateMsg{v: b.Uint64()}
-	}).DeclareRates(clk, "des", 3)
-	srcOut := connections.NewOut[rateMsg]()
-	connections.Buffer(clk, "src", 2, srcOut, ser.In)
-	connections.Buffer(clk, "link", 1, ser.Out, des.In)
-	sinkIn := connections.NewIn[rateMsg]()
-	connections.Buffer(clk, "sink", 2, des.Out, sinkIn)
-
-	r := ratecheck.Check(s)
+	r := ratecheck.Check(serdesChain(1))
 	dg := one(t, r, "RATE-3")
 	if dg.Path != "link" || !strings.Contains(dg.Hint, "at least 3") {
 		t.Fatalf("RATE-3 = %+v", dg)

@@ -25,14 +25,9 @@
 // edge, whatever the payload).
 //
 // Soundness contract: every reported bound is an upper bound on what
-// the dynamic simulation can do. The verif cross-check
-// (verif.CrossCheckRates) runs the stall-hunter and asserts observed
-// transfers and occupancy never exceed the static numbers; a violation
-// is either a real design bug (the hardware port limit itself was
-// beaten, meaning channel accounting is broken) or an analysis bug (a
-// declared-rate bound was tighter than reality). Advisory inputs that
-// cannot be guaranteed — a router's per-port split ratio under unknown
-// traffic — are reported but never used to tighten a bound.
+// the dynamic simulation can do. A verif test runs the stall-hunter, a
+// NoC mesh, a GALS crossing and a serdes chain and asserts that the
+// measured transfers and occupancy never exceed the static numbers.
 package ratecheck
 
 import (
@@ -77,14 +72,6 @@ type CrossingReport struct {
 	BoundNS  sim.Rat `json:"bound_per_ns"` // tokens per nanosecond
 }
 
-// SplitReport echoes one advisory split-ratio declaration. Splits are
-// reported for the designer's eyes only; see the package comment.
-type SplitReport struct {
-	Path  string  `json:"path"`
-	Port  string  `json:"port"`
-	Ratio sim.Rat `json:"ratio"`
-}
-
 // Result is the outcome of one rate-analysis pass.
 type Result struct {
 	lint.Diags
@@ -92,7 +79,6 @@ type Result struct {
 	Channels  []ChannelReport
 	Domains   []DomainReport
 	Crossings []CrossingReport
-	Splits    []SplitReport
 
 	// EndToEnd is the steady-state bound through the CDC crossing chain:
 	// the tightest crossing bound, in tokens per nanosecond. Nil when the
@@ -132,8 +118,7 @@ func (r *Result) Err() error {
 
 // ChannelBound returns the static tokens-per-cycle bound for the named
 // channel: the reported bound when the channel is listed, else the
-// hardware port limit of one token per cycle. verif.CrossCheckRates uses
-// it to compare dynamic measurements against the analysis.
+// hardware port limit of one token per cycle. It is never above one.
 func (r *Result) ChannelBound(name string) sim.Rat {
 	for _, c := range r.Channels {
 		if c.Name == name {
@@ -185,7 +170,6 @@ func Check(s *sim.Simulator) *Result {
 	reportChannels(r, d, actors, actorAt, chanFindings)
 	reportDomains(r, s)
 	reportCrossings(r, d)
-	reportSplits(r, d)
 	r.Diags.Sort()
 	return r
 }
@@ -342,13 +326,6 @@ func reportCrossings(r *Result, d *sim.Design) {
 			b := rep.BoundNS
 			r.EndToEnd = &b
 		}
-	}
-}
-
-// reportSplits echoes the advisory split declarations.
-func reportSplits(r *Result, d *sim.Design) {
-	for _, sp := range d.Splits() {
-		r.Splits = append(r.Splits, SplitReport{Path: sp.Path, Port: sp.Port, Ratio: sp.Ratio})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/connections"
 	"repro/internal/gals"
-	"repro/internal/hls"
 	"repro/internal/lint"
 	"repro/internal/ratecheck"
 	"repro/internal/sim"
@@ -272,26 +271,6 @@ func TestDomainAndCrossingBounds(t *testing.T) {
 	}
 }
 
-func TestSplitsAdvisoryOnly(t *testing.T) {
-	s := sim.New()
-	clk := s.AddClock("clk", 1000, 0)
-	d := s.Design()
-	d.DeclareActor("r", sim.ActorSwitch, clk, sim.Rat{})
-	d.DeclareSplit("r", "out[0]", sim.NewRat(1, 4))
-	out := connections.NewOut[int]().Owned(clk, "r", "out[0]")
-	in := connections.NewIn[int]().Owned(clk, "c", "in")
-	connections.Buffer(clk, "rc", 2, out, in)
-
-	r := ratecheck.Check(s)
-	if len(r.Splits) != 1 || r.Splits[0].Ratio.Num != 1 || r.Splits[0].Ratio.Den != 4 {
-		t.Fatalf("splits = %+v", r.Splits)
-	}
-	// Advisory: the channel keeps the hardware bound of 1, not 1/4.
-	if b := r.ChannelBound("rc"); b.Num != 1 || b.Den != 1 {
-		t.Fatalf("split tightened the bound to %s", b)
-	}
-}
-
 func TestWriteTreeGolden(t *testing.T) {
 	s := sim.New()
 	clk := s.AddClock("clk", 1000, 0)
@@ -338,30 +317,5 @@ func TestWriteJSONStable(t *testing.T) {
 		if !strings.Contains(b1.String(), want) {
 			t.Errorf("JSON dump missing %s:\n%s", want, b1.String())
 		}
-	}
-}
-
-func TestCheckHLSRates(t *testing.T) {
-	d := hls.MACDesign(16)
-	d.DeclareRate("a", 1, 1).DeclareRate("nope", 1, 1).DeclareRate("a", 2, 1)
-	d.DeclareRate("b", 0, 1)
-
-	r := ratecheck.CheckHLS(d)
-	if r.Errors() != 3 {
-		t.Fatalf("errors = %d, want 3 (unknown, duplicate, non-positive): %+v", r.Errors(), r.Diags)
-	}
-	if r.RatedPorts != 1 || len(r.Channels) != 1 {
-		t.Fatalf("rated = %d, channels = %+v", r.RatedPorts, r.Channels)
-	}
-	if c := r.Channels[0]; c.Name != d.Name+".a" || c.Bound.Num != 1 {
-		t.Fatalf("channel = %+v", c)
-	}
-}
-
-func TestCheckHLSClean(t *testing.T) {
-	d := hls.MACDesign(16)
-	d.DeclareRate("a", 1, 1).DeclareRate("b", 1, 1)
-	if r := ratecheck.CheckHLS(d); len(r.Diags) != 0 {
-		t.Fatalf("clean annotations diagnosed: %+v", r.Diags)
 	}
 }

@@ -36,12 +36,6 @@ func (r *Result) WriteTree(w io.Writer) {
 				c.Name, c.Style, c.Prod, c.Cons, c.Depth, c.MinDepth, c.BoundNS)
 		}
 	}
-	if len(r.Splits) > 0 {
-		fmt.Fprintln(w, "splits (advisory):")
-		for _, s := range r.Splits {
-			fmt.Fprintf(w, "  %s.%s: %s of output traffic\n", s.Path, s.Port, s.Ratio)
-		}
-	}
 	if r.EndToEnd != nil {
 		fmt.Fprintf(w, "end-to-end: <= %s tok/ns through %d crossings\n", *r.EndToEnd, len(r.Crossings))
 	}
@@ -58,7 +52,6 @@ type jsonDump struct {
 	Channels    []ChannelReport  `json:"channels"`
 	Domains     []DomainReport   `json:"domains"`
 	Crossings   []CrossingReport `json:"crossings"`
-	Splits      []SplitReport    `json:"splits,omitempty"`
 	EndToEnd    *sim.Rat         `json:"end_to_end,omitempty"`
 	Summary     string           `json:"summary"`
 }
@@ -72,7 +65,6 @@ func (r *Result) WriteJSON(w io.Writer) error {
 		Channels:    r.Channels,
 		Domains:     r.Domains,
 		Crossings:   r.Crossings,
-		Splits:      r.Splits,
 		EndToEnd:    r.EndToEnd,
 		Summary:     r.Summary(),
 	}

@@ -165,17 +165,6 @@ type ActorDecl struct {
 	Service Rat
 }
 
-// SplitDecl is an advisory traffic-share declaration for one output port
-// of a switch actor (a NoC router's per-port split ratio). Ratecheck
-// reports the share alongside the port's channel but never uses it to
-// tighten a throughput bound — measured traffic under a hotspot pattern
-// may concentrate entirely on one port.
-type SplitDecl struct {
-	Path  string // actor path
-	Port  string // output port name
-	Ratio Rat    // expected fraction of the actor's output traffic
-}
-
 // SyncDecl records one clock-domain synchronizer (a GALS FIFO): the only
 // legal way for data to cross between Prod's and Cons's domains.
 type SyncDecl struct {
@@ -212,7 +201,6 @@ type Design struct {
 	syncs      []*SyncDecl
 	partitions []Partition
 	actors     []*ActorDecl
-	splits     []SplitDecl
 	names      map[string]string
 	collisions []Collision
 }
@@ -280,17 +268,8 @@ func (d *Design) DeclareActor(path string, class ActorClass, clk *Clock, service
 	return a
 }
 
-// DeclareSplit records an advisory traffic-share ratio for one output
-// port of a switch actor; see SplitDecl.
-func (d *Design) DeclareSplit(path, port string, ratio Rat) {
-	d.splits = append(d.splits, SplitDecl{Path: path, Port: port, Ratio: ratio})
-}
-
 // Actors returns the declared rate-analysis actors in declaration order.
 func (d *Design) Actors() []*ActorDecl { return d.actors }
-
-// Splits returns the advisory split ratios in declaration order.
-func (d *Design) Splits() []SplitDecl { return d.splits }
 
 // Ports returns the declared endpoints in declaration order.
 func (d *Design) Ports() []*PortDecl { return d.ports }

@@ -145,15 +145,6 @@ func RunStallHunt(pStall float64, seed int64, messages int) StallHuntResult {
 	return runStallHunt(context.TODO(), pStall, seed, messages, nil, nil)
 }
 
-// RunStallHuntInspect runs the testbench and, after the simulation
-// stops, hands the still-live simulator to inspect — the hook the
-// static/dynamic cross-validation uses to compare measured channel
-// counters against ratecheck's bounds without re-plumbing the
-// testbench. The hook sees final state only; it cannot perturb timing.
-func RunStallHuntInspect(pStall float64, seed int64, messages int, inspect func(*sim.Simulator)) StallHuntResult {
-	return runStallHunt(context.TODO(), pStall, seed, messages, nil, inspect)
-}
-
 // RunStallHuntTraced runs the same testbench with channel-level tracing
 // armed, returning the recorder alongside the result. Feed the recorder
 // to Recorder.WriteVCD for a waveform of the failure or to
@@ -165,6 +156,8 @@ func RunStallHuntTraced(pStall float64, seed int64, messages int) (StallHuntResu
 	return runStallHunt(context.TODO(), pStall, seed, messages, rec, nil), rec
 }
 
+// runStallHunt runs the testbench; rec, when set, arms channel tracing,
+// and inspect, when set, sees the still-live simulator after the run.
 func runStallHunt(ctx context.Context, pStall float64, seed int64, messages int, rec *trace.Recorder, inspect func(*sim.Simulator)) StallHuntResult {
 	s := sim.New()
 	defer s.Close()
