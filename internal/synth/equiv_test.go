@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -119,5 +120,30 @@ func TestEquivalenceFailureNamesFirstOutput(t *testing.T) {
 		if !strings.Contains(m, "output out0 ") {
 			t.Fatalf("error names another output: %s", m)
 		}
+	}
+}
+
+// Outputs that finish in different pipeline stages still leave the
+// netlist together, Latency cycles after their vector was issued.
+func TestUnbalancedOutputsLeaveTogether(t *testing.T) {
+	b := hls.NewBuilder("unbalanced")
+	x := b.Input("x", 16)
+	y := b.Input("y", 16)
+	sum := b.Add(x, y)
+	b.Output("early", sum)
+	b.Output("late", b.Mul(b.Mul(sum, y), x))
+	d := b.Build()
+
+	s, nl := Compile(d, hls.Constraints{ClockPS: 300})
+	if s.Latency == 0 {
+		t.Fatal("design not pipelined at 300ps")
+	}
+	sim, err := rtl.NewSimulator(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	if _, err := Cosim(d, s.Latency, sim, 64, func(int) map[string]uint64 { return d.RandomInputs(r) }); err != nil {
+		t.Fatal(err)
 	}
 }
