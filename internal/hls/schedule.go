@@ -147,6 +147,12 @@ func Pipeline(d *Design, c Constraints) *Schedule {
 			s.Latency = stage
 		}
 	}
+	// Every output leaves in the last stage, so all of a vector's outputs
+	// appear together Latency cycles after it was issued; an output
+	// computed earlier is registered through to that stage.
+	for _, o := range d.Outputs {
+		o.Stage = s.Latency
+	}
 	// Pipeline registers: a value produced in stage p and consumed in
 	// stage q > p needs (q-p) registers of its width.
 	lastUse := make([]int, len(d.Ops))
