@@ -299,17 +299,6 @@ func BenchmarkBackendAnneal(b *testing.B) {
 	b.ReportMetric(improve, "cost-improvement-%")
 }
 
-func BenchmarkAblationIISweep(b *testing.B) {
-	d := hls.Optimize(hls.FIRDesign(16, 16))
-	s := hls.Pipeline(d, hls.Constraints{ClockPS: 500, MaxMuls: 4})
-	var savings float64
-	for i := 0; i < b.N; i++ {
-		bs := hls.IISweep(s, []int{1, 2, 4, 8})
-		savings = bs[len(bs)-1].SavingsPct
-	}
-	b.ReportMetric(savings, "ii8-savings-%")
-}
-
 func BenchmarkBackendTurnaround(b *testing.B) {
 	parts := core.TestchipPartitions()
 	var r physical.TurnaroundReport

@@ -50,7 +50,6 @@ func main() {
 	tb := flag.String("tb", "", "write a self-checking Verilog testbench to this file")
 	list := flag.Bool("list", false, "list bundled designs")
 	maxMuls := flag.Int("maxmuls", 0, "multiplier resource limit per stage (0 = unlimited)")
-	iiSweep := flag.Bool("ii", false, "print the initiation-interval resource-sharing ablation")
 	prove := flag.Bool("prove", false, "exhaustively prove netlist/golden equivalence (designs with <= 16 input bits)")
 	flag.Parse()
 
@@ -97,9 +96,6 @@ func main() {
 	fmt.Printf("  hls:    %d scheduler steps, %d pipeline stages\n", rep.Steps, rep.Stages)
 
 	sched := rep.Schedule
-	if *iiSweep {
-		hls.PrintIISweep(os.Stdout, sched.Design.Name, hls.IISweep(sched, []int{1, 2, 4, 8}))
-	}
 	if *prove {
 		n, err := synth.ProveEquivalence(build(), sched.Latency, rep.Netlist, 16)
 		if err != nil {

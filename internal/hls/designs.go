@@ -132,7 +132,9 @@ func PriorityArbiterDesign(n int) *Design {
 			blocked = r
 		} else {
 			grants[i] = b.And(r, b.Not(blocked))
-			blocked = b.Or(blocked, r)
+			if i < n-1 { // the last requester blocks no one
+				blocked = b.Or(blocked, r)
+			}
 		}
 	}
 	out := grants[0]

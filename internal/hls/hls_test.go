@@ -245,18 +245,14 @@ func TestResourceConstraintIncreasesLatency(t *testing.T) {
 	}
 }
 
-// The §2.4 QoR effect at the scheduler's area estimate: the src-loop
-// coding costs measurably more than dst-loop and takes more scheduler
-// work at every size.
+// The §2.4 src-loop coding takes more scheduler work than dst-loop at
+// every size; its area penalty is checked on mapped gates by core's
+// TestQoRTableBands.
 func TestSrcLoopPenalty(t *testing.T) {
 	for _, lanes := range []int{8, 16, 32} {
 		cons := DefaultConstraints()
 		src := Pipeline(Optimize(CrossbarSrcLoopDesign(lanes, 32)), cons)
 		dst := Pipeline(Optimize(CrossbarDstLoopDesign(lanes, 32)), cons)
-		ratio := src.AreaEstimate() / dst.AreaEstimate()
-		if ratio < 1.10 {
-			t.Errorf("lanes=%d: src/dst area ratio %.2f, want > 1.10", lanes, ratio)
-		}
 		if src.Steps <= dst.Steps {
 			t.Errorf("lanes=%d: src-loop scheduling steps %d <= dst-loop %d", lanes, src.Steps, dst.Steps)
 		}

@@ -1,9 +1,6 @@
 package hls
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Constraints parameterize a compilation, decoupled from the design
 // source exactly as HLS/synthesis scripts are in the paper's flow.
@@ -58,32 +55,6 @@ func opDelay(op *Op) int {
 		return 0 // wiring: slice, concat, zext, shifts by constant, ports
 	}
 }
-
-// opArea is the pre-synthesis NAND2-equivalent area estimate.
-func opArea(op *Op) float64 {
-	w := float64(op.Width)
-	switch op.Kind {
-	case OpAdd, OpSub:
-		return 7 * w
-	case OpMul:
-		return 5.5 * w * w
-	case OpAnd, OpOr, OpXor:
-		return 1.3 * w
-	case OpNot:
-		return 0.75 * w
-	case OpEq:
-		return 2.4 * float64(op.Args[0].Width)
-	case OpLt:
-		return 7 * float64(op.Args[0].Width)
-	case OpMux:
-		return 2.3 * w
-	default:
-		return 0
-	}
-}
-
-// RegBitArea is the NAND2-equivalent cost of one pipeline register bit.
-const RegBitArea = 4.5
 
 // Pipeline assigns every op a stage so no combinational path exceeds the
 // clock constraint and per-stage resource limits hold, then counts the
@@ -172,22 +143,4 @@ func Pipeline(d *Design, c Constraints) *Schedule {
 		}
 	}
 	return s
-}
-
-// AreaEstimate returns the scheduler's pre-synthesis area estimate in
-// NAND2 equivalents, including pipeline registers.
-func (s *Schedule) AreaEstimate() float64 {
-	a := float64(s.RegBits) * RegBitArea
-	for _, op := range s.Design.Ops {
-		a += opArea(op)
-	}
-	return a
-}
-
-// FmaxMHz returns the achieved clock frequency.
-func (s *Schedule) FmaxMHz() float64 { return 1e6 / float64(s.Period) }
-
-func (s *Schedule) String() string {
-	return fmt.Sprintf("%s: %d ops, %d stages @ %dps, %d reg bits, %.0f NAND2-eq",
-		s.Design.Name, s.Design.OpCount(), s.Latency+1, s.Period, s.RegBits, s.AreaEstimate())
 }

@@ -74,7 +74,7 @@ func TestTranscriptsPinned(t *testing.T) {
 		t.Fatalf("flowrun -list: %v", err)
 	}
 	for _, d := range strings.Fields(string(list)) {
-		args := []string{"-design", d, "-ii", "-tb", d + ".tb.v", "-verilog", d + ".v", "-vcd", d + ".vcd"}
+		args := []string{"-design", d, "-tb", d + ".tb.v", "-verilog", d + ".v", "-vcd", d + ".vcd"}
 		if proveable[d] {
 			args = append(args, "-prove")
 		}
