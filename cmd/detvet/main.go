@@ -1,11 +1,9 @@
 // Command detvet is the repo's determinism vet: a syntactic analyzer
-// over the simulation-kernel packages whose results must be bit-identical
-// across runs and machines: the kernel (internal/sim), every package
-// that runs inside its event loop (connections, gals, noc, soc,
-// matchlib, axi, riscv, trace, power), the gate-level evaluator
-// (internal/rtl), and the fleet, rate-check and model-check layers
-// listed in checkedDirs. It flags the three ways
-// nondeterminism usually leaks into a Go simulator:
+// over every package under internal/, whose results must be
+// bit-identical across runs and machines: the kernel and everything in
+// its event loop, the gate-level evaluator, the compiler, the checkers
+// and the layers that render cacheable result bodies. It flags the three
+// ways nondeterminism usually leaks into a Go simulator:
 //
 //   - importing "time" (wall-clock reads in simulated-time code),
 //   - calling the global math/rand source (rand.Intn and friends share
@@ -38,52 +36,24 @@ import (
 	"strings"
 )
 
-// checkedDirs are the packages under the determinism contract: the
-// kernel and everything that executes inside its event loop, plus the
-// gate-level evaluator whose VCD bytes and port ordering must be
-// identical run to run (its map-range port iteration once made VCD
-// declaration order random per process).
-var checkedDirs = []string{
-	"internal/sim",
-	"internal/connections",
-	"internal/gals",
-	"internal/noc",
-	"internal/soc",
-	"internal/matchlib",
-	"internal/axi",
-	"internal/riscv",
-	"internal/trace",
-	"internal/power",
-	"internal/rtl",
-	// The fleet layer's result bytes must be spec-determined: the wire
-	// codec admits no wall-clock or map-order at all, and the gateway's
-	// unavoidable wall-clock (heartbeat liveness) and map iteration
-	// (load scans resolved by rendezvous ranking) carry explicit
-	// waivers so each use stays auditable.
-	"internal/fleet",
-	"internal/fleet/wire",
-	// The static rate analysis renders byte-stable reports and is under
-	// the stricter no-float contract below: every bound it publishes is
-	// an exact rational.
-	"internal/ratecheck",
-	// The bounded model checker: a proof must mean the same thing on
-	// every host, so the search order, the state hashing, and the
-	// rendered counterexamples are all under the determinism contract —
-	// and under no-float, since its state space is packed integers.
-	"internal/mc",
-	// The design-rule checker and the pass table render the cacheable
-	// lint, rateck and verify result bodies whose bytes are pinned.
-	"internal/lint",
-	"internal/analysis",
-	// The metrics registry renders the canonical metrics JSON that
-	// cacheable result bodies embed.
-	"internal/stats",
-	// HLS computes the schedule behind every QoR gate count, synthesis
-	// computes the gate counts in the cacheable QoR body, and the job
-	// service renders every cacheable body.
-	"internal/hls",
-	"internal/synth",
-	"internal/serve",
+// checkedDirs returns every directory under root/internal, relative to
+// root and in lexical order: all of internal/ is under the determinism
+// contract, so a new package is checked without being listed anywhere.
+// testdata directories hold fixtures, not package source.
+func checkedDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.Walk(filepath.Join(root, "internal"), func(path string, fi os.FileInfo, err error) error {
+		if err != nil || !fi.IsDir() {
+			return err
+		}
+		if fi.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, path)
+		dirs = append(dirs, filepath.ToSlash(rel))
+		return err
+	})
+	return dirs, err
 }
 
 // floatFreeDirs are checked packages additionally barred from floating
@@ -117,8 +87,13 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
+	dirs, err := checkedDirs(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "detvet:", err)
+		os.Exit(2)
+	}
 	var all []finding
-	for _, dir := range checkedDirs {
+	for _, dir := range dirs {
 		fs, err := checkDir(filepath.Join(root, dir), floatFreeDirs[dir])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "detvet:", err)

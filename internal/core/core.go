@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
+	"time" //detvet:ok feeds only Report.Wall, a wall-clock report field
 
 	"repro/internal/hls"
 	"repro/internal/physical"

@@ -7,7 +7,7 @@ import (
 	"io"
 	"runtime/debug"
 	"sync"
-	"time"
+	"time" //detvet:ok feeds only timeouts and the Wall report fields
 
 	"repro/internal/stats"
 )

@@ -32,7 +32,7 @@ func (c *Coverage) Distinct() int { return len(c.counts) }
 // attaching costs nothing during simulation.
 func (c *Coverage) Attach(reg *stats.Registry, path string) {
 	reg.Source(path, func(emit stats.Emit) {
-		for name, n := range c.counts {
+		for name, n := range c.counts { //detvet:ok the registry sorts every snapshot
 			emit(name, float64(n))
 		}
 	})
@@ -83,7 +83,7 @@ func (s *Scoreboard) Observe(flow string, v uint64) {
 // Drain reports items still expected — losses — plus any earlier errors.
 func (s *Scoreboard) Drain() []string {
 	errs := append([]string(nil), s.errs...)
-	for flow, q := range s.expect {
+	for flow, q := range s.expect { //detvet:ok errs is sorted below
 		if len(q) > 0 {
 			errs = append(errs, fmt.Sprintf("flow %s: %d items never arrived", flow, len(q)))
 		}
