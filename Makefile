@@ -15,10 +15,12 @@ test: build
 # tracing armed, enforce the disarmed tracing overhead budget (<= 2%
 # over the untraced primitives), and hold the compiled RTL backend's
 # throughput floor over the interpreter. The decoders of outside bytes
-# (wire frames, job specs, metrics dumps) are fuzzed for a fixed
-# budget, every analysis pass must pass the shipped designs and catch
-# its seeded-bug fixtures, and the benchmark module's golden cycle,
-# instret, edge and pause counts (the determinism guard) must hold.
+# (wire frames, job specs, metrics dumps) and the HLS-to-gates compiler
+# (random bounded designs checked stage by stage against the golden
+# model) are fuzzed for a fixed budget, every analysis pass must pass
+# the shipped designs and catch its seeded-bug fixtures, and the
+# benchmark module's golden cycle, instret, edge and pause counts (the
+# determinism guard) must hold.
 check: vet
 	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
@@ -27,6 +29,7 @@ check: vet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMsg$$' -fuzztime 10s ./internal/fleet/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSON$$' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/synth
 	cd bench && $(GO) test .
 	$(MAKE) analysis
 	$(MAKE) serve-smoke
