@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench vet analysis serve-smoke fleet-smoke
+.PHONY: build test check bench vet analysis serve-smoke fleet-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,8 @@ test: build
 # model) are fuzzed for a fixed budget, every analysis pass must pass
 # the shipped designs and catch its seeded-bug fixtures, and the
 # benchmark module's golden cycle, instret, edge and pause counts (the
-# determinism guard) must hold.
+# determinism guard) must hold, and a short run of every benchmark
+# workload must finish clean.
 check: vet
 	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
@@ -34,6 +35,7 @@ check: vet
 	$(MAKE) analysis
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke
+	$(MAKE) bench-smoke
 
 # End-to-end smoke of the socd daemon: boot on an ephemeral port, submit
 # lint + sim jobs over HTTP, assert the cache-hit byte identity, and
@@ -46,6 +48,12 @@ serve-smoke:
 # again, and byte-identity of every result against a single-daemon rerun.
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
+
+# A one-second run of each benchmark workload through bench/run.sh under
+# a deadline: each must exit 0 with no failed op and leave no socbench,
+# socd or socgw process behind.
+bench-smoke:
+	bash scripts/bench_smoke.sh
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -53,9 +53,15 @@ func NewInterconnect(clk *sim.Clock, name string, nMasters int, regions []Region
 		rorig := matchlib.NewFIFO[wOrigin](16)
 
 		clk.Spawn(fmt.Sprintf("%s.s%d.wr", name, j), func(th *sim.Thread) {
+			awEvs := ic.requestEvents(true)
+			pending := func() bool { return ic.pending(j, true) != 0 }
 			for {
-				m := ic.pickPending(wArb, j, true)
-				if m < 0 || worig.Full() {
+				m := wArb.Pick(ic.pending(j, true))
+				if m < 0 {
+					th.WaitOn(pending, awEvs...)
+					continue
+				}
+				if worig.Full() {
 					th.Wait()
 					continue
 				}
@@ -83,9 +89,15 @@ func NewInterconnect(clk *sim.Clock, name string, nMasters int, regions []Region
 			}
 		})
 		clk.Spawn(fmt.Sprintf("%s.s%d.rd", name, j), func(th *sim.Thread) {
+			arEvs := ic.requestEvents(false)
+			pending := func() bool { return ic.pending(j, false) != 0 }
 			for {
-				m := ic.pickPending(rArb, j, false)
-				if m < 0 || rorig.Full() {
+				m := rArb.Pick(ic.pending(j, false))
+				if m < 0 {
+					th.WaitOn(pending, arEvs...)
+					continue
+				}
+				if rorig.Full() {
 					th.Wait()
 					continue
 				}
@@ -119,9 +131,14 @@ type wOrigin struct {
 	master, id int
 }
 
-// pickPending round-robin selects a master whose AW (write) or AR (read)
-// head decodes to slave j, or -1.
-func (ic *Interconnect) pickPending(arb *matchlib.Arbiter, j int, write bool) int {
+// pending returns the mask of masters whose AW (write) or AR (read) head
+// decodes to slave j; a slave's request thread round-robins over it. An
+// empty mask leaves the arbiter as it is, so a request thread that finds
+// none may park on requestEvents until the mask turns nonzero and still
+// pick exactly as a thread polling every edge would. A pick rotates the
+// arbiter and commits the thread to that request, so while the origin
+// queue is full it polls instead.
+func (ic *Interconnect) pending(j int, write bool) uint64 {
 	var req uint64
 	for m, mp := range ic.MasterPorts {
 		if write {
@@ -134,7 +151,23 @@ func (ic *Interconnect) pickPending(arb *matchlib.Arbiter, j int, write bool) in
 			}
 		}
 	}
-	return arb.Pick(req)
+	return req
+}
+
+// requestEvents returns the events of every master's AW (write) or AR
+// (read) channel: whatever can change pending notifies one of them. The
+// ports are bound after NewInterconnect, so the request threads call it
+// at their first edge.
+func (ic *Interconnect) requestEvents(write bool) []*sim.Event {
+	evs := make([]*sim.Event, len(ic.MasterPorts))
+	for m, mp := range ic.MasterPorts {
+		if write {
+			evs[m] = mp.AW.Event()
+		} else {
+			evs[m] = mp.AR.Event()
+		}
+	}
+	return evs
 }
 
 func (ic *Interconnect) slaveOf(addr int) int {

@@ -121,6 +121,18 @@ type options struct {
 // WithMode selects the port-operation cost model.
 func WithMode(m Mode) Option { return func(o *options) { o.mode = m } }
 
+// ModeOf returns the port-operation cost model that opts select: the
+// mode of a channel bound with them. A component that drives its ports
+// from a method process (sim.Clock.Method) reads it to know whether its
+// port operations charge a Wait.
+func ModeOf(opts ...Option) Mode {
+	var o options
+	for _, f := range opts {
+		f(&o)
+	}
+	return o.mode
+}
+
 // WithLatency inserts n retiming-register stages into the channel, the
 // paper's mechanism for easing timing pressure on inter-unit interfaces.
 func WithLatency(n int) Option {

@@ -1,6 +1,9 @@
 package matchlib
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Arbiter is the 1-out-of-N round-robin selector class: it stores a
 // rotating priority and its Pick method selects among requesters and
@@ -32,14 +35,13 @@ func (a *Arbiter) Pick(req uint64) int {
 	if req == 0 {
 		return -1
 	}
-	for off := 0; off < a.n; off++ {
-		i := (a.next + off) % a.n
-		if req&(1<<uint(i)) != 0 {
-			a.next = (i + 1) % a.n
-			return i
-		}
+	// The first requester at or after next, else the first from 0.
+	i := bits.TrailingZeros64(req)
+	if late := req >> uint(a.next) << uint(a.next); late != 0 {
+		i = bits.TrailingZeros64(late)
 	}
-	return -1
+	a.next = (i + 1) % a.n
+	return i
 }
 
 // PickOneHot is Pick returning a one-hot grant mask (0 when no request).

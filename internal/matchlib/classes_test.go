@@ -121,6 +121,33 @@ func TestArbiterSkipsIdle(t *testing.T) {
 	}
 }
 
+// Pick grants exactly what a scan from the rotating priority does: the
+// first requester at or after next, wrapping around, over widths up to
+// 64 and sparse and dense masks.
+func TestArbiterPickMatchesPriorityScan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 10, 31, 63, 64} {
+		a := NewArbiter(n)
+		next := 0
+		for step := 0; step < 2000; step++ {
+			req := r.Uint64()
+			if step%3 == 0 {
+				req &= r.Uint64() & r.Uint64() // sparse
+			}
+			want := -1
+			for off := 0; off < n; off++ {
+				if i := (next + off) % n; req&(1<<uint(i)) != 0 {
+					want, next = i, (i+1)%n
+					break
+				}
+			}
+			if got := a.Pick(req); got != want {
+				t.Fatalf("n=%d step %d: Pick(%b) = %d, want %d", n, step, req, got, want)
+			}
+		}
+	}
+}
+
 // Property: every grant is a requester, and any continuously-requesting
 // input is granted within N picks (no starvation).
 func TestArbiterNoStarvationProperty(t *testing.T) {

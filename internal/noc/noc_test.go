@@ -211,7 +211,7 @@ func TestRingDelivery(t *testing.T) {
 func TestWormholeNoInterleaving(t *testing.T) {
 	s := sim.New()
 	clk := s.AddClock("clk", 1000, 0)
-	r := NewWHVCRouter(clk, "r", 3, 1, func(dst int) int { return 2 }, nil)
+	r := NewWHVCRouter(clk, "r", 3, 1, func(dst int) int { return 2 }, nil, connections.ModeSimAccurate)
 
 	// Two sources racing for output 2 on the same (single) VC.
 	srcs := make([]*connections.Out[Flit], 2)
@@ -389,7 +389,7 @@ func TestSFSlowerThanWormholeForLongPackets(t *testing.T) {
 				locs = append(locs, r.Out[0])
 				connections.Buffer(clk, fmt.Sprintf("loc%d", i), 1, connections.NewOut[Flit](), r.In[0])
 			} else {
-				r := NewWHVCRouter(clk, fmt.Sprintf("r%d", i), 2, 1, route, nil)
+				r := NewWHVCRouter(clk, fmt.Sprintf("r%d", i), 2, 1, route, nil, connections.ModeSimAccurate)
 				ins = append(ins, r.In[1][0])
 				outs = append(outs, r.Out[1][0])
 				locs = append(locs, r.Out[0][0])

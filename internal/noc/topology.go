@@ -180,7 +180,7 @@ func BuildMesh(clk *sim.Clock, name string, w, h, vcs, depth int, opts ...connec
 	n := w * h
 	for i := 0; i < n; i++ {
 		x, y := i%w, i/w
-		r := NewWHVCRouter(clk, fmt.Sprintf("%s.r%d", name, i), 5, vcs, XYRoute(w, x, y), nil)
+		r := NewWHVCRouter(clk, fmt.Sprintf("%s.r%d", name, i), 5, vcs, XYRoute(w, x, y), nil, connections.ModeOf(opts...))
 		m.Routers = append(m.Routers, r)
 		ni := NewNI(clk, fmt.Sprintf("%s.ni%d", name, i), i, vcs, func(p Packet) int { return int(p.ID) % vcs })
 		m.NIs = append(m.NIs, ni)
@@ -261,7 +261,7 @@ func BuildRing(clk *sim.Clock, name string, n, depth int, opts ...connections.Op
 				return vc
 			}
 		}
-		r := NewWHVCRouter(clk, fmt.Sprintf("%s.r%d", name, i), 2, vcs, route, vcMap)
+		r := NewWHVCRouter(clk, fmt.Sprintf("%s.r%d", name, i), 2, vcs, route, vcMap, connections.ModeOf(opts...))
 		rg.Routers = append(rg.Routers, r)
 		ni := NewNI(clk, fmt.Sprintf("%s.ni%d", name, i), i, vcs, nil)
 		rg.NIs = append(rg.NIs, ni)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/connections"
 	"repro/internal/matchlib"
@@ -28,12 +29,18 @@ type WHVCRouter struct {
 	route        RouteFunc
 	vcMap        VCMapFunc
 
-	// run's per-edge scratch, [port*vc], allocated with the router so
-	// the thread allocates nothing when it starts: the input heads peeked
-	// this edge and the input channels' events (filled at the first edge,
-	// once the ports are bound).
+	// step's state, allocated with the router so that an edge allocates
+	// nothing. ins is In flattened to [port*vc]; heads[k] is the head
+	// flit of ins[k] wherever bit k of have is set, as peeked on cycle
+	// seen; inEvs are the input channels' events (filled at the first
+	// edge, once the ports are bound); ready is snapshot as the park
+	// predicate.
+	ins   []*connections.In[Flit]
 	heads []Flit
+	have  uint64
+	seen  uint64
 	inEvs []*sim.Event
+	ready func() bool
 
 	name string
 	clk  *sim.Clock
@@ -49,8 +56,10 @@ type outLock struct {
 // NewWHVCRouter builds a router with nPorts ports and nVCs virtual
 // channels per port. route maps destinations to output ports; vcMap may
 // be nil (identity). VC buffering depth is set by the channels bound to
-// the ports.
-func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFunc, vcMap VCMapFunc) *WHVCRouter {
+// the ports, and mode is their port-operation cost model: the router
+// runs as a method process, except under ModeSignalAccurate, where its
+// PushNB and PopNB charge a Wait and the same step runs in a thread.
+func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFunc, vcMap VCMapFunc, mode connections.Mode) *WHVCRouter {
 	if nPorts < 1 || nVCs < 1 || nPorts*nVCs > 64 {
 		panic(fmt.Sprintf("noc: router geometry %d ports × %d VCs unsupported", nPorts, nVCs))
 	}
@@ -66,12 +75,14 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 		arbs:   make([]*matchlib.Arbiter, nPorts),
 		route:  route,
 		vcMap:  vcMap,
+		ins:    make([]*connections.In[Flit], 0, nPorts*nVCs),
 		heads:  make([]Flit, nPorts*nVCs),
 		inEvs:  make([]*sim.Event, 0, nPorts*nVCs),
 		name:   name,
 		clk:    clk,
 		sub:    clk.Sim().Tracer().Subject(name),
 	}
+	r.ready = r.snapshot
 	// A router moves flits data-dependently — which output a flit takes is
 	// a function of its destination — so the rate analysis must not write
 	// balance equations across it. Registering it as a switch actor breaks
@@ -83,105 +94,99 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 		for v := 0; v < nVCs; v++ {
 			r.In[i][v] = connections.NewIn[Flit]().Owned(clk, name, fmt.Sprintf("in[%d][%d]", i, v))
 			r.Out[i][v] = connections.NewOut[Flit]().Owned(clk, name, fmt.Sprintf("out[%d][%d]", i, v))
+			r.ins = append(r.ins, r.In[i][v])
 		}
 		r.lock[i] = make([]outLock, nVCs)
 		r.arbs[i] = matchlib.NewArbiter(nPorts * nVCs)
 	}
-	clk.Spawn(name+".whvc", func(th *sim.Thread) { r.run(th) })
+	if mode == connections.ModeSignalAccurate {
+		clk.Spawn(name+".whvc", func(th *sim.Thread) {
+			for {
+				r.step(th)
+			}
+		})
+	} else {
+		clk.Method(name+".whvc", r.step)
+	}
 	clk.Sim().Metrics().Source(name, r.Stats.emit)
 	return r
 }
 
-func (r *WHVCRouter) run(th *sim.Thread) {
-	// With every input VC empty the loop body below is a no-op (req stays
-	// zero for every output, so neither the arbiter state nor the counters are
-	// touched), so the thread parks until a flit is peekable: on the input
-	// channels' events, which notify whenever a head can appear. Peek never
-	// charges a wait in any cost model, making this safe even under
-	// ModeSignalAccurate.
-	for i := range r.In {
-		for _, in := range r.In[i] {
+// snapshot peeks every input VC's head into heads and have, as of the
+// current cycle, and reports whether any input has a flit. It is the
+// router's park predicate: with every input VC empty a step is a no-op
+// (req stays zero for every output, so neither the arbiter state nor the
+// counters are touched), so the router parks until a flit is peekable,
+// on the input channels' events, which notify whenever a head can
+// appear. Peek never charges a wait in any cost model, so the predicate
+// is the same under ModeSignalAccurate. The kernel evaluates it at the
+// router's slot right before the step it admits, so that step finds the
+// snapshot already taken: one scan of the inputs per active edge.
+func (r *WHVCRouter) snapshot() bool {
+	r.have, r.seen = 0, r.clk.Cycle()
+	for k, in := range r.ins {
+		if f, ok := in.Peek(); ok {
+			r.heads[k] = f
+			r.have |= 1 << uint(k)
+		}
+	}
+	return r.have != 0
+}
+
+// step is one pass of the router over its outputs, then a park until an
+// input has a flit. Each output port sends at most one flit per cycle,
+// chosen round-robin among (a) input VCs that own one of its output VCs
+// and have a flit ready and (b) head flits requesting a free output VC.
+// Each input port also supplies at most one flit per cycle (single
+// crossbar input per port), so once one has, used masks its VCs out of
+// the snapshot for the outputs after it.
+//
+// The heads are peeked once per edge rather than once per output:
+// forward pops at most one flit per input port, and used excludes that
+// port from the outputs after it, so the rest of the snapshot is what
+// Peek would return. The snapshot is retaken whenever the cycle has
+// changed: at the first output of an edge the park predicate did not
+// already scan, and after a port operation that charged a Wait
+// (ModeSignalAccurate, where step runs in a thread).
+func (r *WHVCRouter) step(th *sim.Thread) {
+	if len(r.inEvs) == 0 {
+		for _, in := range r.ins {
 			r.inEvs = append(r.inEvs, in.Event())
 		}
 	}
-	anyInput := func() bool {
-		for i := 0; i < r.nPorts; i++ {
-			for v := 0; v < r.nVCs; v++ {
-				if _, ok := r.In[i][v].Peek(); ok {
-					return true
+	portVCs := uint64(1)<<uint(r.nVCs) - 1 // the bits of one input port's VCs
+	var used uint64                        // the bits of every used input port's VCs
+	for o := 0; o < r.nPorts; o++ {
+		if th.Cycle() != r.seen {
+			r.snapshot()
+		}
+		var req uint64
+		for m := r.have &^ used; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m)
+			i, v := k/r.nVCs, k%r.nVCs
+			f := &r.heads[k]
+			lk := r.lock[o][r.vcMap(o, v)]
+			if f.Head {
+				if r.route(f.Dst) == o && !lk.active {
+					req |= 1 << uint(k)
 				}
+			} else if lk.active && lk.inPort == i && lk.vc == v {
+				req |= 1 << uint(k)
 			}
 		}
-		return false
-	}
-	// heads[i*nVCs+v] is the head flit of input VC (i, v) wherever bit
-	// i*nVCs+v of have is set, as peeked on cycle seen. The heads are
-	// peeked once per edge rather than once per output: forward pops at
-	// most one flit per input port, and used excludes that port from the
-	// outputs after it, so the rest of the snapshot is what Peek would
-	// return. The snapshot is retaken whenever the cycle has changed: at
-	// the first output of every edge, and after a port operation that
-	// charged a Wait (ModeSignalAccurate).
-	var have, seen uint64
-	snapshot := func() {
-		have, seen = 0, th.Cycle()
-		for i := 0; i < r.nPorts; i++ {
-			for v := 0; v < r.nVCs; v++ {
-				k := i*r.nVCs + v
-				if f, ok := r.In[i][v].Peek(); ok {
-					r.heads[k] = f
-					have |= 1 << uint(k)
-				}
-			}
+		if req == 0 {
+			continue
+		}
+		g := r.arbs[o].Pick(req)
+		if g < 0 {
+			continue
+		}
+		i := g / r.nVCs
+		if r.forward(th, o, i, g%r.nVCs, r.heads[g]) {
+			used |= portVCs << uint(i*r.nVCs)
 		}
 	}
-	for {
-		// Each output port sends at most one flit per cycle, chosen
-		// round-robin among (a) input VCs that own one of its output VCs
-		// and have a flit ready and (b) head flits requesting a free
-		// output VC. Each input port also supplies at most one flit per
-		// cycle (single crossbar input per port); used has bit i set once
-		// input port i has.
-		var used uint64
-		for o := 0; o < r.nPorts; o++ {
-			if th.Cycle() != seen {
-				snapshot()
-			}
-			var req uint64
-			for i := 0; i < r.nPorts; i++ {
-				if used&(1<<uint(i)) != 0 {
-					continue
-				}
-				for v := 0; v < r.nVCs; v++ {
-					k := i*r.nVCs + v
-					if have&(1<<uint(k)) == 0 {
-						continue
-					}
-					f := &r.heads[k]
-					vOut := r.vcMap(o, v)
-					lk := r.lock[o][vOut]
-					if f.Head {
-						if r.route(f.Dst) == o && !lk.active {
-							req |= 1 << uint(k)
-						}
-					} else if lk.active && lk.inPort == i && lk.vc == v {
-						req |= 1 << uint(k)
-					}
-				}
-			}
-			if req == 0 {
-				continue
-			}
-			g := r.arbs[o].Pick(req)
-			if g < 0 {
-				continue
-			}
-			if r.forward(th, o, g/r.nVCs, g%r.nVCs, r.heads[g]) {
-				used |= 1 << uint(g/r.nVCs)
-			}
-		}
-		th.WaitOn(anyInput, r.inEvs...)
-	}
+	th.WaitOn(r.ready, r.inEvs...)
 }
 
 // forward offers f, the head of In[i][v], to output o; on acceptance it

@@ -5,19 +5,21 @@
 // The kernel advances time in picoseconds from clock edge to clock edge.
 // Every clock edge runs three phases, in order:
 //
-//  1. Threads  — coroutine processes bound to the clock resume and run
-//     until they call Thread.Wait (one simulated cycle of work).
+//  1. Threads  — processes bound to the clock run in registration order:
+//     a coroutine thread (Clock.Spawn) resumes and runs until it calls
+//     Thread.Wait (one simulated cycle of work); a method
+//     (Clock.Method) has its step called once.
 //  2. Commit   — commit hooks latch state, completing the
 //     register-transfer semantics of the cycle. The clock keeps one
 //     commit list: an on-touch hook (Clock.AtCommitOnTouch) runs on the
-//     edges a thread touched it and on those after it asked to run
+//     edges a process touched it and on those after it asked to run
 //     again; an every-edge hook (Clock.AtCommitNamed) is an on-touch
 //     hook touched once and always run again.
 //  3. Monitor  — observation-only hooks (statistics, traces).
 //
 // There is no combinational phase: components talk only through
 // latency-insensitive channels that latch at commit, so nothing couples
-// within a cycle. Every thread and hook carries a non-empty name
+// within a cycle. Every thread, method and hook carries a non-empty name
 // (registering one without panics), which Simulator.Processes reports.
 //
 // Threads are runtime coroutines (iter.Pull), not goroutines synchronized
@@ -29,11 +31,19 @@
 // model and one Wait total in the sim-accurate model — the distinction at
 // the heart of the paper's Figure 3.
 //
+// Methods are the counterpart of SystemC's SC_METHOD beside SC_THREAD: a
+// method's step runs on the kernel's own stack with no coroutine, parks
+// by calling WaitOn or WaitN and returning, and runs again on the next
+// edge when it returns without parking. The same step run by a thread as
+// for { step(th) } observes the same cycles, so a component whose port
+// operations may charge a Wait (the signal-accurate model) keeps one
+// body and registers it as a thread there. A method must not call Wait.
+//
 // The kernel is activity-driven, like SystemC's static sensitivity. A
-// thread that would otherwise poll an idle latency-insensitive endpoint
-// parks on a countdown (Thread.WaitN) or on a predicate and the events
-// that can change it (Thread.WaitOn). A parked thread costs no coroutine
-// switch, and its predicate is evaluated at the thread's scheduling slot
+// thread or method that would otherwise poll an idle latency-insensitive
+// endpoint parks on a countdown (Thread.WaitN) or on a predicate and the
+// events that can change it (Thread.WaitOn). A parked process costs no
+// coroutine switch or step call, and its predicate is evaluated at the thread's scheduling slot
 // only on the first edge after it parks and on edges after one of its
 // events has notified (Event.Notify). A channel likewise commits only on
 // edges where it was pushed or popped, or still has messages in flight;
