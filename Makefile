@@ -20,8 +20,9 @@ test: build
 # model) are fuzzed for a fixed budget, every analysis pass must pass
 # the shipped designs and catch its seeded-bug fixtures, and the
 # benchmark module's golden cycle, instret, edge and pause counts (the
-# determinism guard) must hold, and a short run of every benchmark
-# workload must finish clean.
+# determinism guard) must hold, every SoC test must pass with
+# signal-accurate channels under stall injection in both clockings, and a
+# short run of every benchmark workload must finish clean.
 check: vet
 	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
@@ -33,6 +34,8 @@ check: vet
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/synth
 	cd bench && $(GO) test .
 	$(MAKE) analysis
+	$(GO) run ./cmd/socsim -test all -mode signal -stall 0.1
+	$(GO) run ./cmd/socsim -test all -gals -mode signal -stall 0.1
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) bench-smoke

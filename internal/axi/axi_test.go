@@ -10,7 +10,7 @@ import (
 )
 
 // runLimit bounds every run here at 100,000 cycles of the 1000 ps test
-// clock; the longest run stops at cycle 225.
+// clock; the longest run stops at cycle 329.
 const runLimit = 100_000 * 1000
 
 // run steps s until a master stops it and fails the test when none has
@@ -168,57 +168,80 @@ func TestInterconnectRandomProperty(t *testing.T) {
 	// against stalled slave buses.
 	stopCycles := []uint64{207, 215, 219}
 	for iter := 0; iter < 3; iter++ {
-		s := sim.New()
-		clk := s.AddClock("clk", 1000, 0)
 		nm := 2 + r.Intn(2)
-		ic := NewInterconnect(clk, "ic", nm, []Region{
-			{Base: 0, Size: 256, Slave: 0},
-			{Base: 256, Size: 256, Slave: 1},
-		})
-		for j, slv := range []*MemSlave{NewMemSlave(clk, "s0", 256), NewMemSlave(clk, "s1", 256)} {
-			Connect(clk, fmt.Sprintf("b%d", j), 2, ic.SlavePorts[j], slv.Port,
-				connections.WithStall(0.2, int64(iter)))
-		}
-		done := 0
-		for i := 0; i < nm; i++ {
-			i := i
-			m := NewMaster()
-			Connect(clk, fmt.Sprintf("m%d", i), 2, m, ic.MasterPorts[i])
-			// Master-private stripe across both slaves.
-			model := map[int]uint64{}
-			rr := rand.New(rand.NewSource(int64(iter*10 + i)))
-			clk.Spawn(fmt.Sprintf("master%d", i), func(th *sim.Thread) {
-				for k := 0; k < 30; k++ {
-					addr := rr.Intn(512/nm) + i*(512/nm)
-					if rr.Intn(2) == 0 {
-						v := rr.Uint64()
-						if !m.WriteBurst(th, i, addr, []uint64{v}) {
-							t.Errorf("write failed at %d", addr)
-						}
-						model[addr] = v
-					} else {
-						data, ok := m.ReadBurst(th, i, addr, 1)
-						if !ok {
-							t.Errorf("read failed at %d", addr)
-						} else if want, seen := model[addr]; seen && data[0] != want {
-							t.Errorf("master %d addr %d = %d, want %d", i, addr, data[0], want)
-						}
-					}
-					th.Wait()
-				}
-				done++
-				if done == nm {
-					th.Sim().Stop()
-				}
-				th.Wait()
-			})
-		}
-		run(t, s)
-		if done != nm {
-			t.Fatalf("iter %d: %d/%d masters completed", iter, done, nm)
-		}
-		if got, want := clk.Cycle(), stopCycles[iter]; got != want {
+		stall := connections.WithStall(0.2, int64(iter))
+		if got, want := runRandomPrograms(t, iter, nm, []connections.Option{stall}, nil), stopCycles[iter]; got != want {
 			t.Fatalf("iter %d: stopped at cycle %d, want %d", iter, got, want)
 		}
 	}
+}
+
+// The same property with every link, master side included, in the
+// signal-accurate model under stall injection: a stall can withhold the
+// request head a bus thread has peeked while its handshake charges a
+// Wait, and the thread must still forward that request, not a zero one.
+func TestInterconnectSignalAccurateStalls(t *testing.T) {
+	for iter := 0; iter < 3; iter++ {
+		opts := []connections.Option{
+			connections.WithMode(connections.ModeSignalAccurate),
+			connections.WithStall(0.2, int64(iter)),
+		}
+		runRandomPrograms(t, iter, 3, opts, opts)
+	}
+}
+
+// runRandomPrograms runs nm masters, each with 30 random single-word
+// reads and writes to its own stripe of two 256-word slaves, checks every
+// read against a per-master model and returns the cycle the run stopped
+// at. busOpts apply to the slave buses, masterOpts to the master links.
+func runRandomPrograms(t *testing.T, iter, nm int, busOpts, masterOpts []connections.Option) uint64 {
+	t.Helper()
+	s := sim.New()
+	clk := s.AddClock("clk", 1000, 0)
+	ic := NewInterconnect(clk, "ic", nm, []Region{
+		{Base: 0, Size: 256, Slave: 0},
+		{Base: 256, Size: 256, Slave: 1},
+	})
+	for j, slv := range []*MemSlave{NewMemSlave(clk, "s0", 256), NewMemSlave(clk, "s1", 256)} {
+		Connect(clk, fmt.Sprintf("b%d", j), 2, ic.SlavePorts[j], slv.Port, busOpts...)
+	}
+	done := 0
+	for i := 0; i < nm; i++ {
+		i := i
+		m := NewMaster()
+		Connect(clk, fmt.Sprintf("m%d", i), 2, m, ic.MasterPorts[i], masterOpts...)
+		// Master-private stripe across both slaves.
+		model := map[int]uint64{}
+		rr := rand.New(rand.NewSource(int64(iter*10 + i)))
+		clk.Spawn(fmt.Sprintf("master%d", i), func(th *sim.Thread) {
+			for k := 0; k < 30; k++ {
+				addr := rr.Intn(512/nm) + i*(512/nm)
+				if rr.Intn(2) == 0 {
+					v := rr.Uint64()
+					if !m.WriteBurst(th, i, addr, []uint64{v}) {
+						t.Errorf("write failed at %d", addr)
+					}
+					model[addr] = v
+				} else {
+					data, ok := m.ReadBurst(th, i, addr, 1)
+					if !ok {
+						t.Errorf("read failed at %d", addr)
+					} else if want, seen := model[addr]; seen && data[0] != want {
+						t.Errorf("master %d addr %d = %d, want %d", i, addr, data[0], want)
+					}
+				}
+				th.Wait()
+			}
+			done++
+			if done == nm {
+				th.Sim().Stop()
+			}
+			th.Wait()
+		})
+	}
+	run(t, s)
+	if done != nm {
+		t.Fatalf("iter %d: %d/%d masters completed", iter, done, nm)
+	}
+	return clk.Cycle()
 }

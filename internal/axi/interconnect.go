@@ -65,8 +65,12 @@ func NewInterconnect(clk *sim.Clock, name string, nMasters int, regions []Region
 					th.Wait()
 					continue
 				}
+				// This thread is the only consumer of heads that decode
+				// to slave j, so Pop takes the one pending peeked: at
+				// once, or after a signal-accurate stall that withheld
+				// it during the handshake Wait.
 				mp := ic.MasterPorts[m]
-				aw, _ := mp.AW.PopNB(th)
+				aw := mp.AW.Pop(th)
 				local, ok := ic.translate(aw.Addr, aw.Len, j)
 				if !ok {
 					panic(fmt.Sprintf("axi: write burst at %#x crosses region boundary", aw.Addr))
@@ -102,7 +106,7 @@ func NewInterconnect(clk *sim.Clock, name string, nMasters int, regions []Region
 					continue
 				}
 				mp := ic.MasterPorts[m]
-				ar, _ := mp.AR.PopNB(th)
+				ar := mp.AR.Pop(th) // as aw in the write thread
 				local, ok := ic.translate(ar.Addr, ar.Len, j)
 				if !ok {
 					panic(fmt.Sprintf("axi: read burst at %#x crosses region boundary", ar.Addr))

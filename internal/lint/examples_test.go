@@ -1,7 +1,7 @@
 package lint_test
 
 // Shipped-design cleanliness: every design the repo ships — the SoC
-// workloads under both clocking styles, the NoC topology builders the
+// workloads under both clocking styles, the NoC mesh builder the
 // examples instantiate, and the deliberately broken fixtures' clean
 // siblings — must elaborate and lint with zero diagnostics. The broken
 // fixtures themselves are pinned to their exact expected findings.
@@ -36,7 +36,7 @@ func TestShippedSoCDesignsLintClean(t *testing.T) {
 }
 
 func TestNocTopologiesLintClean(t *testing.T) {
-	// The builders behind examples/nocdemo and the NoC experiments.
+	// The mesh builder behind examples/nocdemo and the NoC experiments.
 	t.Run("mesh", func(t *testing.T) {
 		s := sim.New()
 		clk := s.AddClock("clk", 1000, 0)
@@ -45,16 +45,6 @@ func TestNocTopologiesLintClean(t *testing.T) {
 			var b strings.Builder
 			r.WriteTree(&b)
 			t.Fatalf("mesh:\n%s", b.String())
-		}
-	})
-	t.Run("ring", func(t *testing.T) {
-		s := sim.New()
-		clk := s.AddClock("clk", 1000, 0)
-		noc.BuildRing(clk, "r", 4, 4)
-		if r := lint.Check(s); len(r.Diags) != 0 {
-			var b strings.Builder
-			r.WriteTree(&b)
-			t.Fatalf("ring:\n%s", b.String())
 		}
 	})
 }

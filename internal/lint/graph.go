@@ -27,8 +27,8 @@ import (
 // zero-latency loop where each endpoint's handshake depends
 // combinationally on the other's (DLK-1). Anything else cyclic in the
 // subgraph is a buffered zero-slack cycle (DLK-2), reported as a warning
-// because component-granularity analysis cannot see VC/dateline
-// structure that makes some such rings live.
+// because component-granularity analysis cannot see the virtual-channel
+// structure that makes some such cycles live.
 
 type dlkEdge struct {
 	from, to string

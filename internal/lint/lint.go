@@ -33,7 +33,7 @@ import (
 )
 
 // Severity grades a diagnostic. Errors fail a lint-gated build; warnings
-// are advisory (statically undecidable hazards like dateline rings).
+// are advisory (statically undecidable hazards like buffered cycles).
 type Severity int
 
 // Severities, ordered so that the more severe compares greater.

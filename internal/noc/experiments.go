@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 
-	"repro/internal/connections"
 	"repro/internal/exp"
 	"repro/internal/sim"
 )
@@ -111,60 +110,4 @@ func PrintLoadLatency(wr io.Writer, w, h int, pts []LoadPoint) {
 	for _, p := range pts {
 		fmt.Fprintf(wr, "%13.2f %12.3f %13.1f %10d\n", p.OfferedLoad, p.Throughput, p.MeanLatency, p.Delivered)
 	}
-}
-
-// ModeLatencyComparison measures the same light traffic under two
-// Connections cost models, sim-accurate and RTL cosim — the Figure 3
-// story told with NoC latency.
-func ModeLatencyComparison(w, h int, cycles uint64, seed int64) map[connections.Mode]float64 {
-	out := map[connections.Mode]float64{}
-	for _, mode := range []connections.Mode{
-		connections.ModeSimAccurate, connections.ModeRTLCosim,
-	} {
-		s := sim.New()
-		clk := s.AddClock("clk", 1000, 0)
-		m := BuildMesh(clk, "m", w, h, 2, 4, connections.WithMode(mode))
-		n := w * h
-		sent := map[uint64]uint64{}
-		var latSum uint64
-		var delivered int
-		for src := 0; src < n; src++ {
-			src := src
-			r := rand.New(rand.NewSource(seed + int64(src)))
-			clk.Spawn(fmt.Sprintf("gen[%d]", src), func(th *sim.Thread) {
-				var id uint64
-				for th.Cycle() < cycles {
-					if r.Float64() < 0.02 {
-						dst := (src + 1 + r.Intn(n-1)) % n
-						pid := uint64(src)<<32 | id
-						id++
-						if m.Inject[src].PushNB(th, Packet{Src: src, Dst: dst, ID: pid, Payload: []uint64{1}}) {
-							sent[pid] = th.Cycle()
-						}
-					}
-					th.Wait()
-				}
-			})
-		}
-		for dst := 0; dst < n; dst++ {
-			dst := dst
-			clk.Spawn(fmt.Sprintf("sink[%d]", dst), func(th *sim.Thread) {
-				for {
-					if p, ok := m.Eject[dst].PopNB(th); ok {
-						if t0, ok2 := sent[p.ID]; ok2 {
-							latSum += th.Cycle() - t0
-							delivered++
-						}
-					}
-					th.Wait()
-				}
-			})
-		}
-		s.RunCycles(clk, cycles+200)
-		s.Close()
-		if delivered > 0 {
-			out[mode] = float64(latSum) / float64(delivered)
-		}
-	}
-	return out
 }

@@ -2,8 +2,6 @@ package noc
 
 import (
 	"repro/internal/bitvec"
-	"repro/internal/connections"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -59,17 +57,6 @@ func (p Packet) Flits(vc int) []Flit {
 
 // RouteFunc maps a destination node to a local output port of a router.
 type RouteFunc func(dst int) int
-
-// VCMapFunc optionally rewrites a flit's virtual channel as it leaves on
-// an output port — the dateline mechanism that makes rings deadlock-free.
-type VCMapFunc func(outPort, vc int) int
-
-// TerminateFlit binds a single flit out/in port pair to idle stub
-// channels, used for unconnected edge ports of store-and-forward routers.
-func TerminateFlit(clk *sim.Clock, name string, out *connections.Out[Flit], in *connections.In[Flit]) {
-	connections.Buffer(clk, name+".o", 1, out, connections.NewIn[Flit](), connections.Terminator())
-	connections.Buffer(clk, name+".i", 1, connections.NewOut[Flit](), in, connections.Terminator())
-}
 
 // RouterStats counts router activity.
 type RouterStats struct {

@@ -150,8 +150,12 @@ func TestMesh4x4Delivery(t *testing.T) {
 
 func TestMeshUnderStallInjection(t *testing.T) {
 	// The paper's verification story: random stalls on every link must
-	// not break delivery.
+	// not break delivery, in any cost model. Under the signal-accurate
+	// model a stall can withhold a head flit the router has peeked while
+	// its PushNB charges a Wait.
 	runMeshTraffic(t, 2, 2, 10, 3, 73, connections.WithStall(0.25, 5))
+	runMeshTraffic(t, 2, 2, 10, 3, 73, connections.WithStall(0.25, 5),
+		connections.WithMode(connections.ModeSignalAccurate))
 }
 
 func TestMeshRTLCosimMode(t *testing.T) {
@@ -162,56 +166,11 @@ func TestMeshRTLCosimMode(t *testing.T) {
 	}
 }
 
-func TestRingDelivery(t *testing.T) {
-	s := sim.New()
-	clk := s.AddClock("clk", 1000, 0)
-	const n = 6
-	rg := BuildRing(clk, "r", n, 4)
-	const pkts = 12
-	total := 0
-	for src := 0; src < n; src++ {
-		src := src
-		clk.Spawn(fmt.Sprintf("gen%d", src), func(th *sim.Thread) {
-			for k := 0; k < pkts; k++ {
-				dst := (src + 1 + k%(n-1)) % n
-				rg.Inject[src].Push(th, Packet{Src: src, Dst: dst, ID: uint64(src*1000 + k), Payload: []uint64{uint64(k)}})
-				th.Wait()
-			}
-		})
-		total += pkts
-	}
-	received := 0
-	for dst := 0; dst < n; dst++ {
-		dst := dst
-		clk.Spawn(fmt.Sprintf("sink%d", dst), func(th *sim.Thread) {
-			for {
-				if p, ok := rg.Eject[dst].PopNB(th); ok {
-					if p.Dst != dst {
-						t.Errorf("packet for %d at %d", p.Dst, dst)
-					}
-					received++
-					if received == total {
-						th.Sim().Stop()
-					}
-				}
-				th.Wait()
-			}
-		})
-	}
-	s.Run(100_000_000)
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if received != total {
-		t.Fatalf("ring delivered %d/%d — possible deadlock", received, total)
-	}
-}
-
 // Wormhole property: within one VC on any link, packets never interleave.
 func TestWormholeNoInterleaving(t *testing.T) {
 	s := sim.New()
 	clk := s.AddClock("clk", 1000, 0)
-	r := NewWHVCRouter(clk, "r", 3, 1, func(dst int) int { return 2 }, nil, connections.ModeSimAccurate)
+	r := NewWHVCRouter(clk, "r", 3, 1, func(dst int) int { return 2 }, connections.ModeSimAccurate)
 
 	// Two sources racing for output 2 on the same (single) VC.
 	srcs := make([]*connections.Out[Flit], 2)
@@ -294,18 +253,6 @@ func TestLoadLatencyCurveShape(t *testing.T) {
 	}
 }
 
-func TestModeLatencyComparison(t *testing.T) {
-	lat := ModeLatencyComparison(3, 3, 2500, 9)
-	tlm := lat[connections.ModeSimAccurate]
-	rtl := lat[connections.ModeRTLCosim]
-	if tlm <= 0 || rtl <= 0 {
-		t.Fatalf("missing measurements: %v", lat)
-	}
-	if rtl <= tlm {
-		t.Fatalf("RTL-cosim latency %.1f not above TLM %.1f (pipeline registers missing)", rtl, tlm)
-	}
-}
-
 // Ablation: store-and-forward latency grows with packet length faster
 // than wormhole cut-through... SF must at minimum deliver correctly.
 func TestSFRouterDelivery(t *testing.T) {
@@ -327,8 +274,8 @@ func TestSFRouterDelivery(t *testing.T) {
 	r0 := NewSFRouter(clk, "r0", 2, 2, route0)
 	r1 := NewSFRouter(clk, "r1", 2, 2, route1)
 	connections.Buffer(clk, "link", 2, r0.Out[1], r1.In[1])
-	TerminateFlit(clk, "r1term", r1.Out[1], r1.In[0])
-	TerminateFlit(clk, "r0term", r0.Out[0], r0.In[1])
+	terminatePort(clk, "r1term", []*connections.Out[Flit]{r1.Out[1]}, []*connections.In[Flit]{r1.In[0]})
+	terminatePort(clk, "r0term", []*connections.Out[Flit]{r0.Out[0]}, []*connections.In[Flit]{r0.In[1]})
 
 	src := connections.NewOut[Flit]()
 	connections.Buffer(clk, "src", 2, src, r0.In[0])
@@ -389,7 +336,7 @@ func TestSFSlowerThanWormholeForLongPackets(t *testing.T) {
 				locs = append(locs, r.Out[0])
 				connections.Buffer(clk, fmt.Sprintf("loc%d", i), 1, connections.NewOut[Flit](), r.In[0])
 			} else {
-				r := NewWHVCRouter(clk, fmt.Sprintf("r%d", i), 2, 1, route, nil, connections.ModeSimAccurate)
+				r := NewWHVCRouter(clk, fmt.Sprintf("r%d", i), 2, 1, route, connections.ModeSimAccurate)
 				ins = append(ins, r.In[1][0])
 				outs = append(outs, r.Out[1][0])
 				locs = append(locs, r.Out[0][0])

@@ -23,11 +23,8 @@ type NI struct {
 }
 
 // NewNI builds a network interface for the given node with nVCs virtual
-// channels. vcPick chooses the injection VC per packet (nil injects on 0).
+// channels. vcPick chooses the injection VC per packet.
 func NewNI(clk *sim.Clock, name string, node, nVCs int, vcPick func(Packet) int) *NI {
-	if vcPick == nil {
-		vcPick = func(Packet) int { return 0 }
-	}
 	ni := &NI{
 		PktIn:   connections.NewIn[Packet]().Owned(clk, name, "pkt_in"),
 		PktOut:  connections.NewOut[Packet]().Owned(clk, name, "pkt_out"),
@@ -180,7 +177,7 @@ func BuildMesh(clk *sim.Clock, name string, w, h, vcs, depth int, opts ...connec
 	n := w * h
 	for i := 0; i < n; i++ {
 		x, y := i%w, i/w
-		r := NewWHVCRouter(clk, fmt.Sprintf("%s.r%d", name, i), 5, vcs, XYRoute(w, x, y), nil, connections.ModeOf(opts...))
+		r := NewWHVCRouter(clk, fmt.Sprintf("%s.r%d", name, i), 5, vcs, XYRoute(w, x, y), connections.ModeOf(opts...))
 		m.Routers = append(m.Routers, r)
 		ni := NewNI(clk, fmt.Sprintf("%s.ni%d", name, i), i, vcs, func(p Packet) int { return int(p.ID) % vcs })
 		m.NIs = append(m.NIs, ni)
@@ -221,63 +218,4 @@ func BuildMesh(clk *sim.Clock, name string, w, h, vcs, depth int, opts ...connec
 		}
 	}
 	return m
-}
-
-// Ring is a unidirectional ring of wormhole routers. Packets inject on
-// VC 0 and are remapped to VC 1 when they cross the dateline (the wrap
-// link out of node N-1), which breaks the channel-dependency cycle.
-type Ring struct {
-	N       int
-	Routers []*WHVCRouter
-	NIs     []*NI
-	Inject  []*connections.Out[Packet]
-	Eject   []*connections.In[Packet]
-}
-
-// Ring port conventions: 0 = local, 1 = forward neighbour.
-const (
-	RingLocal   = 0
-	RingForward = 1
-)
-
-// BuildRing constructs an n-node dateline ring with 2 VCs.
-func BuildRing(clk *sim.Clock, name string, n, depth int, opts ...connections.Option) *Ring {
-	rg := &Ring{N: n}
-	const vcs = 2
-	for i := 0; i < n; i++ {
-		i := i
-		route := func(dst int) int {
-			if dst == i {
-				return RingLocal
-			}
-			return RingForward
-		}
-		var vcMap VCMapFunc
-		if i == n-1 {
-			vcMap = func(outPort, vc int) int {
-				if outPort == RingForward {
-					return 1 // crossing the dateline
-				}
-				return vc
-			}
-		}
-		r := NewWHVCRouter(clk, fmt.Sprintf("%s.r%d", name, i), 2, vcs, route, vcMap, connections.ModeOf(opts...))
-		rg.Routers = append(rg.Routers, r)
-		ni := NewNI(clk, fmt.Sprintf("%s.ni%d", name, i), i, vcs, nil)
-		rg.NIs = append(rg.NIs, ni)
-		linkPorts(clk, fmt.Sprintf("%s.l%d.in", name, i), depth, ni.FlitOut, r.In[RingLocal], opts...)
-		linkPorts(clk, fmt.Sprintf("%s.l%d.out", name, i), depth, r.Out[RingLocal], ni.FlitIn, opts...)
-		ep := fmt.Sprintf("%s.ep%d", name, i)
-		inj := connections.NewOut[Packet]().Owned(clk, ep, "inject")
-		ej := connections.NewIn[Packet]().Owned(clk, ep, "eject")
-		connections.Buffer(clk, fmt.Sprintf("%s.inj%d", name, i), 2, inj, ni.PktIn, opts...)
-		connections.Buffer(clk, fmt.Sprintf("%s.ej%d", name, i), 2, ni.PktOut, ej, opts...)
-		rg.Inject = append(rg.Inject, inj)
-		rg.Eject = append(rg.Eject, ej)
-	}
-	for i := 0; i < n; i++ {
-		linkPorts(clk, fmt.Sprintf("%s.lnk%d", name, i), depth,
-			rg.Routers[i].Out[RingForward], rg.Routers[(i+1)%n].In[RingForward], opts...)
-	}
-	return rg
 }

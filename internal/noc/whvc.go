@@ -16,7 +16,7 @@ import (
 // link — so a VC blocked downstream never blocks its siblings. A head
 // flit arbitrates for an output VC and, once granted, owns it until its
 // tail flit passes (wormhole switching); output VCs interleave freely on
-// a port, which is what makes dateline rings deadlock-free.
+// a port. A flit leaves on the VC it arrived on.
 type WHVCRouter struct {
 	In  [][]*connections.In[Flit]  // [port][vc]
 	Out [][]*connections.Out[Flit] // [port][vc]
@@ -24,10 +24,9 @@ type WHVCRouter struct {
 	Stats RouterStats
 
 	nPorts, nVCs int
-	lock         [][]outLock         // [outPort][vcOut]
+	lock         [][]outLock         // [outPort][vc]
 	arbs         []*matchlib.Arbiter // [outPort] over inPort*nVCs requesters
 	route        RouteFunc
-	vcMap        VCMapFunc
 
 	// step's state, allocated with the router so that an edge allocates
 	// nothing. ins is In flattened to [port*vc]; heads[k] is the head
@@ -47,24 +46,22 @@ type WHVCRouter struct {
 	sub  *trace.Subject // armed handshake tracing; nil when disarmed
 }
 
+// outLock is an output VC's wormhole lock: while active, only the same
+// VC of input port inPort may send on it.
 type outLock struct {
 	active bool
 	inPort int
-	vc     int // input VC that owns this output VC
 }
 
 // NewWHVCRouter builds a router with nPorts ports and nVCs virtual
-// channels per port. route maps destinations to output ports; vcMap may
-// be nil (identity). VC buffering depth is set by the channels bound to
-// the ports, and mode is their port-operation cost model: the router
-// runs as a method process, except under ModeSignalAccurate, where its
-// PushNB and PopNB charge a Wait and the same step runs in a thread.
-func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFunc, vcMap VCMapFunc, mode connections.Mode) *WHVCRouter {
+// channels per port. route maps destinations to output ports. VC
+// buffering depth is set by the channels bound to the ports, and mode is
+// their port-operation cost model: the router runs as a method process,
+// except under ModeSignalAccurate, where its PushNB and PopNB charge a
+// Wait and the same step runs in a thread.
+func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFunc, mode connections.Mode) *WHVCRouter {
 	if nPorts < 1 || nVCs < 1 || nPorts*nVCs > 64 {
 		panic(fmt.Sprintf("noc: router geometry %d ports × %d VCs unsupported", nPorts, nVCs))
-	}
-	if vcMap == nil {
-		vcMap = func(outPort, vc int) int { return vc }
 	}
 	r := &WHVCRouter{
 		In:     make([][]*connections.In[Flit], nPorts),
@@ -74,7 +71,6 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 		lock:   make([][]outLock, nPorts),
 		arbs:   make([]*matchlib.Arbiter, nPorts),
 		route:  route,
-		vcMap:  vcMap,
 		ins:    make([]*connections.In[Flit], 0, nPorts*nVCs),
 		heads:  make([]Flit, nPorts*nVCs),
 		inEvs:  make([]*sim.Event, 0, nPorts*nVCs),
@@ -165,12 +161,12 @@ func (r *WHVCRouter) step(th *sim.Thread) {
 			k := bits.TrailingZeros64(m)
 			i, v := k/r.nVCs, k%r.nVCs
 			f := &r.heads[k]
-			lk := r.lock[o][r.vcMap(o, v)]
+			lk := r.lock[o][v]
 			if f.Head {
 				if r.route(f.Dst) == o && !lk.active {
 					req |= 1 << uint(k)
 				}
-			} else if lk.active && lk.inPort == i && lk.vc == v {
+			} else if lk.active && lk.inPort == i {
 				req |= 1 << uint(k)
 			}
 		}
@@ -189,13 +185,15 @@ func (r *WHVCRouter) step(th *sim.Thread) {
 	th.WaitOn(r.ready, r.inEvs...)
 }
 
-// forward offers f, the head of In[i][v], to output o; on acceptance it
-// retires the flit, acquiring the output VC at the head and releasing it
-// at the tail. It reports whether a flit moved.
+// forward offers f, the head of In[i][v], to VC v of output o; on
+// acceptance it retires the flit, acquiring the output VC at the head and
+// releasing it at the tail. It reports whether a flit moved. The router
+// is the head's only consumer, so Pop takes f: at once in every mode that
+// does not stall, and under signal-accurate stall injection, where a
+// stall rolled during the Wait that PushNB charged can withhold the head,
+// as soon as the stall lets it go.
 func (r *WHVCRouter) forward(th *sim.Thread, o, i, v int, f Flit) bool {
-	vOut := r.vcMap(o, v)
-	f.VC = vOut
-	if !r.Out[o][vOut].PushNB(th, f) {
+	if !r.Out[o][v].PushNB(th, f) {
 		r.Stats.Stalls++
 		if r.sub != nil {
 			// Router-level back-pressure: the crossbar had a flit for
@@ -204,9 +202,7 @@ func (r *WHVCRouter) forward(th *sim.Thread, o, i, v int, f Flit) bool {
 		}
 		return false
 	}
-	if _, ok := r.In[i][v].PopNB(th); !ok {
-		panic("noc: peeked flit vanished before pop")
-	}
+	r.In[i][v].Pop(th)
 	r.Stats.FlitsIn++
 	r.Stats.FlitsOut++
 	if f.Head {
@@ -214,9 +210,9 @@ func (r *WHVCRouter) forward(th *sim.Thread, o, i, v int, f Flit) bool {
 	}
 	switch {
 	case f.Tail:
-		r.lock[o][vOut] = outLock{}
+		r.lock[o][v] = outLock{}
 	case f.Head:
-		r.lock[o][vOut] = outLock{active: true, inPort: i, vc: v}
+		r.lock[o][v] = outLock{active: true, inPort: i}
 	}
 	return true
 }

@@ -59,16 +59,6 @@ func TestNocTopologiesRateClean(t *testing.T) {
 			t.Fatalf("mesh switch actors = %d, want 18", r.ActorsSwitch)
 		}
 	})
-	t.Run("ring", func(t *testing.T) {
-		s := sim.New()
-		clk := s.AddClock("clk", 1000, 0)
-		noc.BuildRing(clk, "r", 4, 4)
-		if r := ratecheck.Check(s); len(r.Diags) != 0 {
-			var b strings.Builder
-			r.WriteTree(&b)
-			t.Fatalf("ring:\n%s", b.String())
-		}
-	})
 }
 
 type rateMsg struct{ v uint64 }

@@ -141,7 +141,7 @@ func New(cfg Config, firmware []uint32) *SoC {
 	for i := 0; i < NumNodes; i++ {
 		clk := clockOf[i]
 		x, y := i%MeshW, i/MeshW
-		r := noc.NewWHVCRouter(clk, fmt.Sprintf("soc/noc/r[%d]", i), 5, numVCs, noc.XYRoute(MeshW, x, y), nil, cfg.Mode)
+		r := noc.NewWHVCRouter(clk, fmt.Sprintf("soc/noc/r[%d]", i), 5, numVCs, noc.XYRoute(MeshW, x, y), cfg.Mode)
 		s.Routers = append(s.Routers, r)
 		// VC selection pins each (src,dst) flow to one VC so that DMA
 		// chunk streams stay ordered end to end; different flows still

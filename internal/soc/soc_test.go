@@ -72,6 +72,11 @@ func TestSoCSignalAccurateMode(t *testing.T) {
 	if sig < 3*tlm {
 		t.Fatalf("signal-accurate %d cycles vs TLM %d — expected heavy serialization", sig, tlm)
 	}
+	// Under stall injection a stall can withhold a flit a router has
+	// peeked while its signal-accurate PushNB charges a Wait; the chip
+	// must still compute the right answer.
+	cfg.StallP, cfg.StallSeed = 0.1, 1
+	runCase(t, Tests()[0], cfg)
 }
 
 // Fine-grained GALS: every partition on its own drifting clock, pausible
