@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -167,13 +168,37 @@ func TestByteStableOutput(t *testing.T) {
 	}
 }
 
-// A design with nothing declared has nothing to prove, and must say so
-// rather than claim a meaningful verdict over an empty model.
+// A budget-starved search must not claim a proof, whether the model is
+// one component (mcserdes) or hundreds that share the budget (memcpy).
 func TestOptionsBudgetDegradesVerdict(t *testing.T) {
-	s := buildNamed(t, "mcserdes")
-	r := mc.Check(s.Sim, mc.Options{MaxStates: 4})
-	if r.Deadlock.Verdict == mc.VerdictProved || r.Equivalence.Verdict == mc.VerdictProved {
-		t.Fatalf("budget-starved search must not claim a proof: deadlock=%s equivalence=%s",
-			r.Deadlock.Verdict, r.Equivalence.Verdict)
+	for _, name := range []string{"mcserdes", "memcpy"} {
+		s := buildNamed(t, name)
+		r := mc.Check(s.Sim, mc.Options{MaxStates: 4})
+		if r.Deadlock.Verdict == mc.VerdictProved || r.Equivalence.Verdict == mc.VerdictProved {
+			t.Fatalf("%s: budget-starved search must not claim a proof: deadlock=%s equivalence=%s",
+				name, r.Deadlock.Verdict, r.Equivalence.Verdict)
+		}
+		if r.States > 4 {
+			t.Fatalf("%s: %d state(s) visited on a budget of 4", name, r.States)
+		}
+	}
+}
+
+// A context that has already ended stops the search before any
+// component is searched: both verdicts are inconclusive, with neither a
+// proof nor a violation.
+func TestContextEndsSearch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"memcpy", "mcdeadlock"} {
+		s := buildNamed(t, name)
+		r := mc.Check(s.Sim, mc.Options{Context: ctx})
+		if r.Deadlock.Verdict != mc.VerdictInconclusive || r.Equivalence.Verdict != mc.VerdictInconclusive {
+			t.Fatalf("%s: ended context gave deadlock=%s equivalence=%s, want inconclusive for both",
+				name, r.Deadlock.Verdict, r.Equivalence.Verdict)
+		}
+		if len(r.Counterexamples) != 0 || r.States != 0 {
+			t.Fatalf("%s: ended context still searched: %s", name, r.Summary())
+		}
 	}
 }

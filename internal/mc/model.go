@@ -216,6 +216,12 @@ func Build(d *sim.Design) *Model {
 		m.Nodes[e.Cons].In = append(m.Nodes[e.Cons].In, ei)
 	}
 
+	m.finish()
+	return m
+}
+
+// finish lays out the packed state and lists the doomed edges.
+func (m *Model) finish() {
 	m.layout()
 	for ei := range m.Edges {
 		e := &m.Edges[ei]
@@ -223,7 +229,66 @@ func Build(d *sim.Design) *Model {
 			m.Doomed = append(m.Doomed, ei)
 		}
 	}
-	return m
+}
+
+// component is one weakly connected part of a model, extracted as a
+// model of its own; edges[j] is the whole model's index of edge j.
+type component struct {
+	*Model
+	edges []int
+}
+
+// components splits m into its weakly connected components by
+// union-find over edge endpoints. Components are ordered by their first
+// edge and keep m's relative node and edge order, so a connected model
+// yields one component laid out exactly like m.
+func (m *Model) components() []component {
+	root := make([]int, len(m.Nodes))
+	for u := range root {
+		root[u] = u
+	}
+	find := func(u int) int {
+		for root[u] != u {
+			root[u] = root[root[u]]
+			u = root[u]
+		}
+		return u
+	}
+	for _, e := range m.Edges {
+		root[find(e.Prod)] = find(e.Cons)
+	}
+	partOf := make([]int, len(m.Nodes)) // by root
+	for u := range partOf {
+		partOf[u] = -1
+	}
+	var parts []component
+	for ei, e := range m.Edges {
+		r := find(e.Prod)
+		if partOf[r] < 0 {
+			partOf[r] = len(parts)
+			parts = append(parts, component{Model: &Model{}})
+		}
+		p := &parts[partOf[r]]
+		p.edges = append(p.edges, ei)
+	}
+	local := make([]int, len(m.Nodes)) // every node is an edge endpoint
+	for u, n := range m.Nodes {
+		p := &parts[partOf[find(u)]]
+		local[u] = len(p.Nodes)
+		p.Nodes = append(p.Nodes, Node{Name: n.Name, Env: n.Env})
+	}
+	for pi := range parts {
+		p := &parts[pi]
+		for j, ei := range p.edges {
+			e := m.Edges[ei]
+			e.Prod, e.Cons = local[e.Prod], local[e.Cons]
+			p.Edges = append(p.Edges, e)
+			p.Nodes[e.Prod].Out = append(p.Nodes[e.Prod].Out, j)
+			p.Nodes[e.Cons].In = append(p.Nodes[e.Cons].In, j)
+		}
+		p.finish()
+	}
+	return parts
 }
 
 // layout assigns packed-state field offsets. Fields are kept inside a
