@@ -24,8 +24,8 @@ func TestCheckBodiesPinned(t *testing.T) {
 		{`{"kind":"rateck","test":"memcpy","gals":true}`, "e3ad19196a339acc"},
 		{`{"kind":"rateck","test":"badrate"}`, "bc54566ab97b995f"},
 		{`{"kind":"rateck","test":"badbuf"}`, "04527be8e59b1baf"},
-		{`{"kind":"verify","test":"mcserdes"}`, "03f55ad2065fe55c"},
-		{`{"kind":"verify","test":"mcdeadlock","depth":8}`, "761b72e3784500a4"},
+		{`{"kind":"verify","test":"mcserdes"}`, "1706f4108ad07113"},
+		{`{"kind":"verify","test":"mcdeadlock","depth":8}`, "75b7a16ba25b0593"},
 	}
 	for _, tc := range cases {
 		spec, err := ParseSpec([]byte(tc.spec))
