@@ -66,6 +66,28 @@ func (f *fakeWorker) expectSubmit() *wire.Submit {
 	return m
 }
 
+// heartbeatUntilSubmit keeps the worker alive until a submit arrives,
+// polling with short read deadlines, so a loaded host cannot reap it
+// before the job is dispatched.
+func (f *fakeWorker) heartbeatUntilSubmit() *wire.Submit {
+	f.t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		f.send(&wire.Heartbeat{Capacity: 8})
+		f.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		m, scratch, err := wire.ReadMsg(f.conn, f.scratch)
+		if err != nil {
+			continue // timeout: heartbeat again
+		}
+		f.scratch = scratch
+		if sub, ok := m.(*wire.Submit); ok {
+			return sub
+		}
+	}
+	f.t.Fatal("no submit arrived")
+	return nil
+}
+
 // TestShedReroute: a worker that sheds an admitted job triggers a
 // reroute to the next candidate, never a client-visible 429.
 func TestShedReroute(t *testing.T) {
@@ -190,11 +212,12 @@ func TestHeartbeatTimeoutReap(t *testing.T) {
 		code, _, _ := submitWait(t, ts.URL, `{"kind":"fleettest","messages":11}`)
 		done <- code
 	}()
-	sub := fw1.expectSubmit()
+	sub := fw1.heartbeatUntilSubmit()
 	// fw1 now goes silent: no heartbeats, no result. The read deadline
 	// must reap it and park the job (the fleet is empty).
-	waitFor(t, "silent worker reaped", func() bool {
-		return len(getWorkers(t, ts.URL).Workers) == 0
+	waitFor(t, "silent worker reaped and its job parked", func() bool {
+		return len(getWorkers(t, ts.URL).Workers) == 0 &&
+			metric(t, ts.URL, "fleet/failover", "parked_total") == 1
 	})
 
 	// A replacement registers and must inherit the parked job.
@@ -209,9 +232,6 @@ func TestHeartbeatTimeoutReap(t *testing.T) {
 	}
 	if got := metric(t, ts.URL, "fleet/failover", "worker_deaths"); got != 1 {
 		t.Errorf("worker_deaths = %v, want 1", got)
-	}
-	if got := metric(t, ts.URL, "fleet/failover", "parked_total"); got == 0 {
-		t.Error("job was parked but parked_total == 0")
 	}
 }
 
