@@ -41,6 +41,23 @@
 //     deadlock cycle. From that state the unbounded execution delivers
 //     tokens the back-pressured one never can.
 //
+// The search is compositional. The model splits into its weakly
+// connected components (union-find over edge endpoints, ordered by
+// first edge), and each component is searched on its own, with its own
+// state layout: a directed maximal-firing lane that stops at its first
+// revisited state, then the breadth-first search. Both properties are
+// local to one component and firing is never compulsory, so a product
+// state is reachable within a depth exactly when each of its component
+// states is. The merge follows: a property is violated if any component
+// violates it, else inconclusive if any component is, else bounded if
+// any is, else proved. The counterexample comes from the shallowest
+// violating component (the earlier one on a tie) with every other
+// component idle; state and step counts add up, the reported depth is
+// the largest, and MaxStates/MaxSteps cap the total, each component
+// getting what the earlier ones left. An SoC model is hundreds of
+// channels each between private environment actors, so it proves in a
+// few thousand states where the product never would.
+//
 // Verdicts are "proved" (the reachable state space was exhausted below
 // the bound — a fixpoint), "bounded" (no violation within the depth
 // bound, frontier nonempty), "violated" (counterexample attached), or
