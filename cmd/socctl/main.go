@@ -47,7 +47,8 @@ commands:
            bounded model check) on one design: submit that job kind,
            stream its progress, print the report; -depth is verify's
            unrolling bound
-  watch    stream a job's NDJSON progress events
+  watch    stream a job's NDJSON progress events; exits 1 if the stream
+           ends before the job does
   result   fetch a finished job's result body
   jobs     list jobs in submission order
   metrics  dump the daemon's stats snapshot (serve/* namespace; a socgw
@@ -251,10 +252,21 @@ func streamEvents(base, id string) error {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	start := time.Now()
+	ended := false
 	for sc.Scan() {
 		fmt.Printf("[%7.3fs] %s\n", time.Since(start).Seconds(), sc.Text())
+		var e serve.Event
+		ended = json.Unmarshal(sc.Bytes(), &e) == nil && e.Terminal()
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if !ended {
+		// The daemon keeps every job's whole log, so a stream cut short
+		// means it went away mid-job.
+		return fmt.Errorf("stream of %s ended before a terminal event", id)
+	}
+	return nil
 }
 
 func cmdGet(base string, args []string, pattern string) error {

@@ -39,7 +39,10 @@
 // makes the retry idempotent — the same canonical spec bytes hash to
 // the same result on any worker, so a duplicate result from a slow
 // "dead" worker is byte-identical to the one already recorded and is
-// simply counted and dropped. Deterministic failures (bad spec, failed
-// run) are never retried; only worker loss, sheds, and cancellations
-// are.
+// simply counted and dropped. A worker relays each job's events as
+// Progress frames by following the job's log (serve.Job.Follow); the
+// front's log drops whatever arrives after the first terminal event,
+// so a failed-over job's replayed progress reaches watchers as one
+// stream. Deterministic failures (bad spec, failed run) are never
+// retried; only worker loss, sheds, and cancellations are.
 package fleet

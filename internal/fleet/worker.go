@@ -172,7 +172,7 @@ func (ws *workerSession) accept(ctx context.Context, m *wire.Submit) {
 		ws.send(&wire.Result{Job: m.Job, Status: wire.StatusFailed, Error: err.Error()})
 		return
 	}
-	sub, err := ws.w.srv.Submit(spec)
+	j, err := ws.w.srv.Submit(spec)
 	if err != nil {
 		var qf *serve.QueueFullError
 		if errors.As(err, &qf) {
@@ -190,57 +190,32 @@ func (ws *workerSession) accept(ctx context.Context, m *wire.Submit) {
 		ws.send(&wire.Result{Job: m.Job, Status: wire.StatusFailed, Error: err.Error()})
 		return
 	}
-	go ws.forward(ctx, m.Job, sub)
+	go ws.forward(ctx, m.Job, j)
 }
 
-// forward streams one job's event log back as Progress frames and, on
-// the terminal event, a Result frame carrying the canonical body. A
-// send failure just stops the forwarder: the session is dying and the
-// gateway will fail the job over.
-func (ws *workerSession) forward(ctx context.Context, job string, sub *serve.Submission) {
-	replay, live, cancel := sub.Watch()
-	defer cancel()
-	emit := func(e serve.Event) bool {
+// forward follows one job's event log, relaying each event as a
+// Progress frame and the terminal one as a Result frame carrying the
+// canonical body. A send failure or the session's end just stops the
+// forwarder: the gateway will fail the job over.
+func (ws *workerSession) forward(ctx context.Context, job string, j *serve.Job) {
+	finished := false
+	j.Follow(ctx, func(e serve.Event) bool {
 		if e.Terminal() {
+			finished = true
 			return false
 		}
-		err := ws.send(&wire.Progress{
+		return ws.send(&wire.Progress{
 			Job: job, Seq: uint32(e.Seq), Event: e.Event,
 			Done: uint32(e.Done), Total: uint32(e.Total),
 			Label: e.Label, Cached: e.Cached,
-		})
-		return err == nil
-	}
-	for _, e := range replay {
-		if !emit(e) {
-			break
-		}
-	}
-	if live != nil {
-	tail:
-		for {
-			select {
-			case e, ok := <-live:
-				if !ok {
-					break tail
-				}
-				if !emit(e) {
-					break tail
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}
-	// The log closed (or went terminal): report the authoritative state.
-	select {
-	case <-sub.Done():
-	case <-ctx.Done():
+		}) == nil
+	})
+	if !finished {
 		return
 	}
-	status, body, errMsg, cached := sub.Snapshot()
-	res := &wire.Result{Job: job, Cached: cached, Error: errMsg, Body: body}
-	switch status {
+	st, body := j.Snapshot()
+	res := &wire.Result{Job: job, Cached: st.Cached, Error: st.Error, Body: body}
+	switch st.Status {
 	case "done":
 		res.Status = wire.StatusDone
 	case "canceled":

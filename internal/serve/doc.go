@@ -23,13 +23,18 @@
 //
 //   - A bounded admission queue over a worker pool that executes each
 //     job through internal/exp — inheriting its panic isolation, per-job
-//     timeout, derived seeding, and context cancellation. A full queue
-//     sheds load explicitly: 429 with a Retry-After estimate instead of
-//     unbounded latency.
+//     timeout, and context cancellation. A full queue sheds load
+//     explicitly: 429 with a Retry-After estimate instead of unbounded
+//     latency.
 //
 //   - Streaming progress: each job carries an ordered event log
-//     (queued → start → progress* → done) replayed and tailed over
-//     chunked NDJSON, wired to exp.OnProgress for campaign jobs.
+//     (queued → start → progress* → done), wired to exp.OnProgress for
+//     campaign jobs. The log keeps its whole history and wakes its
+//     followers with one broadcast per event; Job.Follow reads it at
+//     the follower's own pace, so a slow watcher catches up instead of
+//     losing events. GET /jobs/{id}/stream renders it as chunked
+//     NDJSON, and a fleet worker relays it to its gateway, both
+//     through Follow.
 //
 // The Server is the front — routes, job table, cache, event logs,
 // drain — over an Executor that runs admitted jobs: New wires the local

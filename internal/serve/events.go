@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 // Event is one entry in a job's ordered progress log, rendered to
 // watchers as one NDJSON line. Seq is the job-local sequence number;
@@ -21,30 +24,27 @@ func (e Event) Terminal() bool {
 	return e.Event == "done" || e.Event == "failed" || e.Event == "canceled"
 }
 
-// eventLog is a job's progress log plus its live subscribers. The full
-// history is kept (job logs are small — one line per campaign job, plus
-// bookends), so a watcher attaching at any point gets every event
-// exactly once, in order. Every Job owns one; a fleet worker
-// (internal/fleet) tails it to relay progress to its gateway.
+// eventLog is a job's progress log: the kept history plus one broadcast
+// channel. The full history is kept (job logs are small — one line per
+// campaign job, plus bookends), so every follower reads it at its own
+// pace and gets every event exactly once, in order; a slow one catches
+// up from the history instead of being cut off. Publish wakes all
+// followers at once by closing more and replacing it.
 type eventLog struct {
 	mu     sync.Mutex
 	past   []Event
-	subs   map[int]chan Event
-	nextID int
+	more   chan struct{} // closed by the next Publish
 	closed bool
 }
 
-// newEventLog returns an empty, open log.
 func newEventLog() *eventLog {
-	return &eventLog{subs: make(map[int]chan Event)}
+	return &eventLog{more: make(chan struct{})}
 }
 
-// Publish appends the event (assigning its Seq) and fans it out. A
-// subscriber that cannot keep up — its buffer full — is dropped rather
-// than allowed to block job execution; its channel closes and the
-// HTTP handler reports the truncation. Events published after the
-// terminal one are dropped, which is what makes replays after a fleet
-// failover harmless: the first terminal event wins.
+// Publish appends the event, assigning its Seq, and wakes every
+// follower. Events published after the terminal one are dropped, which
+// is what makes replays after a fleet failover harmless: the first
+// terminal event wins.
 func (h *eventLog) Publish(e Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -53,44 +53,31 @@ func (h *eventLog) Publish(e Event) {
 	}
 	e.Seq = len(h.past)
 	h.past = append(h.past, e)
-	for id, ch := range h.subs { //detvet:ok fan-out: each subscriber sees its own events in Seq order
-		select {
-		case ch <- e:
-		default:
-			close(ch)
-			delete(h.subs, id)
-		}
-	}
-	if e.Terminal() {
-		h.closed = true
-		for id, ch := range h.subs { //detvet:ok closing every subscriber, order-free
-			close(ch)
-			delete(h.subs, id)
-		}
-	}
+	h.closed = e.Terminal()
+	close(h.more)
+	h.more = make(chan struct{})
 }
 
-// Subscribe returns the replay of everything published so far and, when
-// the log is still open, a channel tailing future events (closed on the
-// terminal event). cancel detaches the subscriber; it is safe to call
-// after the channel closed.
-func (h *eventLog) Subscribe() (replay []Event, live <-chan Event, cancel func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	replay = append([]Event(nil), h.past...)
-	if h.closed {
-		return replay, nil, func() {}
-	}
-	id := h.nextID
-	h.nextID++
-	ch := make(chan Event, 256)
-	h.subs[id] = ch
-	return replay, ch, func() {
+// Follow hands fn every event from the first on, waiting for new ones
+// as they are published. It returns after the terminal event, when fn
+// returns false, or when ctx ends. Published events are never modified,
+// so the history is read outside the lock.
+func (h *eventLog) Follow(ctx context.Context, fn func(Event) bool) {
+	next := 0
+	for {
 		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[id]; ok {
-			delete(h.subs, id)
-			close(ch)
+		batch, more := h.past[next:], h.more
+		h.mu.Unlock()
+		for _, e := range batch {
+			if !fn(e) || e.Terminal() {
+				return
+			}
+		}
+		next += len(batch)
+		select {
+		case <-more:
+		case <-ctx.Done():
+			return
 		}
 	}
 }

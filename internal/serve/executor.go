@@ -30,14 +30,16 @@ type Executor interface {
 }
 
 // Job is one admitted (or cache-answered) job: the handle an Executor
-// drives through Start, Progress and Finish.
+// drives through Start, Progress and Finish, and that clients follow
+// through Follow, Done and Snapshot.
 type Job struct {
-	s    *Server
-	id   string
-	spec Spec
-	hash uint64
-	hub  *eventLog
-	done chan struct{}
+	s      *Server
+	id     string
+	spec   Spec
+	hash   uint64
+	hit    bool // answered from the front's cache at submission
+	events *eventLog
+	done   chan struct{}
 
 	mu     sync.Mutex
 	status string // queued | running | done | failed | canceled
@@ -56,6 +58,26 @@ func (j *Job) Spec() Spec { return j.spec }
 // Hash is the job's content address.
 func (j *Job) Hash() uint64 { return j.hash }
 
+// Done returns a channel closed when the job reaches a terminal state.
+func (j *Job) Done() <-chan struct{} { return j.done }
+
+// Follow hands fn each event of the job's log in Seq order: the history
+// first, then every event as it is published. It returns after the
+// terminal event, when fn returns false, or when ctx ends. By the time
+// fn sees the terminal event, Snapshot reports the final state.
+func (j *Job) Follow(ctx context.Context, fn func(Event) bool) { j.events.Follow(ctx, fn) }
+
+// Snapshot returns the job's status row and, once done, its body. The
+// body is the canonical result — callers must not mutate it.
+func (j *Job) Snapshot() (JobStatus, []byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return JobStatus{
+		ID: j.id, Kind: j.spec.Kind, Hash: HashString(j.hash),
+		Status: j.status, Cached: j.cached, Worker: j.worker, Error: j.errMsg,
+	}, j.body
+}
+
 // Start marks the job running on worker ("" when the runner has no
 // name). A repeat call — a fleet failover — renames the worker; a call
 // after Finish is ignored.
@@ -68,12 +90,13 @@ func (j *Job) Start(worker string) {
 }
 
 // Progress appends a non-terminal event to the job's log.
-func (j *Job) Progress(e Event) { j.hub.Publish(e) }
+func (j *Job) Progress(e Event) { j.events.Publish(e) }
 
 // Finish records the job's outcome: status is done, failed or canceled;
 // cached says the runner answered from its own cache. A done body
 // enters the front's result cache before the job is visible as done,
-// so a client that saw it finish always hits on resubmission.
+// so a client that saw it finish always hits on resubmission; the status
+// is recorded before the terminal event is published.
 func (j *Job) Finish(status string, body []byte, errMsg string, cached bool) {
 	s := j.s
 	switch status {
@@ -89,7 +112,7 @@ func (j *Job) Finish(status string, body []byte, errMsg string, cached bool) {
 	j.status, j.body, j.errMsg, j.cached = status, body, errMsg, cached
 	worker := j.worker
 	j.mu.Unlock()
-	j.hub.Publish(Event{Event: status, Error: errMsg, Cached: cached})
+	j.events.Publish(Event{Event: status, Error: errMsg, Cached: cached})
 	close(j.done)
 	if worker != "" {
 		worker = " on " + worker
@@ -186,8 +209,7 @@ func (p *pool) worker() {
 }
 
 // run executes one job through the exp runner, inheriting its panic
-// isolation, per-job timeout, derived seeding, and context
-// cancellation.
+// isolation, per-job timeout and context cancellation.
 func (p *pool) run(j *Job) {
 	if p.jobCtx.Err() != nil {
 		j.Finish("canceled", nil, "canceled during drain", false)
@@ -206,8 +228,6 @@ func (p *pool) run(j *Job) {
 			})
 		},
 	}},
-		exp.Named("serve"),
-		exp.Seed(int64(j.hash)),
 		exp.WithContext(p.jobCtx),
 		exp.Timeout(p.s.cfg.JobTimeout),
 	)

@@ -16,13 +16,13 @@ func submitSpec(t *testing.T, srv *Server, spec string) (status, errMsg string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := srv.Submit(sp)
+	j, err := srv.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-sub.Done()
-	status, _, errMsg, _ = sub.Snapshot()
-	return status, errMsg
+	<-j.Done()
+	st, _ := j.Snapshot()
+	return st.Status, st.Error
 }
 
 // settleGoroutines waits briefly for the goroutine count to fall to at

@@ -145,7 +145,7 @@ func (s *Server) newJobLocked(spec Spec, hash uint64, status string) *Job {
 		id:     fmt.Sprintf("job-%d", s.seq),
 		spec:   spec,
 		hash:   hash,
-		hub:    newEventLog(),
+		events: newEventLog(),
 		done:   make(chan struct{}),
 		status: status,
 	}
@@ -209,9 +209,9 @@ type submitResponse struct {
 	Cached bool   `json:"cached"`
 }
 
-// statusResponse is the GET /jobs[/{id}] reply row. Worker is set only
-// when the executor named one (a fleet gateway's worker).
-type statusResponse struct {
+// JobStatus is a job's state as the GET /jobs[/{id}] reply row. Worker
+// is set only when the executor named one (a fleet gateway's worker).
+type JobStatus struct {
 	ID     string `json:"id"`
 	Kind   string `json:"kind"`
 	Hash   string `json:"hash"`
@@ -249,7 +249,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	wait := r.URL.Query().Get("wait") == "1"
 
-	sub, err := s.Submit(spec)
+	j, err := s.Submit(spec)
 	if err != nil {
 		var qf *QueueFullError
 		switch {
@@ -268,14 +268,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	j := sub.j
-	if sub.Cached {
+	if j.hit {
 		if wait {
 			s.writeResult(w, j)
 			return
 		}
 		WriteJSON(w, http.StatusOK, submitResponse{
-			ID: j.id, Hash: HashString(sub.Hash), Status: "done", Cached: true,
+			ID: j.id, Hash: HashString(j.hash), Status: "done", Cached: true,
 		})
 		return
 	}
@@ -290,7 +289,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusAccepted, submitResponse{
-		ID: j.id, Hash: HashString(sub.Hash), Status: "queued", Cached: false,
+		ID: j.id, Hash: HashString(j.hash), Status: "queued", Cached: false,
 	})
 }
 
@@ -313,24 +312,14 @@ func (s *Server) lookup(id string) (*Job, bool) {
 	return j, ok
 }
 
-// view returns the job's status row and, once done, its body.
-func (j *Job) view() (statusResponse, []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return statusResponse{
-		ID: j.id, Kind: j.spec.Kind, Hash: HashString(j.hash),
-		Status: j.status, Cached: j.cached, Worker: j.worker, Error: j.errMsg,
-	}, j.body
-}
-
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	ids := append([]string(nil), s.order...)
 	s.mu.Unlock()
-	out := make([]statusResponse, 0, len(ids))
+	out := make([]JobStatus, 0, len(ids))
 	for _, id := range ids {
 		if j, ok := s.lookup(id); ok {
-			st, _ := j.view()
+			st, _ := j.Snapshot()
 			out = append(out, st)
 		}
 	}
@@ -343,7 +332,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	st, _ := j.view()
+	st, _ := j.Snapshot()
 	WriteJSON(w, http.StatusOK, st)
 }
 
@@ -351,7 +340,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // cache stores are the bytes on the wire, which is what makes the
 // byte-identity contract end-to-end observable.
 func (s *Server) writeResult(w http.ResponseWriter, j *Job) {
-	st, body := j.view()
+	st, body := j.Snapshot()
 	switch st.Status {
 	case "done":
 		w.Header().Set("Content-Type", "application/json")
@@ -383,7 +372,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.writeResult(w, j)
 }
 
-// handleStream tails a job's event log as chunked NDJSON: full replay
+// handleStream follows a job's event log as chunked NDJSON: the history
 // first, then live events until the terminal one. Every line is one
 // Event with a contiguous job-local seq, so watcher-side ordering checks
 // are trivial. Behind a fleet gateway a failover shows as a second
@@ -398,34 +387,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	replay, live, cancel := j.hub.Subscribe()
-	defer cancel()
-	for _, e := range replay {
-		enc.Encode(e)
-	}
-	if canFlush {
-		flusher.Flush()
-	}
-	if live == nil {
-		return
-	}
-	for {
-		select {
-		case e, ok := <-live:
-			if !ok {
-				return
-			}
-			enc.Encode(e)
-			if canFlush {
-				flusher.Flush()
-			}
-			if e.Terminal() {
-				return
-			}
-		case <-r.Context().Done():
-			return
+	j.Follow(r.Context(), func(e Event) bool {
+		if enc.Encode(e) != nil {
+			return false
 		}
-	}
+		if canFlush {
+			flusher.Flush()
+		}
+		return true
+	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -218,7 +218,7 @@ func TestLoadShed429(t *testing.T) {
 	}
 	// A shed submission leaves no pollable record.
 	var list struct {
-		Jobs []statusResponse `json:"jobs"`
+		Jobs []JobStatus `json:"jobs"`
 	}
 	_, ldata := get(t, ts.URL+"/jobs")
 	if err := json.Unmarshal(ldata, &list); err != nil {
@@ -288,6 +288,70 @@ func TestStreamedProgressOrdering(t *testing.T) {
 	lines := bytes.Split(bytes.TrimSpace(rdata), []byte("\n"))
 	if len(lines) != len(want) {
 		t.Fatalf("replay has %d lines, want %d: %s", len(lines), len(want), rdata)
+	}
+}
+
+// stalledWriter is a stream client that reads nothing until released:
+// its first Write reports on writing, and every Write blocks until
+// release closes.
+type stalledWriter struct {
+	*httptest.ResponseRecorder
+	once             sync.Once
+	writing, release chan struct{}
+}
+
+func (w *stalledWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.writing) })
+	<-w.release
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestSlowStreamGetsWholeLog: a watcher that reads nothing while the
+// job publishes hundreds of events still gets the whole log, ending in
+// done, once it reads again.
+func TestSlowStreamGetsWholeLog(t *testing.T) {
+	srv, _ := testServer(t, Config{Workers: 1})
+	h := srv.Handler()
+	seed := nextSeed()
+	const n = 300
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs",
+		strings.NewReader(fmt.Sprintf(`{"kind":"progressive","seed":%d,"messages":%d}`, seed, n))))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+	id := jobID(t, rec.Body.Bytes())
+
+	w := &stalledWriter{ResponseRecorder: httptest.NewRecorder(),
+		writing: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/jobs/"+id+"/stream", nil))
+	}()
+	<-w.writing
+	close(gate(seed))
+	j, _ := srv.lookup(id)
+	<-j.done
+	close(w.release)
+	<-served
+
+	lines := bytes.Split(bytes.TrimSpace(w.Body.Bytes()), []byte("\n"))
+	if len(lines) != n+3 {
+		t.Fatalf("stream has %d lines, want %d (queued, start, %d progress, done)", len(lines), n+3, n)
+	}
+	var e Event
+	for i, line := range lines {
+		e = Event{}
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		if e.Seq != i {
+			t.Fatalf("line %d has seq %d", i, e.Seq)
+		}
+	}
+	if e.Event != "done" {
+		t.Fatalf("stream ends with %q, want done", e.Event)
 	}
 }
 

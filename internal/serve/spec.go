@@ -224,7 +224,7 @@ func (s *Spec) Canonical() []byte {
 }
 
 // Hash is the FNV-1a content hash of the canonical spec bytes — the
-// result cache key and the seed root for the job's exp campaign.
+// result cache key, and a fleet gateway's routing key.
 func (s *Spec) Hash() uint64 {
 	h := fnv.New64a()
 	h.Write(s.Canonical())

@@ -33,40 +33,13 @@ func (e *QueueFullError) Error() string {
 // reason; the HTTP surface renders it as 503.
 var ErrNoCapacity = errors.New("no capacity")
 
-// Submission is a handle on one admitted (or cache-satisfied) job.
-type Submission struct {
-	ID     string
-	Hash   uint64
-	Cached bool // satisfied from the result cache at submission time
-	j      *Job
-}
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (sub *Submission) Done() <-chan struct{} { return sub.j.done }
-
-// Snapshot returns the job's current status ("queued", "running",
-// "done", "failed", "canceled"), its result body when done, its error
-// message when failed or canceled, and whether the body came from the
-// cache. The body is the canonical result — callers must not mutate it.
-func (sub *Submission) Snapshot() (status string, body []byte, errMsg string, cached bool) {
-	st, body := sub.j.view()
-	return st.Status, body, st.Error, st.Cached
-}
-
-// Watch subscribes to the job's event log: the replay of everything
-// published so far plus, while the log is open, a live channel closed
-// on the terminal event. cancel detaches the watcher.
-func (sub *Submission) Watch() (replay []Event, live <-chan Event, cancel func()) {
-	return sub.j.hub.Subscribe()
-}
-
 // Submit normalizes and admits a spec exactly as POST /jobs does:
 // content-hash first, cache lookup, then admission to the executor. It
 // returns ErrDraining after BeginDrain, the executor's refusal (a
 // *QueueFullError or ErrNoCapacity), or a normalization error for an
-// invalid spec. A returned Submission is live: the job is cached,
+// invalid spec. A returned job is live: answered from the cache,
 // queued, or already running.
-func (s *Server) Submit(spec Spec) (*Submission, error) {
+func (s *Server) Submit(spec Spec) (*Job, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
@@ -76,11 +49,11 @@ func (s *Server) Submit(spec Spec) (*Submission, error) {
 	if body, ok := s.cache.Get(hash); ok {
 		s.mu.Lock()
 		j := s.newJobLocked(spec, hash, "done")
-		j.body, j.cached = body, true // readers find j only through s.mu
+		j.body, j.cached, j.hit = body, true, true // readers find j only through s.mu
 		s.mu.Unlock()
-		j.hub.Publish(Event{Event: "done", Cached: true})
+		j.events.Publish(Event{Event: "done", Cached: true})
 		close(j.done)
-		return &Submission{ID: j.id, Hash: hash, Cached: true, j: j}, nil
+		return j, nil
 	}
 
 	s.mu.Lock()
@@ -91,7 +64,7 @@ func (s *Server) Submit(spec Spec) (*Submission, error) {
 	j := s.newJobLocked(spec, hash, "queued")
 	s.live++
 	s.mu.Unlock()
-	j.hub.Publish(Event{Event: "queued", Label: spec.Kind})
+	j.events.Publish(Event{Event: "queued", Label: spec.Kind})
 	if err := s.exec.Admit(j); err != nil {
 		s.drop(j)
 		var qf *QueueFullError
@@ -100,7 +73,7 @@ func (s *Server) Submit(spec Spec) (*Submission, error) {
 		}
 		return nil, err
 	}
-	return &Submission{ID: j.id, Hash: hash, j: j}, nil
+	return j, nil
 }
 
 // Load reports the server's instantaneous admission load — jobs

@@ -31,9 +31,6 @@ var Default16nm = TechLib{
 	WireDly: 30,
 }
 
-// CellArea returns the area of one cell in NAND2 equivalents.
-func (t *TechLib) CellArea(k rtl.CellKind) float64 { return t.Area[k] }
-
 // NetlistArea sums the mapped netlist's area in NAND2 equivalents.
 func (t *TechLib) NetlistArea(n *rtl.Netlist) float64 {
 	var a float64

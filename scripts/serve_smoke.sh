@@ -3,8 +3,9 @@
 #
 # Builds the real socd and socctl binaries, boots the daemon on an
 # ephemeral port, drives it over the network like a client would —
-# lint job, sim job, cache-hit resubmission — and checks the metrics
-# endpoint and a graceful SIGTERM drain with a job still in flight. Run
+# lint job, sim job, cache-hit resubmission, a watched stall hunt — and
+# checks the metrics endpoint and a graceful SIGTERM drain with a job
+# still in flight. Run
 # via `make serve-smoke`.
 set -eu
 
@@ -58,6 +59,16 @@ grep -q '{"path":"serve/jobs","name":"submitted","value":3}' "$WORK/metrics.json
 	|| fail "serve/jobs submitted != 3"
 $CTL health >/dev/null || fail "healthz not ok"
 
+# A watched stall hunt streams its whole log, ending with done; socctl
+# watch exits non-zero on a stream cut short.
+$CTL submit -kind stallhunt -seeds 4 -messages 200 >"$WORK/hunt.json" \
+	|| fail "stallhunt submission failed"
+HUNT=$(sed -n 's/^ *"id": "\([^"]*\)".*/\1/p' "$WORK/hunt.json")
+[ -n "$HUNT" ] || fail "no job id in the stallhunt submission reply"
+$CTL watch "$HUNT" >"$WORK/hunt.ndjson" || fail "watching $HUNT failed"
+tail -n 1 "$WORK/hunt.ndjson" | grep -q '"event":"done"' \
+	|| fail "stream of $HUNT does not end with done"
+
 # Graceful drain with a job in flight: a stall hunt that would run far
 # past the 1s drain budget. SIGTERM must cancel it through the job
 # context and exit cleanly (status 0) within 5s.
@@ -74,4 +85,4 @@ wait "$SOCD_PID" || fail "socd exited non-zero after SIGTERM"
 grep -q "drain: canceled stragglers" "$WORK/socd.err" || fail "in-flight job was not canceled by the drain"
 grep -q "drained, exiting" "$WORK/socd.err" || fail "drain log line missing"
 
-echo "serve-smoke: PASS (socd at $ADDR: lint, sim, cache hit, drain with a job in flight)"
+echo "serve-smoke: PASS (socd at $ADDR: lint, sim, cache hit, watched stall hunt, drain with a job in flight)"
