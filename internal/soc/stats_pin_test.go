@@ -18,7 +18,9 @@ import (
 // instret, edge and pause counts, so a kernel change that moved a
 // channel counter without moving a cycle would otherwise pass unseen.
 // The run ignores SOC_TRACE: arming is pure observation, and the pinned
-// bytes are the disarmed snapshot.
+// bytes are the disarmed snapshot. GALS is also pinned under stall
+// injection and with signal-accurate channels, the two settings that
+// change how its CDC relays block.
 func TestSoCStatsPinned(t *testing.T) {
 	configs := []struct {
 		name string
@@ -29,24 +31,30 @@ func TestSoCStatsPinned(t *testing.T) {
 		{"signal", func(c *Config) { c.Mode = connections.ModeSignalAccurate }},
 		{"rtl", func(c *Config) { c.Mode = connections.ModeRTLCosim }},
 		{"stall", func(c *Config) { c.StallP, c.StallSeed = 0.1, 1 }},
+		{"gals-stall", func(c *Config) { c.GALS, c.StallP, c.StallSeed = true, 0.1, 1 }},
+		{"gals-signal", func(c *Config) { c.GALS, c.Mode = true, connections.ModeSignalAccurate }},
 		{"rtl-shadow", func(c *Config) { c.Mode, c.ShadowNetlists = connections.ModeRTLCosim, true }},
 		{"power", func(*Config) {}},
 	}
 	want := map[string]string{
-		"memcpy/tlm":         "088e76ec21f1f4ad",
-		"memcpy/gals":        "ff4dd53af36ded59",
-		"memcpy/signal":      "130d8a91180978d0",
-		"memcpy/rtl":         "a98b12a1d3a83609",
-		"memcpy/stall":       "8a5a62fe46928089",
-		"memcpy/rtl-shadow":  "5b08db14b4b3e85d",
-		"memcpy/power":       "9613ba81f0db0c77",
-		"maxpool/tlm":        "3fcba288351a66cc",
-		"maxpool/gals":       "7e5cdc5021e6c2ca",
-		"maxpool/signal":     "8535a99faa363f8a",
-		"maxpool/rtl":        "910b560fc031ea05",
-		"maxpool/stall":      "20f6e50cc57d5c32",
-		"maxpool/rtl-shadow": "8614beaed320a64a",
-		"maxpool/power":      "84ceb1c87fb74ee8",
+		"memcpy/tlm":          "088e76ec21f1f4ad",
+		"memcpy/gals":         "ff4dd53af36ded59",
+		"memcpy/signal":       "130d8a91180978d0",
+		"memcpy/rtl":          "a98b12a1d3a83609",
+		"memcpy/stall":        "8a5a62fe46928089",
+		"memcpy/gals-stall":   "4fffe1a290ec7761",
+		"memcpy/gals-signal":  "35906b2afebe8ab7",
+		"memcpy/rtl-shadow":   "5b08db14b4b3e85d",
+		"memcpy/power":        "9613ba81f0db0c77",
+		"maxpool/tlm":         "3fcba288351a66cc",
+		"maxpool/gals":        "7e5cdc5021e6c2ca",
+		"maxpool/signal":      "8535a99faa363f8a",
+		"maxpool/rtl":         "910b560fc031ea05",
+		"maxpool/stall":       "20f6e50cc57d5c32",
+		"maxpool/gals-stall":  "1be93504cf04b45c",
+		"maxpool/gals-signal": "7bd0df6fb71a6f76",
+		"maxpool/rtl-shadow":  "8614beaed320a64a",
+		"maxpool/power":       "84ceb1c87fb74ee8",
 	}
 	for _, tc := range Tests() {
 		if tc.Name != "memcpy" && tc.Name != "maxpool" {
