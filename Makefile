@@ -21,8 +21,10 @@ test: build
 # the shipped designs and catch its seeded-bug fixtures, and the
 # benchmark module's golden cycle, instret, edge and pause counts (the
 # determinism guard) must hold, every SoC test must pass with
-# signal-accurate channels under stall injection in both clockings, and a
-# short run of every benchmark workload must finish clean.
+# signal-accurate channels under stall injection in both clockings and,
+# under GALS, with the default channels (whose CDC relays are methods)
+# under stall injection, and a short run of every benchmark workload must
+# finish clean.
 check: vet
 	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
@@ -36,6 +38,7 @@ check: vet
 	$(MAKE) analysis
 	$(GO) run ./cmd/socsim -test all -mode signal -stall 0.1
 	$(GO) run ./cmd/socsim -test all -gals -mode signal -stall 0.1
+	$(GO) run ./cmd/socsim -test all -gals -stall 0.1
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) bench-smoke

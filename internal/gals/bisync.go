@@ -159,8 +159,15 @@ func (f *PausibleBisyncFIFO[T]) PushNB(v T) bool {
 // cycle-identical to polling.
 func (f *PausibleBisyncFIFO[T]) Push(th *sim.Thread, v T) {
 	for !f.PushNB(v) {
-		th.WaitOn(f.notFull, f.evs[:]...)
+		f.ParkPush(th)
 	}
+}
+
+// ParkPush parks th until a PushNB could succeed, the way a blocked Push
+// waits. A method whose PushNB failed calls it and returns from its step,
+// to retry the push when it next runs.
+func (f *PausibleBisyncFIFO[T]) ParkPush(th *sim.Thread) {
+	th.WaitOn(f.notFull, f.evs[:]...)
 }
 
 // PopNB takes a value in the consumer domain. It returns false when empty.
@@ -191,8 +198,14 @@ func (f *PausibleBisyncFIFO[T]) Pop(th *sim.Thread) T {
 		if v, ok := f.PopNB(); ok {
 			return v
 		}
-		th.WaitOn(f.notEmpty, f.evs[:]...)
+		f.ParkPop(th)
 	}
+}
+
+// ParkPop parks th until a PopNB could succeed, the way a blocked Pop
+// waits; see ParkPush.
+func (f *PausibleBisyncFIFO[T]) ParkPop(th *sim.Thread) {
+	th.WaitOn(f.notEmpty, f.evs[:]...)
 }
 
 // Occupancy returns the number of buffered entries.

@@ -28,7 +28,7 @@ type Simulator struct {
 
 	// ordered caches s.clocks sorted by name for deterministic coincident
 	// edge firing; due is the reusable scratch list of clocks firing at
-	// the current step.
+	// the current step, in that order.
 	ordered      []*Clock
 	orderedDirty bool
 	due          []*Clock
@@ -153,6 +153,14 @@ type Clock struct {
 
 	threads  []*thread
 	monitors []namedHook
+
+	// asleep counts the thread slots that cannot run on the next edge
+	// without a notify: finished ones, and those parked on a predicate
+	// that no event has notified since it last evaluated false. An edge
+	// with every slot asleep, nothing touched and no monitor does nothing
+	// but count itself, so runEdgeAt skips it; skipped counts those edges.
+	asleep  int
+	skipped uint64
 
 	// commits lists every commit hook in registration order, for
 	// Processes; touched lists the hooks to commit this edge, its backing
@@ -315,8 +323,12 @@ type Event struct {
 // Notify marks every thread that has parked on e for a predicate
 // re-evaluation at its next scheduling slot: later in this edge's
 // thread phase when the slot is still ahead, else on the next edge.
+// Waking an asleep thread wakes its clock, whatever clock notifies.
 func (e *Event) Notify() {
 	for _, th := range e.waiters {
+		if !th.woken && th.parkPred != nil {
+			th.clock.asleep--
+		}
 		th.woken = true
 	}
 }
@@ -386,11 +398,22 @@ func (c *Clock) runEdgeAt(t Time) {
 	c.now = t
 	c.cycle++
 
+	// An idle edge — every slot asleep, no commit listed, no monitor —
+	// would walk the slots, run no hook and change nothing: skip to its
+	// bookkeeping.
+	if c.asleep == len(c.threads) && len(c.touched) == 0 && len(c.monitors) == 0 {
+		c.skipped++
+		c.committed++
+		c.endEdge(t)
+		return
+	}
+
 	// Phase 1: threads and methods, in registration order. Parked
 	// processes are serviced at their slot without a coroutine switch or
 	// a step call; a WaitOn predicate is evaluated only when one of its
 	// events has notified since its last evaluation. A method needs no
-	// starting, and its next calls its step.
+	// starting, and its next calls its step. A slot falls asleep when its
+	// predicate evaluates false or it finishes.
 	for _, th := range c.threads {
 		if th.finished {
 			continue
@@ -407,11 +430,15 @@ func (c *Clock) runEdgeAt(t Time) {
 			}
 			th.woken = false
 			if !th.parkPred() {
+				c.asleep++
 				continue
 			}
 			th.parkPred = nil
 		}
 		th.next()
+		if th.finished {
+			c.asleep++
+		}
 	}
 
 	// Phase 2: commit. The hooks listed for this edge run; those that
@@ -434,45 +461,51 @@ func (c *Clock) runEdgeAt(t Time) {
 		c.monitors[i].fn()
 	}
 	c.sealed = false
+	c.endEdge(t)
+}
 
+// endEdge schedules the edge after the one at t and expires a pause
+// that t has reached.
+func (c *Clock) endEdge(t Time) {
 	c.next = t + c.period
 	if c.pausedUntil != 0 && c.pausedUntil <= t {
 		c.pausedUntil = 0
 	}
 }
 
-// nextEventTime returns the earliest pending edge time across all clocks
-// (Infinity when there are none). Run and Step share this scan.
-func (s *Simulator) nextEventTime() Time {
-	t := Infinity
-	for _, c := range s.clocks {
-		if e := c.NextEdge(); e < t {
-			t = e
-		}
-	}
-	return t
-}
-
-// stepAt fires every clock whose edge is due at t, in stable name order
-// for reproducibility independent of registration order.
-func (s *Simulator) stepAt(t Time) bool {
-	s.now = t
+// nextDue finds, in one pass over the clocks in name order, the earliest
+// pending edge time (Infinity when there are none) and collects the
+// clocks due then into s.due. Run and Step share it.
+func (s *Simulator) nextDue() Time {
 	if s.orderedDirty {
 		s.ordered = append(s.ordered[:0], s.clocks...)
 		sort.Slice(s.ordered, func(i, j int) bool { return s.ordered[i].name < s.ordered[j].name })
 		s.orderedDirty = false
 	}
-	// The due set is fixed before any edge runs: a clock paused by
-	// another clock's edge at t still fires this step (its postponement
-	// affects the following edge), matching pausible-clocking semantics.
+	t := Infinity
 	due := s.due[:0]
 	for _, c := range s.ordered {
-		if c.NextEdge() == t {
+		e := c.NextEdge()
+		if e < t {
+			t = e
+			due = due[:0]
+		}
+		if e == t {
 			due = append(due, c)
 		}
 	}
 	s.due = due
-	for _, c := range due {
+	return t
+}
+
+// stepDue fires the clocks nextDue collected, at their edge time t, in
+// stable name order for reproducibility independent of registration
+// order. The due set is fixed before any edge runs: a clock paused by
+// another clock's edge at t still fires this step (its postponement
+// affects the following edge), matching pausible-clocking semantics.
+func (s *Simulator) stepDue(t Time) bool {
+	s.now = t
+	for _, c := range s.due {
 		if s.stopped.Load() {
 			break
 		}
@@ -495,11 +528,11 @@ func (s *Simulator) Step() bool {
 		c.runEdgeAt(s.now)
 		return !s.stopped.Load()
 	}
-	t := s.nextEventTime()
+	t := s.nextDue()
 	if t == Infinity {
 		return false
 	}
-	return s.stepAt(t)
+	return s.stepDue(t)
 }
 
 // Run advances the simulation until maxTime (exclusive) or Stop.
@@ -518,11 +551,11 @@ func (s *Simulator) Run(maxTime Time) {
 		return
 	}
 	for !s.stopped.Load() {
-		t := s.nextEventTime()
+		t := s.nextDue()
 		if t >= maxTime {
 			return
 		}
-		if !s.stepAt(t) {
+		if !s.stepDue(t) {
 			return
 		}
 	}

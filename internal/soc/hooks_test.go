@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/connections"
@@ -47,5 +48,53 @@ func TestProcessesNamedAndUnique(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCDCRelaysAreMethods checks the process kind of every CDC relay
+// under GALS: a method in the sim-accurate and RTL-cosim models, a
+// thread in the signal-accurate one, where each port operation charges a
+// Wait. The relays are 248 of the chip's 341 thread and method slots,
+// so in sim-accurate mode the chip runs 73 coroutine threads.
+func TestCDCRelaysAreMethods(t *testing.T) {
+	modes := []struct {
+		name  string
+		mode  connections.Mode
+		phase string
+	}{
+		{"tlm", connections.ModeSimAccurate, "method"},
+		{"rtl", connections.ModeRTLCosim, "method"},
+		{"signal", connections.ModeSignalAccurate, "thread"},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.GALS, cfg.Mode = true, m.mode
+			s, _ := Tests()[0].Build(cfg)
+			defer s.Sim.Close()
+			relays, slots, threads := 0, 0, 0
+			for _, p := range s.Sim.Processes() {
+				switch p.Phase {
+				case "thread":
+					slots++
+					threads++
+				case "method":
+					slots++
+				}
+				if !strings.HasPrefix(p.Name, "soc/noc/lnk[") || !(strings.HasSuffix(p.Name, "/tx") || strings.HasSuffix(p.Name, "/rx")) {
+					continue
+				}
+				relays++
+				if p.Phase != m.phase {
+					t.Errorf("relay %s on clock %s runs as a %s, want a %s", p.Name, p.Clock, p.Phase, m.phase)
+				}
+			}
+			if relays != 248 || slots != 341 {
+				t.Errorf("%d CDC relays in %d slots, want 248 in 341", relays, slots)
+			}
+			if m.mode == connections.ModeSimAccurate && threads != 73 {
+				t.Errorf("%d threads, want 73", threads)
+			}
+		})
 	}
 }

@@ -160,7 +160,7 @@ func New(cfg Config, firmware []uint32) *SoC {
 			return
 		}
 		for v := 0; v < numVCs; v++ {
-			f := cdcLink(s.Sim, fmt.Sprintf("%s/vc[%d]", name, v), clockOf[i], clockOf[j],
+			f := cdcLink(s.Sim, fmt.Sprintf("%s/vc[%d]", name, v), clockOf[i], clockOf[j], cfg.Mode,
 				s.Routers[i].Out[pi][v], s.Routers[j].In[pj][v], linkDepth, opts)
 			pauses = append(pauses, f)
 		}
@@ -301,28 +301,74 @@ func terminate(clk *sim.Clock, name string, out []*connections.Out[noc.Flit], in
 }
 
 // cdcLink carries one VC of a link across clock domains through a
-// pausible bisynchronous FIFO, with a forwarding process on each side —
-// the paper's asynchronous router-to-router interface.
-func cdcLink(s *sim.Simulator, name string, clkA, clkB *sim.Clock,
+// pausible bisynchronous FIFO — the paper's asynchronous router-to-router
+// interface. A relay on each side moves the flits: tx pops them from the
+// clkA buffer and pushes them into the FIFO, rx pops them from the FIFO
+// and pushes them into the clkB buffer, one flit per edge at most. Each
+// relay is a method that holds its in-flight flit in the link, and a
+// port operation that fails parks it on the predicate and event that
+// the blocking Pop or Push would wait on, so it observes the cycles of
+// the loop "Pop, Push, Wait". Under ModeSignalAccurate, where every port
+// operation charges a Wait, the relays are threads running that loop.
+func cdcLink(s *sim.Simulator, name string, clkA, clkB *sim.Clock, mode connections.Mode,
 	out *connections.Out[noc.Flit], in *connections.In[noc.Flit], depth int, opts []connections.Option) *gals.PausibleBisyncFIFO[noc.Flit] {
 	aIn := connections.NewIn[noc.Flit]().Owned(clkA, name, "tx")
 	connections.Buffer(clkA, name+"/a", 2, out, aIn, opts...)
 	fifo := gals.NewPausibleBisyncFIFO[noc.Flit](s, name, clkA, clkB, depth, 40)
-	clkA.Spawn(name+"/tx", func(th *sim.Thread) {
-		for {
-			f := aIn.Pop(th)
-			fifo.Push(th, f)
-			th.Wait()
-		}
-	})
 	bOut := connections.NewOut[noc.Flit]().Owned(clkB, name, "rx")
 	connections.Buffer(clkB, name+"/b", 2, bOut, in, opts...)
-	clkB.Spawn(name+"/rx", func(th *sim.Thread) {
-		for {
-			f := fifo.Pop(th)
-			bOut.Push(th, f)
-			th.Wait()
+	if mode == connections.ModeSignalAccurate {
+		clkA.Spawn(name+"/tx", func(th *sim.Thread) {
+			for {
+				fifo.Push(th, aIn.Pop(th))
+				th.Wait()
+			}
+		})
+		clkB.Spawn(name+"/rx", func(th *sim.Thread) {
+			for {
+				bOut.Push(th, fifo.Pop(th))
+				th.Wait()
+			}
+		})
+		return fifo
+	}
+
+	aReady, aEvs := aIn.Ready, []*sim.Event{aIn.Event()}
+	var txFlit noc.Flit
+	txHeld := false
+	clkA.Method(name+"/tx", func(th *sim.Thread) {
+		if !txHeld {
+			f, ok := aIn.PopNB(th)
+			if !ok {
+				th.WaitOn(aReady, aEvs...)
+				return
+			}
+			txFlit, txHeld = f, true
 		}
+		if !fifo.PushNB(txFlit) {
+			fifo.ParkPush(th)
+			return
+		}
+		txHeld = false
+	})
+
+	bReady, bEvs := func() bool { return !bOut.Full() }, []*sim.Event{bOut.Event()}
+	var rxFlit noc.Flit
+	rxHeld := false
+	clkB.Method(name+"/rx", func(th *sim.Thread) {
+		if !rxHeld {
+			f, ok := fifo.PopNB()
+			if !ok {
+				fifo.ParkPop(th)
+				return
+			}
+			rxFlit, rxHeld = f, true
+		}
+		if !bOut.PushNB(th, rxFlit) {
+			th.WaitOn(bReady, bEvs...)
+			return
+		}
+		rxHeld = false
 	})
 	return fifo
 }
