@@ -37,7 +37,9 @@
 // edge when it returns without parking. The same step run by a thread as
 // for { step(th) } observes the same cycles, so a component whose port
 // operations may charge a Wait (the signal-accurate model) keeps one
-// body and registers it as a thread there. A method must not call Wait.
+// body and registers it as a thread there, as the NoC routers do; the
+// GALS link relays are methods too, and threads with a blocking body
+// under that model. A method must not call Wait.
 //
 // The kernel is activity-driven, like SystemC's static sensitivity. A
 // thread or method that would otherwise poll an idle latency-insensitive
@@ -48,9 +50,14 @@
 // events has notified (Event.Notify). A channel likewise commits only on
 // edges where it was pushed or popped, or still has messages in flight;
 // its per-edge counters catch up over the idle gap when next read.
-// Both are execution optimizations only — a parked thread observes
-// exactly the cycle it would have observed by polling, provided every
-// change to its predicate notifies one of its events.
+// A clock whose every thread and method is finished or parked on an
+// unnotified predicate, with no commit listed and no monitor, skips its
+// edge's phases and only counts the edge; a notify from any clock wakes
+// it. The multi-clock step finds the earliest edge and the clocks due at
+// it in one pass over the clocks, in name order.
+// All of these are execution optimizations only — a parked thread
+// observes exactly the cycle it would have observed by polling, provided
+// every change to its predicate notifies one of its events.
 //
 // A run ends in two steps. Stop (safe from any goroutine; a job wires
 // its context to it with context.AfterFunc) ends stepping at the next
