@@ -49,6 +49,16 @@ func TestPacketFlitsRoundTrip(t *testing.T) {
 // uncorrupted, per-(src,dst)-ordered delivery.
 func runMeshTraffic(t *testing.T, w, h, pktsPerNode int, payloadMax int, seed int64, opts ...connections.Option) uint64 {
 	t.Helper()
+	_, done := meshTraffic(t, w, h, pktsPerNode, payloadMax, seed, 0, opts...)
+	return done
+}
+
+// meshTraffic is runMeshTraffic with a sink that rests sinkGap edges
+// after each packet it takes, so that a slow consumer backs the NIs'
+// packet outputs and then the network up. It returns the mesh and the
+// cycle of the last delivery.
+func meshTraffic(t *testing.T, w, h, pktsPerNode int, payloadMax int, seed int64, sinkGap int, opts ...connections.Option) (*Mesh, uint64) {
+	t.Helper()
 	s := sim.New()
 	clk := s.AddClock("clk", 1000, 0)
 	m := BuildMesh(clk, "m", w, h, 2, 4, opts...)
@@ -99,6 +109,7 @@ func runMeshTraffic(t *testing.T, w, h, pktsPerNode int, payloadMax int, seed in
 						doneCycle = th.Cycle()
 						th.Sim().Stop()
 					}
+					th.WaitN(sinkGap)
 				}
 				th.Wait()
 			}
@@ -137,7 +148,7 @@ func runMeshTraffic(t *testing.T, w, h, pktsPerNode int, payloadMax int, seed in
 			}
 		}
 	}
-	return doneCycle
+	return m, doneCycle
 }
 
 func TestMesh2x2Delivery(t *testing.T) {
@@ -148,14 +159,47 @@ func TestMesh4x4Delivery(t *testing.T) {
 	runMeshTraffic(t, 4, 4, 10, 3, 72)
 }
 
+// TestMeshUnderStallInjection checks the paper's verification story:
+// random stalls on every link must not break delivery, in any cost
+// model. Under the signal-accurate model a stall can withhold a head
+// flit the router has peeked while its PushNB charges a Wait. A slow
+// sink blocks the NIs' packet pushes and, through the backed-up
+// routers, their mid-packet flit pushes. The cycle of the last delivery,
+// every NI's packet counters and its failed pushes are pinned.
 func TestMeshUnderStallInjection(t *testing.T) {
-	// The paper's verification story: random stalls on every link must
-	// not break delivery, in any cost model. Under the signal-accurate
-	// model a stall can withhold a head flit the router has peeked while
-	// its PushNB charges a Wait.
-	runMeshTraffic(t, 2, 2, 10, 3, 73, connections.WithStall(0.25, 5))
-	runMeshTraffic(t, 2, 2, 10, 3, 73, connections.WithStall(0.25, 5),
-		connections.WithMode(connections.ModeSignalAccurate))
+	stall := connections.WithStall(0.25, 5)
+	signal := connections.WithMode(connections.ModeSignalAccurate)
+	cases := []struct {
+		name             string
+		pkts, payloadMax int
+		sinkGap          int
+		opts             []connections.Option
+		done             uint64
+		counts           string
+	}{
+		{"tlm", 10, 3, 0, []connections.Option{stall}, 80, "ni0 8/10 10/5 ni1 9/11 8/1 ni2 10/7 16/1 ni3 9/8 5/3 "},
+		{"signal", 10, 3, 0, []connections.Option{stall, signal}, 272, "ni0 8/10 74/3 ni1 9/11 73/3 ni2 10/7 155/3 ni3 9/8 57/0 "},
+		{"tlm-slow-sink", 30, 6, 30, []connections.Option{stall}, 811, "ni0 21/18 39/10 ni1 21/14 29/7 ni2 19/26 25/21 ni3 23/26 34/22 "},
+		{"signal-slow-sink", 30, 6, 30, []connections.Option{stall, signal}, 898, "ni0 21/18 487/3 ni1 21/14 371/13 ni2 19/26 515/99 ni3 23/26 430/316 "},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, done := meshTraffic(t, 2, 2, c.pkts, c.payloadMax, 73, c.sinkGap, c.opts...)
+			// Each NI's injected/ejected packets, then its failed pushes
+			// into the network and toward the sink.
+			var counts string
+			for i, ni := range m.NIs {
+				var flitFails uint64
+				for _, o := range ni.FlitOut {
+					flitFails += o.Stats().PushFails
+				}
+				counts += fmt.Sprintf("ni%d %d/%d %d/%d ", i, ni.Injected, ni.Ejected, flitFails, ni.PktOut.Stats().PushFails)
+			}
+			if done != c.done || counts != c.counts {
+				t.Errorf("done at cycle %d with %q, want %d with %q", done, counts, c.done, c.counts)
+			}
+		})
+	}
 }
 
 func TestMeshRTLCosimMode(t *testing.T) {

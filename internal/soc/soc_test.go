@@ -246,11 +246,11 @@ func TestIONodeDMAPath(t *testing.T) {
 // TestAXIBusControlPlane exercises the Figure 5 AXI bus: firmware writes
 // a MUL-computed pattern into GML through the AXI window, triggers a NoC
 // DMA copying it to GMR, then reads GMR back through AXI and compares —
-// both global-memory ports and the M extension in one program.
+// both global-memory ports and the M extension in one program. The
+// elapsed cycles and the metrics hash are pinned in four settings, since
+// every AXI access stalls the hart mid-instruction until the bus answers.
 func TestAXIBusControlPlane(t *testing.T) {
 	const n = 16
-	cfg := DefaultConfig()
-
 	fw := NewFirmware()
 	p := fw.P
 	// for i in [0,n): GML[i] = i * 2654435761 (via MUL)
@@ -285,26 +285,51 @@ func TestAXIBusControlPlane(t *testing.T) {
 	fw.Exit(0)
 	p.Label("fail")
 	fw.Exit(1)
+	prog := fw.Assemble()
 
-	s := New(cfg, fw.Assemble())
-	if _, err := s.Run(maxCycles); err != nil {
-		t.Fatal(err)
+	configs := []struct {
+		name   string
+		edit   func(*Config)
+		cycles uint64
+		hash   string
+	}{
+		{"tlm", func(*Config) {}, 448, "127a664e066e2845"},
+		{"stall", func(c *Config) { c.StallP, c.StallSeed = 0.1, 1 }, 492, "f062949082a02f8d"},
+		{"gals", func(c *Config) { c.GALS = true }, 454, "b3464168d59be41a"},
+		{"signal", func(c *Config) { c.Mode = connections.ModeSignalAccurate }, 555, "3b6d27879436adfb"},
 	}
-	if s.RV.ExitCode != 0 {
-		t.Fatalf("firmware verification failed (exit %d)", s.RV.ExitCode)
-	}
-	if s.RV.AXITransactions() < 2*n {
-		t.Fatalf("only %d AXI transactions recorded", s.RV.AXITransactions())
-	}
-	// Host-side cross-check of both memories.
-	for i := 0; i < n; i++ {
-		want := uint64(uint32(i) * 2654435761)
-		if got := s.GML.Mem.Read(i); got != want {
-			t.Fatalf("GML[%d] = %d, want %d", i, got, want)
-		}
-		if got := s.GMR.Mem.Read(i); got != want {
-			t.Fatalf("GMR[%d] = %d, want %d", i, got, want)
-		}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			c.edit(&cfg)
+			s := New(cfg, prog)
+			cycles, err := s.Run(maxCycles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.RV.ExitCode != 0 {
+				t.Fatalf("firmware verification failed (exit %d)", s.RV.ExitCode)
+			}
+			if s.RV.AXITransactions() < 2*n {
+				t.Fatalf("only %d AXI transactions recorded", s.RV.AXITransactions())
+			}
+			// Host-side cross-check of both memories.
+			for i := 0; i < n; i++ {
+				want := uint64(uint32(i) * 2654435761)
+				if got := s.GML.Mem.Read(i); got != want {
+					t.Fatalf("GML[%d] = %d, want %d", i, got, want)
+				}
+				if got := s.GMR.Mem.Read(i); got != want {
+					t.Fatalf("GMR[%d] = %d, want %d", i, got, want)
+				}
+			}
+			if cycles != c.cycles {
+				t.Errorf("%d cycles, want %d", cycles, c.cycles)
+			}
+			if got := metricsHash(t, s); got != c.hash {
+				t.Errorf("metrics hash = %s, want %s", got, c.hash)
+			}
+		})
 	}
 }
 
