@@ -21,10 +21,12 @@ test: build
 # the shipped designs and catch its seeded-bug fixtures, and the
 # benchmark module's golden cycle, instret, edge and pause counts (the
 # determinism guard) must hold, every SoC test must pass with
-# signal-accurate channels under stall injection in both clockings and,
-# under GALS, with the default channels (whose CDC relays are methods)
-# under stall injection, and a short run of every benchmark workload must
-# finish clean.
+# signal-accurate channels under stall injection in both clockings, on
+# one clock with the sim-accurate and RTL-cosim channels (whose NIs and
+# hart are methods that park on blocked port operations) under stall
+# injection and, under GALS, with the default channels (whose CDC relays
+# are methods) under stall injection, and a short run of every benchmark
+# workload must finish clean.
 check: vet
 	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
@@ -38,6 +40,8 @@ check: vet
 	$(MAKE) analysis
 	$(GO) run ./cmd/socsim -test all -mode signal -stall 0.1
 	$(GO) run ./cmd/socsim -test all -gals -mode signal -stall 0.1
+	$(GO) run ./cmd/socsim -test all -stall 0.1
+	$(GO) run ./cmd/socsim -test all -mode rtl -stall 0.1
 	$(GO) run ./cmd/socsim -test all -gals -stall 0.1
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke

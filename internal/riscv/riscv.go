@@ -2,7 +2,8 @@ package riscv
 
 import "fmt"
 
-// Bus is the CPU's view of memory and memory-mapped IO.
+// Bus is the CPU's view of memory and memory-mapped IO. A device that
+// cannot take an access yet refuses it with CPU.Retry.
 type Bus interface {
 	Load(addr uint32, size int) uint32
 	Store(addr uint32, size int, v uint32)
@@ -15,6 +16,21 @@ type CPU struct {
 	Halted bool
 
 	Instret uint64 // retired instruction count
+
+	retry bool // the bus refused the current instruction's access
+}
+
+// Retry, called by the bus from a Load or Store during Step, refuses
+// that access: Step returns without writing a register, moving PC or
+// retiring the instruction, so the next Step executes it again. A bus
+// whose device cannot take the access yet stalls the hart this way.
+func (c *CPU) Retry() { c.retry = true }
+
+// refused reports, and clears, a refusal by the bus since the last call.
+func (c *CPU) refused() bool {
+	r := c.retry
+	c.retry = false
+	return r
 }
 
 // Reset clears architectural state and sets the program counter.
@@ -28,6 +44,9 @@ func (c *CPU) Step(bus Bus) error {
 		return nil
 	}
 	inst := bus.Load(c.PC, 4)
+	if c.refused() {
+		return nil
+	}
 	next := c.PC + 4
 
 	opcode := inst & 0x7f
@@ -85,20 +104,25 @@ func (c *CPU) Step(bus Bus) error {
 		}
 	case 0x03: // loads
 		addr := r1 + uint32(immI)
+		var v uint32
 		switch funct3 {
 		case 0: // LB
-			set(uint32(int32(int8(bus.Load(addr, 1)))))
+			v = uint32(int32(int8(bus.Load(addr, 1))))
 		case 1: // LH
-			set(uint32(int32(int16(bus.Load(addr, 2)))))
+			v = uint32(int32(int16(bus.Load(addr, 2))))
 		case 2: // LW
-			set(bus.Load(addr, 4))
+			v = bus.Load(addr, 4)
 		case 4: // LBU
-			set(bus.Load(addr, 1) & 0xff)
+			v = bus.Load(addr, 1) & 0xff
 		case 5: // LHU
-			set(bus.Load(addr, 2) & 0xffff)
+			v = bus.Load(addr, 2) & 0xffff
 		default:
 			return fmt.Errorf("riscv: bad load funct3 %d at %#x", funct3, c.PC)
 		}
+		if c.refused() {
+			return nil
+		}
+		set(v)
 	case 0x23: // stores
 		addr := r1 + uint32(immS)
 		switch funct3 {
@@ -110,6 +134,9 @@ func (c *CPU) Step(bus Bus) error {
 			bus.Store(addr, 4, r2)
 		default:
 			return fmt.Errorf("riscv: bad store funct3 %d at %#x", funct3, c.PC)
+		}
+		if c.refused() {
+			return nil
 		}
 	case 0x13: // OP-IMM
 		imm := uint32(immI)

@@ -54,8 +54,9 @@ func TestProcessesNamedAndUnique(t *testing.T) {
 // TestCDCRelaysAreMethods checks the process kind of every CDC relay
 // under GALS: a method in the sim-accurate and RTL-cosim models, a
 // thread in the signal-accurate one, where each port operation charges a
-// Wait. The relays are 248 of the chip's 341 thread and method slots,
-// so in sim-accurate mode the chip runs 73 coroutine threads.
+// Wait. The relays are 248 of the chip's 341 thread and method slots;
+// with the routers, the NIs and the hart also methods, the chip runs 32
+// coroutine threads in sim-accurate mode.
 func TestCDCRelaysAreMethods(t *testing.T) {
 	modes := []struct {
 		name  string
@@ -92,8 +93,46 @@ func TestCDCRelaysAreMethods(t *testing.T) {
 			if relays != 248 || slots != 341 {
 				t.Errorf("%d CDC relays in %d slots, want 248 in 341", relays, slots)
 			}
-			if m.mode == connections.ModeSimAccurate && threads != 73 {
-				t.Errorf("%d threads, want 73", threads)
+			if m.mode == connections.ModeSimAccurate && threads != 32 {
+				t.Errorf("%d threads, want 32", threads)
+			}
+		})
+	}
+}
+
+// TestNIsAndHartAreMethods checks the process kind of the processes that
+// run on most edges of one clock — every NI's inject and eject loop and
+// the RISC-V hart: a method in the sim-accurate and RTL-cosim models, a
+// thread in the signal-accurate one.
+func TestNIsAndHartAreMethods(t *testing.T) {
+	modes := []struct {
+		name  string
+		mode  connections.Mode
+		phase string
+	}{
+		{"tlm", connections.ModeSimAccurate, "method"},
+		{"rtl", connections.ModeRTLCosim, "method"},
+		{"signal", connections.ModeSignalAccurate, "thread"},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Mode = m.mode
+			s, _ := Tests()[0].Build(cfg)
+			defer s.Sim.Close()
+			n := 0
+			for _, p := range s.Sim.Processes() {
+				ni := strings.HasPrefix(p.Name, "soc/noc/ni[") && (strings.HasSuffix(p.Name, ".inject") || strings.HasSuffix(p.Name, ".eject"))
+				if !ni && p.Name != "soc/rv/hart" {
+					continue
+				}
+				n++
+				if p.Phase != m.phase {
+					t.Errorf("%s runs as a %s, want a %s", p.Name, p.Phase, m.phase)
+				}
+			}
+			if n != 2*NumNodes+1 {
+				t.Errorf("found %d NI loops and harts, want %d", n, 2*NumNodes+1)
 			}
 		})
 	}

@@ -36,6 +36,14 @@ const (
 // local RAM and a memory-mapped network interface through which firmware
 // configures PEs and global memory and orchestrates DMA — the paper's
 // "global controller" role.
+//
+// The hart executes one instruction per edge. An MMIO access the NI or
+// the AXI bus cannot take yet stalls it: the access is refused
+// (riscv.CPU.Retry), leaving PC, the registers and Instret as they were,
+// and the instruction executes again on the edge the blocking port
+// operation would have gone on, so it retires on that edge. The node
+// keeps how far the access got — the packet a RegNocSend store built,
+// the AXI transaction's phase — so that no side effect repeats.
 type RVNode struct {
 	ID  int
 	CPU *riscv.CPU
@@ -50,21 +58,60 @@ type RVNode struct {
 	Exited   bool
 	ExitCode uint32
 
-	th         *sim.Thread // CPU thread, for blocking MMIO side effects
+	th         *sim.Thread // the hart's process, for MMIO port operations
 	clk        *sim.Clock
+	park       bool // a refused access parks the hart: every mode but ModeSignalAccurate
 	txLo, txHi uint32
 	txPayload  []uint64
 	nextPktID  uint64
+	send       noc.Packet // the packet a RegNocSend store built, while sending
+	sending    bool
 
 	// AXI master into global memory (nil when the bus is absent).
 	AXI      *axi.Master
 	axiWords int // words mapped behind AXIWindow
 	axiTxns  uint64
+	axiPhase axiPhase // how far the current AXI-window access got
+
+	// The park conditions of the MMIO port operations, built at the
+	// first edge once the ports are bound; see portWait.
+	injectFree, arFree, rReady, awFree, wFree, bReady portWait
 }
 
-// newRVNode builds the controller with firmware already in RAM.
+// axiPhase is how far an AXI-window access got before the hart stalled.
+type axiPhase uint8
+
+const (
+	axiIdle axiPhase = iota // no transaction in flight
+	axiAddr                 // address beat sent: a read awaits R, a write owes its W beat
+	axiData                 // W beat sent: the write awaits B
+)
+
+// portWait is the condition a blocking Pop or Push parks on — the
+// channel's readiness predicate and its event, as a slice built once so
+// that parking allocates nothing.
+type portWait struct {
+	pred func() bool
+	evs  []*sim.Event
+}
+
+func outWait[T any](p *connections.Out[T]) portWait {
+	return portWait{func() bool { return !p.Full() }, []*sim.Event{p.Event()}}
+}
+
+func inWait[T any](p *connections.In[T]) portWait {
+	return portWait{p.Ready, []*sim.Event{p.Event()}}
+}
+
+// never is the park predicate of a halted hart.
+func never() bool { return false }
+
+// newRVNode builds the controller with firmware already in RAM. mode is
+// the channels' port-operation cost model: the hart runs as a method
+// process, except under ModeSignalAccurate, where every PopNB and PushNB
+// charges a Wait and the same step runs in a thread.
 func newRVNode(clk *sim.Clock, name string, id, ramWords int, program []uint32,
-	inject *connections.Out[noc.Packet], eject *connections.In[noc.Packet]) *RVNode {
+	inject *connections.Out[noc.Packet], eject *connections.In[noc.Packet], mode connections.Mode) *RVNode {
 	r := &RVNode{
 		ID:     id,
 		CPU:    &riscv.CPU{},
@@ -73,6 +120,7 @@ func newRVNode(clk *sim.Clock, name string, id, ramWords int, program []uint32,
 		eject:  eject,
 		doneQ:  matchlib.NewFIFO[int](256),
 		clk:    clk,
+		park:   mode != connections.ModeSignalAccurate,
 	}
 	copy(r.RAM, program)
 	r.CPU.Reset(0)
@@ -109,16 +157,15 @@ func newRVNode(clk *sim.Clock, name string, id, ramWords int, program []uint32,
 		}
 	})
 
-	// The hart: one instruction per cycle.
-	clk.Spawn(name+"/hart", func(th *sim.Thread) {
-		r.th = th
-		for !r.CPU.Halted {
-			if err := r.CPU.Step(r); err != nil {
-				panic(err)
+	if r.park {
+		clk.Method(name+"/hart", r.step)
+	} else {
+		clk.Spawn(name+"/hart", func(th *sim.Thread) {
+			for !r.CPU.Halted {
+				r.step(th)
 			}
-			th.Wait()
-		}
-	})
+		})
+	}
 	clk.Sim().Metrics().Source(name, func(emit stats.Emit) {
 		emit("instret", float64(r.CPU.Instret))
 		emit("done_count", float64(r.doneCount))
@@ -126,6 +173,44 @@ func newRVNode(clk *sim.Clock, name string, id, ramWords int, program []uint32,
 		emit("exit_code", float64(r.ExitCode))
 	})
 	return r
+}
+
+// step executes the instruction at PC. A retired instruction is followed
+// by an edge's wait, which a method takes by returning, and a halted
+// hart parks for good. A refused one has already parked the method;
+// a thread executes it again at once.
+func (r *RVNode) step(th *sim.Thread) {
+	if r.th == nil {
+		r.th = th
+		r.injectFree = outWait(r.inject)
+		if r.AXI != nil {
+			r.arFree, r.rReady = outWait(r.AXI.AR), inWait(r.AXI.R)
+			r.awFree, r.wFree, r.bReady = outWait(r.AXI.AW), outWait(r.AXI.W), inWait(r.AXI.B)
+		}
+	}
+	retired := r.CPU.Instret
+	if err := r.CPU.Step(r); err != nil {
+		panic(err)
+	}
+	switch {
+	case r.CPU.Instret == retired:
+	case !r.park:
+		th.Wait()
+	case r.CPU.Halted:
+		th.WaitOn(never)
+	}
+}
+
+// refuse refuses the current MMIO access, so the hart executes the
+// instruction again: a method once w holds, on the edge the blocking
+// port operation would go on, and a thread (ModeSignalAccurate) at once,
+// as that operation's polling loop does, the failed attempt having
+// charged its Wait.
+func (r *RVNode) refuse(w *portWait) {
+	r.CPU.Retry()
+	if r.park {
+		r.th.WaitOn(w.pred, w.evs...)
+	}
 }
 
 // Load implements riscv.Bus.
@@ -142,13 +227,7 @@ func (r *RVNode) Load(addr uint32, size int) uint32 {
 		return uint32(r.clk.Cycle())
 	}
 	if r.AXI != nil && addr >= AXIWindow && addr < AXIWindow+uint32(r.axiWords)*4 {
-		w := int(addr-AXIWindow) / 4
-		data, ok := r.AXI.ReadBurst(r.th, NodeRV, w, 1)
-		if !ok {
-			panic(fmt.Sprintf("soc: AXI read error at word %d", w))
-		}
-		r.axiTxns++
-		return uint32(data[0])
+		return r.axiRead(int(addr-AXIWindow) / 4)
 	}
 	if addr >= MMIOBase {
 		panic(fmt.Sprintf("soc: RV load from unmapped MMIO %#x", addr))
@@ -179,12 +258,19 @@ func (r *RVNode) Store(addr uint32, size int, v uint32) {
 		r.txLo, r.txHi = 0, 0
 		return
 	case RegNocSend:
-		r.nextPktID++
-		payload := make([]uint64, len(r.txPayload))
-		copy(payload, r.txPayload)
-		r.txPayload = r.txPayload[:0]
+		if !r.sending {
+			r.nextPktID++
+			payload := make([]uint64, len(r.txPayload))
+			copy(payload, r.txPayload)
+			r.txPayload = r.txPayload[:0]
+			r.send, r.sending = noc.Packet{Src: r.ID, Dst: int(v), ID: uint64(r.ID)<<32 | r.nextPktID, Payload: payload}, true
+		}
 		// The store stalls the hart until the NI accepts the packet.
-		r.inject.Push(r.th, noc.Packet{Src: r.ID, Dst: int(v), ID: uint64(r.ID)<<32 | r.nextPktID, Payload: payload})
+		if !r.inject.PushNB(r.th, r.send) {
+			r.refuse(&r.injectFree)
+			return
+		}
+		r.send, r.sending = noc.Packet{}, false
 		return
 	case RegTestExit:
 		r.Exited = true
@@ -194,11 +280,7 @@ func (r *RVNode) Store(addr uint32, size int, v uint32) {
 		return
 	}
 	if r.AXI != nil && addr >= AXIWindow && addr < AXIWindow+uint32(r.axiWords)*4 {
-		w := int(addr-AXIWindow) / 4
-		if !r.AXI.WriteBurst(r.th, NodeRV, w, []uint64{uint64(v)}) {
-			panic(fmt.Sprintf("soc: AXI write error at word %d", w))
-		}
-		r.axiTxns++
+		r.axiWrite(int(addr-AXIWindow)/4, v)
 		return
 	}
 	if addr >= MMIOBase {
@@ -216,6 +298,78 @@ func (r *RVNode) Store(addr uint32, size int, v uint32) {
 		r.RAM[i] = r.RAM[i]&^(0xffff<<sh) | (v&0xffff)<<sh
 	default:
 		r.RAM[i] = v
+	}
+}
+
+// axiRead is axi.Master.ReadBurst of one word, one phase at a time: the
+// AR beat, then the R beat, each refusing the load while its channel
+// cannot go.
+func (r *RVNode) axiRead(w int) uint32 {
+	m := r.AXI
+	if r.axiPhase == axiIdle {
+		if !m.AR.PushNB(r.th, axi.ReadAddr{ID: NodeRV, Addr: w, Len: 1}) {
+			r.refuse(&r.arFree)
+			return 0
+		}
+		r.axiPhase = axiAddr
+	}
+	for {
+		d, ok := m.R.PopNB(r.th)
+		if !ok {
+			r.refuse(&r.rReady)
+			return 0
+		}
+		if d.ID != NodeRV {
+			continue
+		}
+		r.axiPhase = axiIdle
+		if !d.OK {
+			panic(fmt.Sprintf("soc: AXI read error at word %d", w))
+		}
+		r.axiTxns++
+		return uint32(d.Data)
+	}
+}
+
+// axiWrite is axi.Master.WriteBurst of one word, one phase at a time:
+// the AW beat, the W beat and, an edge after it, the B beat, each
+// refusing the store while its channel cannot go.
+func (r *RVNode) axiWrite(w int, v uint32) {
+	m := r.AXI
+	switch r.axiPhase {
+	case axiIdle:
+		if !m.AW.PushNB(r.th, axi.WriteAddr{ID: NodeRV, Addr: w, Len: 1}) {
+			r.refuse(&r.awFree)
+			return
+		}
+		r.axiPhase = axiAddr
+		fallthrough
+	case axiAddr:
+		if !m.W.PushNB(r.th, axi.WriteData{Data: uint64(v), Last: true}) {
+			r.refuse(&r.wFree)
+			return
+		}
+		// WriteBurst waits an edge after the last W beat.
+		r.axiPhase = axiData
+		r.CPU.Retry()
+		r.th.WaitN(1)
+		return
+	}
+	for {
+		b, ok := m.B.PopNB(r.th)
+		if !ok {
+			r.refuse(&r.bReady)
+			return
+		}
+		if b.ID != NodeRV {
+			continue
+		}
+		r.axiPhase = axiIdle
+		if !b.OK {
+			panic(fmt.Sprintf("soc: AXI write error at word %d", w))
+		}
+		r.axiTxns++
+		return
 	}
 }
 

@@ -146,7 +146,7 @@ func New(cfg Config, firmware []uint32) *SoC {
 		// VC selection pins each (src,dst) flow to one VC so that DMA
 		// chunk streams stay ordered end to end; different flows still
 		// spread across VCs.
-		ni := noc.NewNI(clk, fmt.Sprintf("soc/noc/ni[%d]", i), i, numVCs, func(p noc.Packet) int { return (p.Src + p.Dst) % numVCs })
+		ni := noc.NewNI(clk, fmt.Sprintf("soc/noc/ni[%d]", i), i, numVCs, func(p noc.Packet) int { return (p.Src + p.Dst) % numVCs }, cfg.Mode)
 		nis[i] = ni
 		linkSame(clk, fmt.Sprintf("soc/noc/l[%d]/in", i), linkDepth, ni.FlitOut, r.In[noc.PortLocal], opts)
 		linkSame(clk, fmt.Sprintf("soc/noc/l[%d]/out", i), linkDepth, r.Out[noc.PortLocal], ni.FlitIn, opts)
@@ -218,7 +218,7 @@ func New(cfg Config, firmware []uint32) *SoC {
 	}
 	{
 		inj, ej := endpoints(NodeRV)
-		s.RV = newRVNode(clockOf[NodeRV], "soc/rv", NodeRV, ramWords, firmware, inj, ej)
+		s.RV = newRVNode(clockOf[NodeRV], "soc/rv", NodeRV, ramWords, firmware, inj, ej, cfg.Mode)
 	}
 
 	// The Figure 5 AXI bus: the controller reaches both global-memory
@@ -333,14 +333,14 @@ func cdcLink(s *sim.Simulator, name string, clkA, clkB *sim.Clock, mode connecti
 		return fifo
 	}
 
-	aReady, aEvs := aIn.Ready, []*sim.Event{aIn.Event()}
+	aWait := inWait(aIn)
 	var txFlit noc.Flit
 	txHeld := false
 	clkA.Method(name+"/tx", func(th *sim.Thread) {
 		if !txHeld {
 			f, ok := aIn.PopNB(th)
 			if !ok {
-				th.WaitOn(aReady, aEvs...)
+				th.WaitOn(aWait.pred, aWait.evs...)
 				return
 			}
 			txFlit, txHeld = f, true
@@ -352,7 +352,7 @@ func cdcLink(s *sim.Simulator, name string, clkA, clkB *sim.Clock, mode connecti
 		txHeld = false
 	})
 
-	bReady, bEvs := func() bool { return !bOut.Full() }, []*sim.Event{bOut.Event()}
+	bWait := outWait(bOut)
 	var rxFlit noc.Flit
 	rxHeld := false
 	clkB.Method(name+"/rx", func(th *sim.Thread) {
@@ -365,7 +365,7 @@ func cdcLink(s *sim.Simulator, name string, clkA, clkB *sim.Clock, mode connecti
 			rxFlit, rxHeld = f, true
 		}
 		if !bOut.PushNB(th, rxFlit) {
-			th.WaitOn(bReady, bEvs...)
+			th.WaitOn(bWait.pred, bWait.evs...)
 			return
 		}
 		rxHeld = false
