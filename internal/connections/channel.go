@@ -163,31 +163,34 @@ func Terminator() Option { return func(o *options) { o.terminated = true } }
 
 // core is the shared channel implementation behind every kind.
 type core[T any] struct {
+	// The state the port checks read (peek, canPop, canPush) comes
+	// first, so that a check touches few cache lines.
+	queue        []T // committed contents, front at index 0
+	stagedPops   int // committed entries consumed this cycle
+	bypassTaken  int // skid entries consumed via the bypass path this cycle
+	stalledValid bool
+	stalledReady bool
+
+	// skid is the producer-side output buffer of the paper's sim-accurate
+	// model: a push lands here and the channel's commit process transmits
+	// it downstream when capacity allows. It holds at most one message,
+	// matching the one-transfer-per-cycle rate of a hardware port.
+	skid []T
+
 	clk  *sim.Clock
 	name string
 	kind Kind
 	mode Mode
 	cap  int
 
-	queue []T // committed contents, front at index 0
-
-	// skid is the producer-side output buffer of the paper's sim-accurate
-	// model: a push lands here and the channel's commit process transmits
-	// it downstream when capacity allows. It holds at most one message,
-	// matching the one-transfer-per-cycle rate of a hardware port.
-	skid        []T
-	bypassTaken int // skid entries consumed via the bypass path this cycle
-	stagedPops  int // committed entries consumed this cycle
-
 	// Pipeline-register delay line for latency > 0 / RTL mode.
 	latency     int
 	inflightBuf []inflight[T]
 
-	// Stall injection.
-	rng          *rand.Rand
-	pStall       float64
-	stalledValid bool
-	stalledReady bool
+	// Stall injection; stalledValid and stalledReady above are its
+	// current roll.
+	rng    *rand.Rand
+	pStall float64
 
 	pack func(any) bitvec.Vec
 

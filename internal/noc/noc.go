@@ -39,20 +39,19 @@ func (f Flit) PackBits() bitvec.Vec {
 
 // Flits serializes the packet on virtual channel vc.
 func (p Packet) Flits(vc int) []Flit {
-	flits := make([]Flit, 0, len(p.Payload)+1)
-	head := Flit{Head: true, Src: p.Src, Dst: p.Dst, VC: vc, PktID: p.ID}
-	if len(p.Payload) == 0 {
-		head.Tail = true
-		return append(flits, head)
-	}
-	flits = append(flits, head)
+	return p.appendFlits(make([]Flit, 0, len(p.Payload)+1), vc)
+}
+
+// appendFlits appends the packet's flits on virtual channel vc to dst.
+func (p Packet) appendFlits(dst []Flit, vc int) []Flit {
+	dst = append(dst, Flit{Head: true, Tail: len(p.Payload) == 0, Src: p.Src, Dst: p.Dst, VC: vc, PktID: p.ID})
 	for i, w := range p.Payload {
-		flits = append(flits, Flit{
+		dst = append(dst, Flit{
 			Src: p.Src, Dst: p.Dst, VC: vc, PktID: p.ID,
 			Data: w, Tail: i == len(p.Payload)-1,
 		})
 	}
-	return flits
+	return dst
 }
 
 // RouteFunc maps a destination node to a local output port of a router.

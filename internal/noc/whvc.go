@@ -24,18 +24,19 @@ type WHVCRouter struct {
 	Stats RouterStats
 
 	nPorts, nVCs int
-	lock         [][]outLock         // [outPort][vc]
+	lock         []outLock           // [outPort*nVCs+vc]
 	arbs         []*matchlib.Arbiter // [outPort] over inPort*nVCs requesters
 	route        RouteFunc
 
 	// step's state, allocated with the router so that an edge allocates
 	// nothing. ins is In flattened to [port*vc]; heads[k] is the head
 	// flit of ins[k] wherever bit k of have is set, as peeked on cycle
-	// seen; inEvs are the input channels' events (filled at the first
-	// edge, once the ports are bound); ready is snapshot as the park
-	// predicate.
+	// seen, and outs[k] its output port when it is a head flit; inEvs are
+	// the input channels' events (filled at the first edge, once the
+	// ports are bound); ready is snapshot as the park predicate.
 	ins   []*connections.In[Flit]
 	heads []Flit
+	outs  []int
 	have  uint64
 	seen  uint64
 	inEvs []*sim.Event
@@ -68,11 +69,12 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 		Out:    make([][]*connections.Out[Flit], nPorts),
 		nPorts: nPorts,
 		nVCs:   nVCs,
-		lock:   make([][]outLock, nPorts),
+		lock:   make([]outLock, nPorts*nVCs),
 		arbs:   make([]*matchlib.Arbiter, nPorts),
 		route:  route,
 		ins:    make([]*connections.In[Flit], 0, nPorts*nVCs),
 		heads:  make([]Flit, nPorts*nVCs),
+		outs:   make([]int, nPorts*nVCs),
 		inEvs:  make([]*sim.Event, 0, nPorts*nVCs),
 		name:   name,
 		clk:    clk,
@@ -92,7 +94,6 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 			r.Out[i][v] = connections.NewOut[Flit]().Owned(clk, name, fmt.Sprintf("out[%d][%d]", i, v))
 			r.ins = append(r.ins, r.In[i][v])
 		}
-		r.lock[i] = make([]outLock, nVCs)
 		r.arbs[i] = matchlib.NewArbiter(nPorts * nVCs)
 	}
 	if mode == connections.ModeSignalAccurate {
@@ -124,6 +125,9 @@ func (r *WHVCRouter) snapshot() bool {
 		if f, ok := in.Peek(); ok {
 			r.heads[k] = f
 			r.have |= 1 << uint(k)
+			if f.Head {
+				r.outs[k] = r.route(f.Dst)
+			}
 		}
 	}
 	return r.have != 0
@@ -161,9 +165,9 @@ func (r *WHVCRouter) step(th *sim.Thread) {
 			k := bits.TrailingZeros64(m)
 			i, v := k/r.nVCs, k%r.nVCs
 			f := &r.heads[k]
-			lk := r.lock[o][v]
+			lk := r.lock[o*r.nVCs+v]
 			if f.Head {
-				if r.route(f.Dst) == o && !lk.active {
+				if r.outs[k] == o && !lk.active {
 					req |= 1 << uint(k)
 				}
 			} else if lk.active && lk.inPort == i {
@@ -210,9 +214,9 @@ func (r *WHVCRouter) forward(th *sim.Thread, o, i, v int, f Flit) bool {
 	}
 	switch {
 	case f.Tail:
-		r.lock[o][v] = outLock{}
+		r.lock[o*r.nVCs+v] = outLock{}
 	case f.Head:
-		r.lock[o][v] = outLock{active: true, inPort: i}
+		r.lock[o*r.nVCs+v] = outLock{active: true, inPort: i}
 	}
 	return true
 }

@@ -22,28 +22,30 @@ type Thread struct {
 // A thread's body runs as an iter.Pull iterator: the kernel resumes it
 // with next, and Wait suspends it with yield, so a handoff is one
 // coroutine switch on the kernel's goroutine rather than a round trip
-// through the scheduler. A method (step non-nil) has no coroutine: its
-// next calls step, and the step parks by setting the park state below
-// and returning.
+// through the scheduler. A method (step non-nil) has no coroutine: the
+// kernel calls runStep instead of next, and the step parks by setting
+// the park state below and returning.
 type thread struct {
-	name     string
-	clock    *Clock
-	next     func() (struct{}, bool)
-	stop     func()
-	yield    func(struct{}) bool
-	finished bool
-	started  bool
-	body     func(*Thread)
-	step     func(*Thread)
-	self     Thread // the handle passed to body or step
-
 	// Parking state, owned by the kernel while the thread is suspended. A
 	// parked thread is skipped — no coroutine switch — until its
-	// condition holds at its scheduling slot.
+	// condition holds at its scheduling slot. These fields and the run
+	// state come first, so that the kernel's walk over the slots, which
+	// reads them on every edge, touches few cache lines.
+	finished bool
+	started  bool
+	woken    bool        // an event notified since parkPred last ran
 	parkN    uint64      // countdown parking (WaitN); resumes when it hits 0
 	parkPred func() bool // predicate parking (WaitOn); nil when not parked
-	woken    bool        // an event notified since parkPred last ran
-	sens     []*Event    // the event slice the thread last registered on
+	next     func() (struct{}, bool)
+	step     func(*Thread)
+
+	name  string
+	clock *Clock
+	stop  func()
+	yield func(struct{}) bool
+	body  func(*Thread)
+	self  Thread   // the handle passed to body or step
+	sens  []*Event // the event slice the thread last registered on
 }
 
 // Spawn registers a named coroutine process on clock c. The body starts
@@ -79,13 +81,9 @@ func (c *Clock) Method(name string, step func(*Thread)) {
 	mustName("method", name)
 	th := &thread{name: name, clock: c, step: step, started: true}
 	th.self.t = th
-	// The kernel resumes every process through next, so a method's next
-	// calls its step; its yield, reached only by Wait, panics; and it has
-	// no coroutine for Close to stop.
-	th.next = func() (struct{}, bool) {
-		th.runStep()
-		return struct{}{}, true
-	}
+	// The kernel calls a method's step where it resumes a thread; a
+	// method's yield, reached only by Wait, panics; and it has no
+	// coroutine for Close to stop.
 	th.yield = func(struct{}) bool { panic(fmt.Sprintf("sim: Wait in method %q", name)) }
 	th.stop = func() {}
 	c.threads = append(c.threads, th)
