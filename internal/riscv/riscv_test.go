@@ -424,3 +424,89 @@ func TestRunBudget(t *testing.T) {
 		t.Fatal("no error for non-halting program")
 	}
 }
+
+// stallBus refuses the first refusals data accesses at or above addr
+// with CPU.Retry, as a device that cannot take them yet does.
+type stallBus struct {
+	*ram
+	cpu      *CPU
+	addr     uint32
+	refusals int
+	loads    int
+}
+
+func (b *stallBus) Load(addr uint32, size int) uint32 {
+	if addr >= b.addr {
+		b.loads++
+		if b.refusals > 0 {
+			b.refusals--
+			b.cpu.Retry()
+			return 0xdead
+		}
+	}
+	return b.ram.Load(addr, size)
+}
+
+func (b *stallBus) Store(addr uint32, size int, v uint32) {
+	if addr >= b.addr && b.refusals > 0 {
+		b.refusals--
+		b.cpu.Retry()
+		return
+	}
+	b.ram.Store(addr, size, v)
+}
+
+// TestRetryReexecutes checks that a refused load or store leaves PC, the
+// registers and Instret as they were, so the next Step executes the
+// instruction again, and that the instruction then retires once.
+func TestRetryReexecutes(t *testing.T) {
+	p := NewProgram(0)
+	p.LI(T0, 0x8000)
+	lw := p.Base + uint32(len(p.Assemble()))*4
+	p.LW(A0, T0, 0)
+	p.LI(T1, 7)
+	sw := p.Base + uint32(len(p.Assemble()))*4
+	p.SW(T1, T0, 4)
+	p.ECALL()
+	m := newRAM(1 << 16)
+	for i, w := range p.Assemble() {
+		m.Store(p.Base+uint32(i)*4, 4, w)
+	}
+	m.Store(0x8000, 4, 42)
+	c := &CPU{}
+	c.Reset(p.Base)
+	b := &stallBus{ram: m, cpu: c, addr: 0x8000}
+	step := func() {
+		t.Helper()
+		if err := c.Step(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c.PC != lw {
+		step()
+	}
+	pc, n := c.PC, c.Instret
+	b.refusals = 2
+	step()
+	step()
+	if c.PC != pc || c.Instret != n || c.Regs[A0] != 0 {
+		t.Fatalf("refused LW moved state: pc %#x→%#x, instret %d→%d, a0 %d", pc, c.PC, n, c.Instret, c.Regs[A0])
+	}
+	step()
+	if c.PC != pc+4 || c.Instret != n+1 || c.Regs[A0] != 42 || b.loads != 3 {
+		t.Fatalf("LW after refusals: pc %#x, instret %d, a0 %d, %d loads", c.PC, c.Instret, c.Regs[A0], b.loads)
+	}
+	for c.PC != sw {
+		step()
+	}
+	pc, n = c.PC, c.Instret
+	b.refusals = 1
+	step()
+	if c.PC != pc || c.Instret != n || m.Load(0x8004, 4) != 0 {
+		t.Fatalf("refused SW moved state: pc %#x→%#x, instret %d→%d", pc, c.PC, n, c.Instret)
+	}
+	step()
+	if c.PC != pc+4 || c.Instret != n+1 || m.Load(0x8004, 4) != 7 {
+		t.Fatalf("SW after a refusal: pc %#x, instret %d, mem %d", c.PC, c.Instret, m.Load(0x8004, 4))
+	}
+}
