@@ -297,6 +297,9 @@ func TestAXIBusControlPlane(t *testing.T) {
 		{"stall", func(c *Config) { c.StallP, c.StallSeed = 0.1, 1 }, 492, "f062949082a02f8d"},
 		{"gals", func(c *Config) { c.GALS = true }, 454, "b3464168d59be41a"},
 		{"signal", func(c *Config) { c.Mode = connections.ModeSignalAccurate }, 555, "3b6d27879436adfb"},
+		{"signal-stall", func(c *Config) { c.Mode, c.StallP, c.StallSeed = connections.ModeSignalAccurate, 0.1, 1 }, 621, "937fd9123bdbbb4c"},
+		{"rtl-stall", func(c *Config) { c.Mode, c.StallP, c.StallSeed = connections.ModeRTLCosim, 0.1, 1 }, 638, "5d2796b0316da105"},
+		{"gals-signal", func(c *Config) { c.GALS, c.Mode = true, connections.ModeSignalAccurate }, 563, "ee798fb17d42137e"},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
