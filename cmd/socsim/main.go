@@ -35,9 +35,9 @@ func main() {
 	stall := flag.Float64("stall", 0, "stall-injection probability on every channel")
 	seed := flag.Int64("seed", 1, "stall-injection seed")
 	statsF := flag.Bool("stats", false, "dump the full per-component metrics tree")
-	statsJSON := flag.String("statsjson", "", "write the metrics snapshot as JSON to this file")
+	statsJSON := flag.String("statsjson", "", "write the metrics snapshot as JSON to this file; needs -test to name one test")
 	powerF := flag.Bool("power", false, "print the architectural power breakdown")
-	vcd := flag.String("vcd", "", "write a VCD waveform of every traced channel (valid/ready/occ, grouped by component scope) to this file; with -check, the replay of verify's first counterexample")
+	vcd := flag.String("vcd", "", "write a VCD waveform of every traced channel (valid/ready/occ, grouped by component scope) to this file; needs -test to name one test; with -check, the replay of verify's first counterexample")
 	traceF := flag.Bool("trace", false, "arm channel tracing and print the per-channel backpressure/deadlock report")
 	horizon := flag.Uint64("horizon", 1000, "deadlock bound for -trace, in cycles of each channel's clock")
 	maxCycles := flag.Uint64("maxcycles", 10_000_000, "cycle budget")
@@ -65,19 +65,55 @@ func main() {
 		os.Exit(runChecks(cfg, *mode, *testName, *check, *checkJSON, *vcd))
 	}
 
-	any := false
+	os.Exit(runSims(cfg, *testName, simOutputs{
+		maxCycles: *maxCycles,
+		stats:     *statsF,
+		statsJSON: *statsJSON,
+		power:     *powerF,
+		vcd:       *vcd,
+		trace:     *traceF,
+		horizon:   *horizon,
+	}))
+}
+
+// simOutputs are what the simulate path reports besides each test's
+// status line.
+type simOutputs struct {
+	maxCycles      uint64
+	stats, power   bool
+	statsJSON, vcd string // files that hold one run's snapshot or waveform
+	trace          bool
+	horizon        uint64
+}
+
+// runSims simulates each selected test under cfg and returns the exit
+// code: 1 when a run errs or a file cannot be written, and 2 for an
+// unknown test or for -statsjson or -vcd with more than one test
+// selected, since each file holds one run. A refused request runs
+// nothing and writes no file.
+func runSims(cfg soc.Config, testName string, o simOutputs) int {
+	var tests []soc.TestCase
 	for _, tc := range append(soc.Tests(), soc.ExtraTests()...) {
-		if *testName != "all" && tc.Name != *testName {
-			continue
+		if testName == "all" || tc.Name == testName {
+			tests = append(tests, tc)
 		}
-		any = true
+	}
+	if len(tests) == 0 {
+		fmt.Fprintf(os.Stderr, "socsim: unknown test %q\n", testName)
+		return 2
+	}
+	if len(tests) > 1 && (o.statsJSON != "" || o.vcd != "") {
+		fmt.Fprintf(os.Stderr, "socsim: -statsjson and -vcd hold one run; select one test with -test (%q selects %d)\n", testName, len(tests))
+		return 2
+	}
+	for _, tc := range tests {
 		s, verify := tc.Build(cfg)
 		start := time.Now()
-		cycles, err := s.Run(*maxCycles)
+		cycles, err := s.Run(o.maxCycles)
 		wall := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "socsim: %s: %v\n", tc.Name, err)
-			os.Exit(1)
+			return 1
 		}
 		status := "PASS"
 		if err := verify(s); err != nil {
@@ -88,39 +124,39 @@ func main() {
 		if cfg.GALS {
 			fmt.Printf("  %d clock pauses", s.Pauses())
 		}
-		if *vcd != "" {
-			msg, err := writeVCD(*vcd, s.Tracer())
+		if o.vcd != "" {
+			msg, err := writeVCD(o.vcd, s.Tracer())
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "socsim:", err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Print("  " + msg)
 		}
 		fmt.Println()
 		var rep *trace.Report
 		if cfg.Trace {
-			rep = s.Tracer().Analyze(*horizon)
+			rep = s.Tracer().Analyze(o.horizon)
 			// Trace-derived figures join the same registry the components
 			// publish into, so -stats and -statsjson include them.
 			rep.Publish(s.Sim.Metrics(), "trace")
 		}
-		if *traceF {
+		if o.trace {
 			fmt.Printf("channel trace: %d events on %d channels, %d suspects\n",
 				rep.Events, len(rep.Channels), len(rep.Suspects))
 			for _, line := range rep.Summary() {
 				fmt.Println("  " + line)
 			}
 		}
-		if *powerF {
+		if o.power {
 			s.PowerEstimate(cycles, 1100).Print(os.Stdout)
 		}
 		// Every component registered itself into the simulator's metrics
 		// registry during construction; the dump walks the whole tree.
-		if *statsF {
+		if o.stats {
 			s.Sim.Metrics().Dump(os.Stdout)
 		}
-		if *statsJSON != "" {
-			f, err := os.Create(*statsJSON)
+		if o.statsJSON != "" {
+			f, err := os.Create(o.statsJSON)
 			if err == nil {
 				err = s.Sim.Metrics().WriteJSON(f)
 			}
@@ -129,15 +165,12 @@ func main() {
 			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "socsim:", err)
-				os.Exit(1)
+				return 1
 			}
-			fmt.Printf("  wrote %s\n", *statsJSON)
+			fmt.Printf("  wrote %s\n", o.statsJSON)
 		}
 	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "socsim: unknown test %q\n", *testName)
-		os.Exit(2)
-	}
+	return 0
 }
 
 // writeVCD writes rec's waveform to path and describes what it wrote.

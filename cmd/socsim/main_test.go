@@ -100,3 +100,41 @@ func TestMCReportNeedsOneDesign(t *testing.T) {
 		t.Errorf("single-design counterexample not written: %v", err)
 	}
 }
+
+// TestSimOutputsNeedOneTest: -statsjson and -vcd each hold one run, so
+// the simulate path refuses them with exit 2, running nothing and
+// writing no file, unless -test names one test; one test writes its
+// snapshot.
+func TestSimOutputsNeedOneTest(t *testing.T) {
+	dir := t.TempDir()
+	cfg := soc.DefaultConfig()
+	cfg.Trace = true
+	for _, o := range []simOutputs{
+		{maxCycles: 1, statsJSON: filepath.Join(dir, "all.json")},
+		{maxCycles: 1, vcd: filepath.Join(dir, "all.vcd")},
+	} {
+		if code := runSims(cfg, "all", o); code != 2 {
+			t.Errorf("runSims(all, %+v) = %d, want 2", o, code)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("refused runs wrote %d files", len(entries))
+	}
+	if code := runSims(soc.DefaultConfig(), "nope", simOutputs{maxCycles: 1}); code != 2 {
+		t.Errorf("runSims(nope) = %d, want 2", code)
+	}
+	one := filepath.Join(dir, "memcpy.json")
+	if code := runSims(soc.DefaultConfig(), "memcpy", simOutputs{maxCycles: 10_000_000, statsJSON: one}); code != 0 {
+		t.Fatalf("runSims(memcpy, -statsjson) = %d, want 0", code)
+	}
+	data, err := os.ReadFile(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Metrics []json.RawMessage `json:"metrics"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil || len(snap.Metrics) == 0 {
+		t.Errorf("memcpy snapshot has %d metrics (%v)", len(snap.Metrics), err)
+	}
+}
