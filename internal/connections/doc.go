@@ -21,6 +21,18 @@
 //     Elapsed cycles grow slightly (pipeline latency) and wall-clock cost
 //     grows substantially — the two properties measured in Figure 6.
 //
+// A blocked port operation waits the same way wherever it is written.
+// After a failed PopNB or PushNB, In.Park and Out.Park wait as a blocked
+// Pop or Push does before its next attempt: on the channel's readiness
+// predicate and event in the sim-accurate and RTL-cosim models, and not
+// at all in the signal-accurate one, where the next attempt charges its
+// own Wait. Pop and Push are PopNB/PushNB loops around Park. A component
+// written as a step — a failed operation parks through its port and
+// returns, a finished iteration ends with WaitN(1) — registers it with
+// Method, which runs it as a kernel method process, or as the thread
+// "for { step(th) }" in the signal-accurate model, so the step observes
+// the same cycles as the blocking loop it replaces in every model.
+//
 // Channels can inject random stalls (withholding valid and/or ready) to
 // perturb inter-unit timing without changing design or testbench code,
 // reproducing the paper's verification aid.

@@ -93,41 +93,46 @@ func (p *Out[T]) Bound() bool { return p.ch != nil }
 
 // PopNB attempts to take one message without blocking. Under
 // ModeSignalAccurate it charges one Wait (the delayed ready operation).
-func (p *In[T]) PopNB(th *sim.Thread) (T, bool) {
+func (p *In[T]) PopNB(th *sim.Thread) (v T, ok bool) {
+	ok = p.popNB(th, &v)
+	return v, ok
+}
+
+// Pop blocks until a message is available and returns it: PopNB until
+// it succeeds, parking between attempts.
+func (p *In[T]) Pop(th *sim.Thread) (v T) {
+	for !p.popNB(th, &v) {
+		p.Park(th)
+	}
+	return v
+}
+
+// popNB is one PopNB attempt, storing a popped message in *v. Pop and
+// PopNB share it through a pointer because a message returned through
+// one more call level is spilled and reloaded in pieces, a
+// store-forwarding stall on every Pop of a router's flit.
+func (p *In[T]) popNB(th *sim.Thread, v *T) bool {
 	c := p.need()
 	if c.mode == ModeSignalAccurate {
 		th.Wait()
 	}
-	v, ok := c.tryPop()
+	var ok bool
+	*v, ok = c.tryPop()
 	if c.sub != nil {
 		c.emitPop(ok)
 	}
-	return v, ok
+	return ok
 }
 
-// Pop blocks until a message is available and returns it. In the
-// sim-accurate and RTL-cosim models a blocked consumer parks on the
-// channel's readiness predicate and event, so idle cycles cost neither a
-// coroutine switch nor a predicate call; the signal-accurate model keeps
-// polling because every PopNB attempt charges its own handshake Wait.
-func (p *In[T]) Pop(th *sim.Thread) T {
-	c := p.need()
-	if c.mode == ModeSignalAccurate {
-		for {
-			v, ok := p.PopNB(th)
-			if ok {
-				return v
-			}
-		}
-	}
-	for {
-		v, ok := c.tryPop()
-		if c.sub != nil {
-			c.emitPop(ok)
-		}
-		if ok {
-			return v
-		}
+// Park waits, after a PopNB that failed, as a blocked Pop waits before
+// its next attempt. In the sim-accurate and RTL-cosim models it parks on
+// the channel's readiness predicate and event, so idle cycles cost
+// neither a coroutine switch nor a predicate call; under
+// ModeSignalAccurate it returns at once, because the next PopNB charges
+// its own handshake Wait. A method whose PopNB failed calls Park and
+// returns from its step, to retry when it next runs.
+func (p *In[T]) Park(th *sim.Thread) {
+	if c := p.need(); c.mode != ModeSignalAccurate {
 		th.WaitOn(c.popReady, c.evs[:]...)
 	}
 }
@@ -173,28 +178,41 @@ func (p *Out[T]) PushNB(th *sim.Thread, v T) bool {
 	return ok
 }
 
-// Push blocks until the channel accepts the message. Like Pop, a
-// blocked producer parks on the channel's capacity predicate and event
-// except in the signal-accurate model.
+// Push blocks until the channel accepts the message: PushNB until it
+// succeeds, parking between attempts.
 func (p *Out[T]) Push(th *sim.Thread, v T) {
-	c := p.need()
-	if c.mode == ModeSignalAccurate {
-		for {
-			if p.PushNB(th, v) {
-				return
-			}
-		}
+	for !p.PushNB(th, v) {
+		p.Park(th)
 	}
-	for {
-		ok := c.tryPush(v)
-		if c.sub != nil {
-			c.emitPush(ok)
-		}
-		if ok {
-			return
-		}
+}
+
+// Park waits, after a PushNB that failed, as a blocked Push waits before
+// its next attempt: on the channel's capacity predicate and event, or
+// not at all under ModeSignalAccurate, where the failed PushNB has
+// charged its Wait. See In.Park.
+func (p *Out[T]) Park(th *sim.Thread) {
+	if c := p.need(); c.mode != ModeSignalAccurate {
 		th.WaitOn(c.pushReady, c.evs[:]...)
 	}
+}
+
+// Method registers step as the process name on clk, for a component
+// written as a step that parks a failed port operation through its
+// port's Park and ends a finished iteration with th.WaitN(1). In the
+// sim-accurate and RTL-cosim models step runs as a method process
+// (sim.Clock.Method), which needs no coroutine; under ModeSignalAccurate,
+// where every port operation charges a Wait and so must suspend, it runs
+// in the thread "for { step(th) }". The two observe the same cycles.
+func Method(clk *sim.Clock, name string, mode Mode, step func(*sim.Thread)) {
+	if mode == ModeSignalAccurate {
+		clk.Spawn(name, func(th *sim.Thread) {
+			for {
+				step(th)
+			}
+		})
+		return
+	}
+	clk.Method(name, step)
 }
 
 // Full reports whether a PushNB this cycle would fail for lack of space.

@@ -23,7 +23,6 @@ type NI struct {
 
 	node   int
 	vcPick func(Packet) int
-	park   bool // a failed port operation parks: every mode but ModeSignalAccurate
 
 	// inject's place between edges: the flits of the packet it is
 	// serializing on VC vc (none between packets; the backing array is
@@ -39,18 +38,17 @@ type NI struct {
 	holding bool
 	resume  int
 
-	// The park conditions of the port operations, built at the first
-	// edge once the ports are bound; anyFlit holds when any FlitIn has a
-	// flit.
-	pktIn, pktOut, anyFlit portWait
-	flitOut                []portWait // [vc]
+	// eject's park at an idle end, built at its first edge once the
+	// ports are bound: anyFlit holds when any FlitIn has a flit, and
+	// flitEvs are their events.
+	anyFlit func() bool
+	flitEvs []*sim.Event
 }
 
 // NewNI builds a network interface for the given node with nVCs virtual
 // channels. vcPick chooses the injection VC per packet. mode is the
-// channels' port-operation cost model: the inject and eject loops run as
-// method processes, except under ModeSignalAccurate, where every PopNB
-// and PushNB charges a Wait and the same steps run in threads.
+// channels' port-operation cost model, which picks how
+// connections.Method runs the inject and eject steps.
 func NewNI(clk *sim.Clock, name string, node, nVCs int, vcPick func(Packet) int, mode connections.Mode) *NI {
 	ni := &NI{
 		PktIn:   connections.NewIn[Packet]().Owned(clk, name, "pkt_in"),
@@ -59,7 +57,6 @@ func NewNI(clk *sim.Clock, name string, node, nVCs int, vcPick func(Packet) int,
 		FlitIn:  make([]*connections.In[Flit], nVCs),
 		node:    node,
 		vcPick:  vcPick,
-		park:    mode != connections.ModeSignalAccurate,
 		acc:     make([][]Flit, nVCs),
 	}
 	for v := 0; v < nVCs; v++ {
@@ -70,21 +67,8 @@ func NewNI(clk *sim.Clock, name string, node, nVCs int, vcPick func(Packet) int,
 	// payload length, the VC tracks vcPick), so the NI terminates any SDF
 	// region the way the routers do.
 	clk.Sim().Design().DeclareActor(name, sim.ActorSwitch, clk, sim.Rat{})
-	if ni.park {
-		clk.Method(name+".inject", ni.inject)
-		clk.Method(name+".eject", ni.eject)
-	} else {
-		clk.Spawn(name+".inject", func(th *sim.Thread) {
-			for {
-				ni.inject(th)
-			}
-		})
-		clk.Spawn(name+".eject", func(th *sim.Thread) {
-			for {
-				ni.eject(th)
-			}
-		})
-	}
+	connections.Method(clk, name+".inject", mode, ni.inject)
+	connections.Method(clk, name+".eject", mode, ni.eject)
 	clk.Sim().Metrics().Source(name, func(emit stats.Emit) {
 		emit("packets_injected", float64(ni.Injected))
 		emit("packets_ejected", float64(ni.Ejected))
@@ -92,51 +76,11 @@ func NewNI(clk *sim.Clock, name string, node, nVCs int, vcPick func(Packet) int,
 	return ni
 }
 
-// portWait is the condition a blocking Pop or Push parks on — the
-// channel's readiness predicate and its event, as a slice built once so
-// that parking allocates nothing.
-type portWait struct {
-	pred func() bool
-	evs  []*sim.Event
-}
-
-// bind builds the park conditions; the ports are bound after NewNI.
-func (ni *NI) bind() {
-	ni.pktIn = portWait{ni.PktIn.Ready, []*sim.Event{ni.PktIn.Event()}}
-	ni.pktOut = portWait{func() bool { return !ni.PktOut.Full() }, []*sim.Event{ni.PktOut.Event()}}
-	ni.anyFlit.pred = func() bool {
-		for _, in := range ni.FlitIn {
-			if in.Ready() {
-				return true
-			}
-		}
-		return false
-	}
-	for v, out := range ni.FlitOut {
-		ni.flitOut = append(ni.flitOut, portWait{func() bool { return !out.Full() }, []*sim.Event{out.Event()}})
-		ni.anyFlit.evs = append(ni.anyFlit.evs, ni.FlitIn[v].Event())
-	}
-}
-
-// blocked follows a failed port operation. A method parks on w, the
-// condition the blocking Pop or Push would park on, so its next step
-// retries on the edge that operation would; a thread
-// (ModeSignalAccurate) retries at once, as that operation's polling loop
-// does, since the failed attempt has charged its Wait.
-func (ni *NI) blocked(th *sim.Thread, w *portWait) {
-	if ni.park {
-		th.WaitOn(w.pred, w.evs...)
-	}
-}
-
 // inject is one step of the injection loop "Pop a packet, Push its flits
 // one per edge, count it": it pushes at most one flit. A packet counts
 // as injected on the edge after its last flit's push, where the loop's
 // Wait after that flit returns.
 func (ni *NI) inject(th *sim.Thread) {
-	if ni.pktIn.pred == nil {
-		ni.bind()
-	}
 	if len(ni.flits) > 0 && ni.sent == len(ni.flits) {
 		ni.Injected++
 		ni.flits = ni.flits[:0]
@@ -144,7 +88,7 @@ func (ni *NI) inject(th *sim.Thread) {
 	if len(ni.flits) == 0 {
 		p, ok := ni.PktIn.PopNB(th)
 		if !ok {
-			ni.blocked(th, &ni.pktIn)
+			ni.PktIn.Park(th)
 			return
 		}
 		if p.Src != ni.node {
@@ -153,32 +97,28 @@ func (ni *NI) inject(th *sim.Thread) {
 		ni.vc = ni.vcPick(p)
 		ni.flits, ni.sent = p.appendFlits(ni.flits, ni.vc), 0
 	}
-	if !ni.FlitOut[ni.vc].PushNB(th, ni.flits[ni.sent]) {
-		ni.blocked(th, &ni.flitOut[ni.vc])
+	if out := ni.FlitOut[ni.vc]; !out.PushNB(th, ni.flits[ni.sent]) {
+		out.Park(th)
 		return
 	}
 	ni.sent++
-	if !ni.park {
-		th.Wait()
-	}
+	th.WaitN(1)
 }
 
 // eject is one pass of the ejection loop: it takes at most one flit from
 // each input VC, in VC order, and pushes every packet a tail completes
 // to PktOut. A refused packet is held, and the next step pushes it again
-// before the scan goes on from the VC after its own. With every input
-// VC empty a pass does nothing, so a method parks after it until a flit
-// arrives, on the input channels' events. A thread waits an edge
-// instead: under ModeSignalAccurate each failing PopNB charges a Wait,
-// and skipping them would change elapsed cycles.
+// before the scan goes on from the VC after its own. A finished scan
+// parks until a flit arrives, on the input channels' events: the scan
+// that would run before then finds every input VC empty and does
+// nothing. Under ModeSignalAccurate it waits an edge instead, because
+// there each failing PopNB of such a scan charges a Wait, and skipping
+// them would change elapsed cycles.
 func (ni *NI) eject(th *sim.Thread) {
-	if ni.pktIn.pred == nil {
-		ni.bind()
-	}
 	v := 0
 	if ni.holding {
 		if !ni.PktOut.PushNB(th, ni.held) {
-			ni.blocked(th, &ni.pktOut)
+			ni.PktOut.Park(th)
 			return
 		}
 		ni.held, ni.holding = Packet{}, false
@@ -208,16 +148,29 @@ func (ni *NI) eject(th *sim.Thread) {
 		}
 		if !ni.PktOut.PushNB(th, p) {
 			ni.held, ni.holding, ni.resume = p, true, v+1
-			ni.blocked(th, &ni.pktOut)
+			ni.PktOut.Park(th)
 			return
 		}
 		ni.Ejected++
 	}
-	if ni.park {
-		th.WaitOn(ni.anyFlit.pred, ni.anyFlit.evs...)
-	} else {
-		th.Wait()
+	if ni.FlitIn[0].Mode() == connections.ModeSignalAccurate {
+		th.WaitN(1)
+		return
 	}
+	if ni.anyFlit == nil {
+		ni.anyFlit = func() bool {
+			for _, in := range ni.FlitIn {
+				if in.Ready() {
+					return true
+				}
+			}
+			return false
+		}
+		for _, in := range ni.FlitIn {
+			ni.flitEvs = append(ni.flitEvs, in.Event())
+		}
+	}
+	th.WaitOn(ni.anyFlit, ni.flitEvs...)
 }
 
 // Mesh port conventions.

@@ -57,9 +57,8 @@ type outLock struct {
 // NewWHVCRouter builds a router with nPorts ports and nVCs virtual
 // channels per port. route maps destinations to output ports. VC
 // buffering depth is set by the channels bound to the ports, and mode is
-// their port-operation cost model: the router runs as a method process,
-// except under ModeSignalAccurate, where its PushNB and PopNB charge a
-// Wait and the same step runs in a thread.
+// their port-operation cost model, which picks how connections.Method
+// runs the router's step.
 func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFunc, mode connections.Mode) *WHVCRouter {
 	if nPorts < 1 || nVCs < 1 || nPorts*nVCs > 64 {
 		panic(fmt.Sprintf("noc: router geometry %d ports × %d VCs unsupported", nPorts, nVCs))
@@ -96,15 +95,7 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 		}
 		r.arbs[i] = matchlib.NewArbiter(nPorts * nVCs)
 	}
-	if mode == connections.ModeSignalAccurate {
-		clk.Spawn(name+".whvc", func(th *sim.Thread) {
-			for {
-				r.step(th)
-			}
-		})
-	} else {
-		clk.Method(name+".whvc", r.step)
-	}
+	connections.Method(clk, name+".whvc", mode, r.step)
 	clk.Sim().Metrics().Source(name, r.Stats.emit)
 	return r
 }

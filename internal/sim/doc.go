@@ -37,10 +37,9 @@
 // edge when it returns without parking. The same step run by a thread as
 // for { step(th) } observes the same cycles, so a component whose port
 // operations may charge a Wait (the signal-accurate model) keeps one
-// body and registers it as a thread there, as the NoC routers, the NoC
-// interfaces' inject and eject loops and the RISC-V hart do; the GALS
-// link relays are methods too, and threads with a blocking body under
-// that model. A method must not call Wait.
+// body and registers it as a thread there: connections.Method makes that
+// choice for the NoC routers, the NoC interfaces' inject and eject loops,
+// the RISC-V hart and the GALS link relays. A method must not call Wait.
 //
 // The kernel is activity-driven, like SystemC's static sensitivity. A
 // thread or method that would otherwise poll an idle latency-insensitive

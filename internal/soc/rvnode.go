@@ -60,7 +60,6 @@ type RVNode struct {
 
 	th         *sim.Thread // the hart's process, for MMIO port operations
 	clk        *sim.Clock
-	park       bool // a refused access parks the hart: every mode but ModeSignalAccurate
 	txLo, txHi uint32
 	txPayload  []uint64
 	nextPktID  uint64
@@ -72,10 +71,6 @@ type RVNode struct {
 	axiWords int // words mapped behind AXIWindow
 	axiTxns  uint64
 	axiPhase axiPhase // how far the current AXI-window access got
-
-	// The park conditions of the MMIO port operations, built at the
-	// first edge once the ports are bound; see portWait.
-	injectFree, arFree, rReady, awFree, wFree, bReady portWait
 }
 
 // axiPhase is how far an AXI-window access got before the hart stalled.
@@ -87,29 +82,12 @@ const (
 	axiData                 // W beat sent: the write awaits B
 )
 
-// portWait is the condition a blocking Pop or Push parks on — the
-// channel's readiness predicate and its event, as a slice built once so
-// that parking allocates nothing.
-type portWait struct {
-	pred func() bool
-	evs  []*sim.Event
-}
-
-func outWait[T any](p *connections.Out[T]) portWait {
-	return portWait{func() bool { return !p.Full() }, []*sim.Event{p.Event()}}
-}
-
-func inWait[T any](p *connections.In[T]) portWait {
-	return portWait{p.Ready, []*sim.Event{p.Event()}}
-}
-
 // never is the park predicate of a halted hart.
 func never() bool { return false }
 
 // newRVNode builds the controller with firmware already in RAM. mode is
-// the channels' port-operation cost model: the hart runs as a method
-// process, except under ModeSignalAccurate, where every PopNB and PushNB
-// charges a Wait and the same step runs in a thread.
+// the channels' port-operation cost model, which picks how
+// connections.Method runs the hart's step.
 func newRVNode(clk *sim.Clock, name string, id, ramWords int, program []uint32,
 	inject *connections.Out[noc.Packet], eject *connections.In[noc.Packet], mode connections.Mode) *RVNode {
 	r := &RVNode{
@@ -120,7 +98,6 @@ func newRVNode(clk *sim.Clock, name string, id, ramWords int, program []uint32,
 		eject:  eject,
 		doneQ:  matchlib.NewFIFO[int](256),
 		clk:    clk,
-		park:   mode != connections.ModeSignalAccurate,
 	}
 	copy(r.RAM, program)
 	r.CPU.Reset(0)
@@ -157,15 +134,7 @@ func newRVNode(clk *sim.Clock, name string, id, ramWords int, program []uint32,
 		}
 	})
 
-	if r.park {
-		clk.Method(name+"/hart", r.step)
-	} else {
-		clk.Spawn(name+"/hart", func(th *sim.Thread) {
-			for !r.CPU.Halted {
-				r.step(th)
-			}
-		})
-	}
+	connections.Method(clk, name+"/hart", mode, r.step)
 	clk.Sim().Metrics().Source(name, func(emit stats.Emit) {
 		emit("instret", float64(r.CPU.Instret))
 		emit("done_count", float64(r.doneCount))
@@ -176,41 +145,29 @@ func newRVNode(clk *sim.Clock, name string, id, ramWords int, program []uint32,
 }
 
 // step executes the instruction at PC. A retired instruction is followed
-// by an edge's wait, which a method takes by returning, and a halted
-// hart parks for good. A refused one has already parked the method;
-// a thread executes it again at once.
+// by an edge's wait and a halted hart parks for good; a refused one has
+// already parked through its port.
 func (r *RVNode) step(th *sim.Thread) {
-	if r.th == nil {
-		r.th = th
-		r.injectFree = outWait(r.inject)
-		if r.AXI != nil {
-			r.arFree, r.rReady = outWait(r.AXI.AR), inWait(r.AXI.R)
-			r.awFree, r.wFree, r.bReady = outWait(r.AXI.AW), outWait(r.AXI.W), inWait(r.AXI.B)
-		}
-	}
+	r.th = th
 	retired := r.CPU.Instret
 	if err := r.CPU.Step(r); err != nil {
 		panic(err)
 	}
 	switch {
 	case r.CPU.Instret == retired:
-	case !r.park:
-		th.Wait()
 	case r.CPU.Halted:
 		th.WaitOn(never)
+	default:
+		th.WaitN(1)
 	}
 }
 
-// refuse refuses the current MMIO access, so the hart executes the
-// instruction again: a method once w holds, on the edge the blocking
-// port operation would go on, and a thread (ModeSignalAccurate) at once,
-// as that operation's polling loop does, the failed attempt having
-// charged its Wait.
-func (r *RVNode) refuse(w *portWait) {
+// refuse refuses the current MMIO access, whose operation on p failed,
+// so the hart executes the instruction again once p's Park returns: on
+// the edge the blocking port operation would go on.
+func (r *RVNode) refuse(p interface{ Park(*sim.Thread) }) {
 	r.CPU.Retry()
-	if r.park {
-		r.th.WaitOn(w.pred, w.evs...)
-	}
+	p.Park(r.th)
 }
 
 // Load implements riscv.Bus.
@@ -267,7 +224,7 @@ func (r *RVNode) Store(addr uint32, size int, v uint32) {
 		}
 		// The store stalls the hart until the NI accepts the packet.
 		if !r.inject.PushNB(r.th, r.send) {
-			r.refuse(&r.injectFree)
+			r.refuse(r.inject)
 			return
 		}
 		r.send, r.sending = noc.Packet{}, false
@@ -308,7 +265,7 @@ func (r *RVNode) axiRead(w int) uint32 {
 	m := r.AXI
 	if r.axiPhase == axiIdle {
 		if !m.AR.PushNB(r.th, axi.ReadAddr{ID: NodeRV, Addr: w, Len: 1}) {
-			r.refuse(&r.arFree)
+			r.refuse(m.AR)
 			return 0
 		}
 		r.axiPhase = axiAddr
@@ -316,7 +273,7 @@ func (r *RVNode) axiRead(w int) uint32 {
 	for {
 		d, ok := m.R.PopNB(r.th)
 		if !ok {
-			r.refuse(&r.rReady)
+			r.refuse(m.R)
 			return 0
 		}
 		if d.ID != NodeRV {
@@ -339,14 +296,14 @@ func (r *RVNode) axiWrite(w int, v uint32) {
 	switch r.axiPhase {
 	case axiIdle:
 		if !m.AW.PushNB(r.th, axi.WriteAddr{ID: NodeRV, Addr: w, Len: 1}) {
-			r.refuse(&r.awFree)
+			r.refuse(m.AW)
 			return
 		}
 		r.axiPhase = axiAddr
 		fallthrough
 	case axiAddr:
 		if !m.W.PushNB(r.th, axi.WriteData{Data: uint64(v), Last: true}) {
-			r.refuse(&r.wFree)
+			r.refuse(m.W)
 			return
 		}
 		// WriteBurst waits an edge after the last W beat.
@@ -358,7 +315,7 @@ func (r *RVNode) axiWrite(w int, v uint32) {
 	for {
 		b, ok := m.B.PopNB(r.th)
 		if !ok {
-			r.refuse(&r.bReady)
+			r.refuse(m.B)
 			return
 		}
 		if b.ID != NodeRV {

@@ -305,11 +305,10 @@ func terminate(clk *sim.Clock, name string, out []*connections.Out[noc.Flit], in
 // interface. A relay on each side moves the flits: tx pops them from the
 // clkA buffer and pushes them into the FIFO, rx pops them from the FIFO
 // and pushes them into the clkB buffer, one flit per edge at most. Each
-// relay is a method that holds its in-flight flit in the link, and a
-// port operation that fails parks it on the predicate and event that
-// the blocking Pop or Push would wait on, so it observes the cycles of
-// the loop "Pop, Push, Wait". Under ModeSignalAccurate, where every port
-// operation charges a Wait, the relays are threads running that loop.
+// relay is a step registered with connections.Method that holds its
+// in-flight flit in the link and parks a failed port operation through
+// its port or the FIFO, so it observes the cycles of the loop "Pop,
+// Push, Wait" in every channel model.
 func cdcLink(s *sim.Simulator, name string, clkA, clkB *sim.Clock, mode connections.Mode,
 	out *connections.Out[noc.Flit], in *connections.In[noc.Flit], depth int, opts []connections.Option) *gals.PausibleBisyncFIFO[noc.Flit] {
 	aIn := connections.NewIn[noc.Flit]().Owned(clkA, name, "tx")
@@ -317,30 +316,14 @@ func cdcLink(s *sim.Simulator, name string, clkA, clkB *sim.Clock, mode connecti
 	fifo := gals.NewPausibleBisyncFIFO[noc.Flit](s, name, clkA, clkB, depth, 40)
 	bOut := connections.NewOut[noc.Flit]().Owned(clkB, name, "rx")
 	connections.Buffer(clkB, name+"/b", 2, bOut, in, opts...)
-	if mode == connections.ModeSignalAccurate {
-		clkA.Spawn(name+"/tx", func(th *sim.Thread) {
-			for {
-				fifo.Push(th, aIn.Pop(th))
-				th.Wait()
-			}
-		})
-		clkB.Spawn(name+"/rx", func(th *sim.Thread) {
-			for {
-				bOut.Push(th, fifo.Pop(th))
-				th.Wait()
-			}
-		})
-		return fifo
-	}
 
-	aWait := inWait(aIn)
 	var txFlit noc.Flit
 	txHeld := false
-	clkA.Method(name+"/tx", func(th *sim.Thread) {
+	connections.Method(clkA, name+"/tx", mode, func(th *sim.Thread) {
 		if !txHeld {
 			f, ok := aIn.PopNB(th)
 			if !ok {
-				th.WaitOn(aWait.pred, aWait.evs...)
+				aIn.Park(th)
 				return
 			}
 			txFlit, txHeld = f, true
@@ -350,12 +333,12 @@ func cdcLink(s *sim.Simulator, name string, clkA, clkB *sim.Clock, mode connecti
 			return
 		}
 		txHeld = false
+		th.WaitN(1)
 	})
 
-	bWait := outWait(bOut)
 	var rxFlit noc.Flit
 	rxHeld := false
-	clkB.Method(name+"/rx", func(th *sim.Thread) {
+	connections.Method(clkB, name+"/rx", mode, func(th *sim.Thread) {
 		if !rxHeld {
 			f, ok := fifo.PopNB()
 			if !ok {
@@ -365,10 +348,11 @@ func cdcLink(s *sim.Simulator, name string, clkA, clkB *sim.Clock, mode connecti
 			rxFlit, rxHeld = f, true
 		}
 		if !bOut.PushNB(th, rxFlit) {
-			th.WaitOn(bWait.pred, bWait.evs...)
+			bOut.Park(th)
 			return
 		}
 		rxHeld = false
+		th.WaitN(1)
 	})
 	return fifo
 }
