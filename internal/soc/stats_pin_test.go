@@ -104,3 +104,57 @@ func metricsHash(t *testing.T, s *SoC) string {
 	h.Write(buf.Bytes())
 	return fmt.Sprintf("%016x", h.Sum64())
 }
+
+// TestColdSimStallPinned pins the configuration of the benchmark's cold
+// sims (bench/service.go fullMix): every system test, the six of Tests
+// and the two of ExtraTests, on one clock with sim-accurate channels and
+// stall injection at 0.05, for stall seeds 1 and 2. Each row pins the
+// elapsed cycles, the hart's retired instructions and the metrics hash,
+// so a change to how stalled channels are scheduled that moved any
+// channel's counters shows here, in the setting that spends most of a
+// serve-mix session.
+func TestColdSimStallPinned(t *testing.T) {
+	type pin struct {
+		cycles, instret uint64
+		hash            string
+	}
+	want := map[string]pin{
+		"memcpy/seed=1":  {1364, 1363, "977f15b03409bad6"},
+		"memcpy/seed=2":  {1357, 1355, "1d8e221bd3b02e7f"},
+		"vecadd/seed=1":  {2328, 2143, "60c4ff7042cd8613"},
+		"vecadd/seed=2":  {2328, 2147, "42ff4363451cc069"},
+		"dot/seed=1":     {1973, 1788, "645729629ba3d6ac"},
+		"dot/seed=2":     {1987, 1806, "180c2803e3e537ad"},
+		"conv1d/seed=1":  {2080, 2025, "3178537bc0e27201"},
+		"conv1d/seed=2":  {2063, 2011, "04b8cf40fba6b305"},
+		"kmeans/seed=1":  {2479, 2475, "1cc19bdeb59e8aea"},
+		"kmeans/seed=2":  {2492, 2487, "d696022ffcae1ced"},
+		"maxpool/seed=1": {3666, 3664, "2e62f4432abadf7d"},
+		"maxpool/seed=2": {3697, 3696, "c087f55e721485f0"},
+		"matvec/seed=1":  {4869, 3243, "889a50a81c3a3676"},
+		"matvec/seed=2":  {4862, 3245, "287785c5d07336b9"},
+		"f16dot/seed=1":  {1263, 1259, "c0edd367d4a5d837"},
+		"f16dot/seed=2":  {1273, 1267, "b6bcbf8618fa37a0"},
+	}
+	for _, tc := range append(Tests(), ExtraTests()...) {
+		for _, seed := range []int64{1, 2} {
+			key := fmt.Sprintf("%s/seed=%d", tc.Name, seed)
+			t.Run(key, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.StallP, cfg.StallSeed = 0.05, seed
+				s, verify := tc.Build(cfg)
+				cycles, err := s.Run(maxCycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := verify(s); err != nil {
+					t.Fatal(err)
+				}
+				got := pin{cycles, s.RV.CPU.Instret, metricsHash(t, s)}
+				if got != want[key] {
+					t.Errorf("%s = %+v, want %+v", key, got, want[key])
+				}
+			})
+		}
+	}
+}
