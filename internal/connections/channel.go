@@ -147,7 +147,16 @@ func WithLatency(n int) Option {
 // WithStall enables random stall injection: each cycle, valid is withheld
 // from the consumer with probability p and, independently, ready is
 // withheld from the producer with probability p. The seed keeps runs
-// reproducible.
+// reproducible: a channel's stalls are the stream of math/rand seeded
+// with seed ^ FNV-64a(name), two draws per edge (valid, then ready).
+//
+// A stalled channel sleeps while no port can see its stalls: while it
+// holds no message and no producer waits on a refused push. It then
+// neither commits nor draws. The first push, producer-side readiness
+// check or Stats after a sleep draws the rolls of the edges slept
+// through, counting their stall cycles as those edges' commits would
+// have, so the stream and every counter match a channel that committed
+// on every edge.
 func WithStall(p float64, seed int64) Option {
 	return func(o *options) {
 		o.stall = p
@@ -188,9 +197,19 @@ type core[T any] struct {
 	inflightBuf []inflight[T]
 
 	// Stall injection; stalledValid and stalledReady above are its
-	// current roll.
-	rng    *rand.Rand
-	pStall float64
+	// current roll. The stream is seeded on first use (see roll).
+	rng       *rand.Rand
+	pStall    float64
+	stallSeed int64
+
+	// sleeps marks a stall-injected channel that stays listed only while
+	// a port can see its stalls: while it holds a message, or while
+	// pushWait records that the last producer-side readiness check found
+	// ready withheld (see readyToPush). Armed and RTL-cosim channels
+	// never sleep, since their monitor and wire image read the stall
+	// bits on every edge.
+	sleeps   bool
+	pushWait bool
 
 	pack func(any) bitvec.Vec
 
@@ -201,18 +220,19 @@ type core[T any] struct {
 
 	// Activity. A successful push or pop touches the commit hook, which
 	// then runs on this edge and stays listed while the skid or delay
-	// line holds messages (every edge in RTL-cosim mode or with a stall
-	// stream; see runsEachEdge). ev notifies port threads parked on the
+	// line holds messages (every edge when runsEachEdge holds; a stalled
+	// channel also while its queue holds messages or a producer waits,
+	// see sleeps). ev notifies port threads parked on the
 	// predicates above of every push, pop and state-changing commit; evs
 	// is ev as the slice they park on.
 	touch *sim.OnTouch
 	ev    sim.Event
 	evs   [1]*sim.Event
 
-	// synced is the clock's completed-commit count that stats.Cycles and
-	// stats.OccupancySum cover. The edges since were idle — the channel
-	// was not listed, so its committed queue held — and Stats adds them
-	// as gap × len(queue).
+	// synced is the clock's completed-commit count that stats.Cycles,
+	// stats.OccupancySum and the stall stream cover. The edges since
+	// were idle — the channel was not listed, so its committed queue
+	// held — and catchUp accounts them.
 	synced uint64
 
 	// RTL-cosim per-cycle signal evaluation state: the channel's wire
@@ -248,13 +268,14 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 		capacity = 1
 	}
 	c := &core[T]{
-		clk:     clk,
-		name:    name,
-		kind:    kind,
-		mode:    o.mode,
-		cap:     capacity,
-		latency: o.latency,
-		pStall:  o.stall,
+		clk:       clk,
+		name:      name,
+		kind:      kind,
+		mode:      o.mode,
+		cap:       capacity,
+		latency:   o.latency,
+		pStall:    o.stall,
+		stallSeed: o.stallSeed,
 	}
 	if c.mode == ModeRTLCosim && c.latency == 0 {
 		c.latency = 1 // HLS-generated RTL always has at least one pipe stage
@@ -264,15 +285,15 @@ func newCore[T any](clk *sim.Clock, name string, kind Kind, capacity int, o *opt
 	if _, ok := any(zero).(Packable); ok {
 		c.pack = func(v any) bitvec.Vec { return v.(Packable).PackBits() }
 	}
-	if c.pStall > 0 {
-		h := fnv.New64a()
-		h.Write([]byte(name))
-		c.rng = rand.New(rand.NewSource(o.stallSeed ^ int64(h.Sum64())))
-	}
-	c.popReady = c.canPop
-	c.pushReady = c.canPush
-	c.evs[0] = &c.ev
 	c.sub = clk.Sim().Tracer().Subject(name)
+	c.sleeps = c.pStall > 0 && !c.runsEachEdge()
+	c.popReady = c.canPop
+	if c.sleeps {
+		c.pushReady = c.readyToPush
+	} else {
+		c.pushReady = c.canPush
+	}
+	c.evs[0] = &c.ev
 	if c.sub != nil {
 		// Armed only: the per-cycle valid/ready/occupancy monitor exists
 		// solely when a recorder is attached, so a disarmed simulation
@@ -348,9 +369,30 @@ type inflight[T any] struct {
 }
 
 // canPush reports whether a tryPush this cycle would succeed; blocked
-// producers park on it.
+// producers park on it, through readyToPush on a channel that sleeps.
 func (c *core[T]) canPush() bool {
 	return !c.stalledReady && c.skidFree()
+}
+
+// readyToPush is canPush on a channel that sleeps: the push-park
+// predicate and Out.Full. It wakes the channel, and a refusal keeps it
+// awake until a later check finds ready open, so that the commit whose
+// roll lifts the stall notifies a producer parked on it.
+func (c *core[T]) readyToPush() bool {
+	c.wake()
+	ok := c.canPush()
+	c.pushWait = !ok
+	return ok
+}
+
+// wake brings a sleeping channel's stall stream up to this edge and
+// lists it for this edge's commit. A sleeping channel holds no message,
+// so only producer-side entries read its stall bits: tryPush and
+// readyToPush call wake first, and Stats only catches up, since it may
+// run in a commit or monitor phase.
+func (c *core[T]) wake() {
+	c.catchUp()
+	c.touch.Touch()
 }
 
 // canPop reports whether a tryPop this cycle would succeed, including
@@ -374,6 +416,9 @@ func (c *core[T]) canPop() bool {
 // message is committed to delivery (possibly after back-pressure delay);
 // failure means the port saw ready deasserted this cycle.
 func (c *core[T]) tryPush(v T) bool {
+	if c.sleeps {
+		c.wake()
+	}
 	c.stats.PushAttempts++
 	if !c.canPush() {
 		c.stats.PushFails++
@@ -390,26 +435,28 @@ func (c *core[T]) tryPush(v T) bool {
 	return true
 }
 
-// tryPop attempts to take one message, implementing the kind-specific valid
-// generation, including the Bypass/Combinational same-cycle bypass path.
-func (c *core[T]) tryPop() (T, bool) {
-	var zero T
+// tryPop attempts to take one message into *v, implementing the
+// kind-specific valid generation, including the Bypass/Combinational
+// same-cycle bypass path; *v is left alone when it fails. The message
+// goes out through v, not a result: a message returned by value is
+// spilled and reloaded in pieces at each call level, a store-forwarding
+// stall on every pop.
+func (c *core[T]) tryPop(v *T) bool {
 	c.stats.PopAttempts++
 	if !c.canPop() {
 		c.stats.PopFails++
-		return zero, false
+		return false
 	}
-	var v T
 	if len(c.queue)-c.stagedPops > 0 {
-		v = c.queue[c.stagedPops]
+		*v = c.queue[c.stagedPops]
 		c.stagedPops++
 	} else {
-		v = c.skid[c.bypassTaken]
+		*v = c.skid[c.bypassTaken]
 		c.bypassTaken++
 	}
 	c.touch.Touch()
 	c.ev.Notify()
-	return v, true
+	return true
 }
 
 // netCount is the number of messages the channel currently holds across
@@ -480,7 +527,7 @@ func (c *core[T]) traceMonitor() {
 		c.sub.Emit(trace.KindOcc, now, cyc, occ)
 		c.tLastOcc = occ
 	}
-	if c.rng != nil && (!c.tInit || stall != c.tLastStall) {
+	if c.pStall > 0 && (!c.tInit || stall != c.tLastStall) {
 		c.sub.Emit(trace.KindStall, now, cyc, stall)
 		c.tLastStall = stall
 	}
@@ -500,33 +547,32 @@ func (c *core[T]) peek() (T, bool) {
 }
 
 // runsEachEdge reports whether the channel commits on every edge: an
-// RTL-cosim channel evaluates its wires each cycle, and a stall stream
-// rolls each cycle.
+// RTL-cosim channel evaluates its wires each cycle, and an armed
+// channel's trace monitor reads its stall stream each cycle.
 func (c *core[T]) runsEachEdge() bool {
-	return c.mode == ModeRTLCosim || c.rng != nil
+	return c.mode == ModeRTLCosim || c.sub != nil && c.pStall > 0
 }
 
 // commit is the channel's kernel process, run on the edges it was
 // touched or asked to run again: it evaluates an RTL-cosim channel's
 // wires, latches this edge's staged operations, matures the delay line,
 // transmits from the skid, and rolls the next edge's stalls. It asks to
-// run again while messages remain in the skid or delay line, or on every
-// edge when runsEachEdge holds.
+// run again while messages remain in the skid or delay line, on every
+// edge when runsEachEdge holds, and, on a channel that sleeps, while its
+// queue holds messages or a producer waits (pushWait).
 func (c *core[T]) commit() (again bool) {
 	if c.mode == ModeRTLCosim {
 		c.rtlEval()
 	}
 	// This edge and the idle ones since the last commit, when the
-	// committed queue held.
+	// committed queue held. (A stalled channel is never listed after
+	// idle edges: the entry that woke it caught them up.)
 	edges := c.clk.Committed() + 1 - c.synced
 	c.synced += edges
 	moved := c.stagedPops + c.bypassTaken
 	c.stats.Transfers += uint64(moved)
 	c.stats.Cycles += edges
 	c.stats.OccupancySum += edges * uint64(len(c.queue))
-	if c.stalledValid || c.stalledReady {
-		c.stats.StallCycles++
-	}
 
 	// Retire consumed entries.
 	if c.stagedPops > 0 {
@@ -577,19 +623,54 @@ func (c *core[T]) commit() (again bool) {
 		panic(fmt.Sprintf("connections: channel %s overflow: %d > %d", c.name, len(c.queue), c.cap))
 	}
 
-	// Roll stall injection for the next cycle.
-	if c.rng != nil {
-		valid := c.rng.Float64() < c.pStall
-		ready := c.rng.Float64() < c.pStall
+	// Count this edge's stall and roll the next edge's.
+	if c.pStall > 0 {
+		valid, ready := c.stalledValid, c.stalledReady
+		c.roll(edges)
 		if valid != c.stalledValid || ready != c.stalledReady {
 			moved++
 		}
-		c.stalledValid, c.stalledReady = valid, ready
 	}
 	if moved > 0 {
 		c.ev.Notify()
 	}
-	return c.runsEachEdge() || len(c.skid) > 0 || len(c.inflightBuf) > 0
+	return c.runsEachEdge() || len(c.skid) > 0 || len(c.inflightBuf) > 0 ||
+		c.sleeps && (len(c.queue) > 0 || c.pushWait)
+}
+
+// catchUp accounts the edges since the channel last committed or caught
+// up, on which it was not listed: its committed queue held, and its
+// stall stream rolled as those edges' commits would have.
+func (c *core[T]) catchUp() {
+	done := c.clk.Committed()
+	if done <= c.synced {
+		return
+	}
+	gap := done - c.synced
+	c.synced = done
+	c.stats.Cycles += gap
+	c.stats.OccupancySum += gap * uint64(len(c.queue))
+	if c.pStall > 0 {
+		c.roll(gap)
+	}
+}
+
+// roll advances the stall stream by n edges, as n commits do: each
+// counts a stall cycle when the current roll withholds valid or ready,
+// then draws the next roll, seeding the stream on first use.
+func (c *core[T]) roll(n uint64) {
+	if c.rng == nil {
+		h := fnv.New64a()
+		h.Write([]byte(c.name))
+		c.rng = rand.New(rand.NewSource(c.stallSeed ^ int64(h.Sum64())))
+	}
+	for ; n > 0; n-- {
+		if c.stalledValid || c.stalledReady {
+			c.stats.StallCycles++
+		}
+		c.stalledValid = c.rng.Float64() < c.pStall
+		c.stalledReady = c.rng.Float64() < c.pStall
+	}
 }
 
 // shift drops the first n entries of s, moving the rest to the front so
@@ -601,14 +682,9 @@ func shift[T any](s []T, n int) []T {
 	return s[:m]
 }
 
-// Stats returns a copy of the channel's counters, with the idle edges
-// since the last commit accounted.
+// Stats returns a copy of the channel's counters, after accounting the
+// idle edges since the last commit.
 func (c *core[T]) Stats() Stats {
-	s := c.stats
-	if done := c.clk.Committed(); done > c.synced {
-		gap := done - c.synced
-		s.Cycles += gap
-		s.OccupancySum += gap * uint64(len(c.queue))
-	}
-	return s
+	c.catchUp()
+	return c.stats
 }

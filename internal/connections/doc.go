@@ -35,7 +35,20 @@
 //
 // Channels can inject random stalls (withholding valid and/or ready) to
 // perturb inter-unit timing without changing design or testbench code,
-// reproducing the paper's verification aid.
+// reproducing the paper's verification aid. A channel's stalls are a
+// math/rand stream seeded with its seed and name, two draws per edge.
+// A stalled channel commits, rolls and notifies on every edge only while
+// a port can see its stalls: while it holds a message, or while a
+// producer whose push was refused waits on it. Otherwise it sleeps. An
+// empty channel's consumer sees no message whatever the stalls say, so
+// only the producer side reads a sleeping channel's stall bits: a push,
+// the push-park predicate and Out.Full first draw the rolls of the edges
+// slept through, counting their stall cycles as the skipped commits
+// would have, and list the channel again; Stats draws them without
+// listing it. The stream is seeded on the first such draw, so a channel
+// that is never pushed or read costs nothing while the clock runs.
+// Armed (traced) and RTL-cosim channels never sleep, since their
+// monitor and wire image read the stall bits on every edge.
 //
 // When a simulation is armed for handshake tracing (sim.Simulator.Arm
 // before channels are bound), every channel additionally emits

@@ -116,8 +116,7 @@ func (p *In[T]) popNB(th *sim.Thread, v *T) bool {
 	if c.mode == ModeSignalAccurate {
 		th.Wait()
 	}
-	var ok bool
-	*v, ok = c.tryPop()
+	ok := c.tryPop(v)
 	if c.sub != nil {
 		c.emitPop(ok)
 	}
@@ -215,10 +214,14 @@ func Method(clk *sim.Clock, name string, mode Mode, step func(*sim.Thread)) {
 	clk.Method(name, step)
 }
 
-// Full reports whether a PushNB this cycle would fail for lack of space.
+// Full reports whether a PushNB this cycle would fail for lack of space
+// or for an injected ready stall.
 func (p *Out[T]) Full() bool {
 	c := p.need()
-	return !c.skidFree() || c.stalledReady
+	if c.sleeps {
+		return !c.readyToPush()
+	}
+	return !c.canPush()
 }
 
 // Mode returns the bound channel's port-operation cost model.

@@ -187,6 +187,7 @@ func benchPortOps(b *testing.B, traced bool) {
 	out, in := NewOut[int](), NewIn[int]()
 	ch := Buffer(clk, "bench", 4, out, in)
 	c := ch.c
+	var v int
 	b.ResetTimer()
 	if traced {
 		for i := 0; i < b.N; i++ {
@@ -194,7 +195,7 @@ func benchPortOps(b *testing.B, traced bool) {
 			if c.sub != nil {
 				c.emitPush(ok)
 			}
-			_, ok = c.tryPop()
+			ok = c.tryPop(&v)
 			if c.sub != nil {
 				c.emitPop(ok)
 			}
@@ -203,7 +204,7 @@ func benchPortOps(b *testing.B, traced bool) {
 	} else {
 		for i := 0; i < b.N; i++ {
 			c.tryPush(i)
-			c.tryPop()
+			c.tryPop(&v)
 			c.commit()
 		}
 	}

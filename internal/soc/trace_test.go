@@ -93,14 +93,47 @@ func TestTracedSoCRunWritesScopedVCD(t *testing.T) {
 }
 
 // TestTracedSoCRunMatchesUntraced is the system-level zero-cost check:
-// arming the whole chip's tracing must not move a single cycle.
+// arming the whole chip's tracing must not move a single cycle or
+// counter. Under stall injection it is also the check that a disarmed
+// stalled channel's sleep changes nothing: an armed channel commits and
+// rolls its stalls on every edge, since its monitor reads them, while a
+// disarmed one sleeps whenever it is empty and no producer waits.
 func TestTracedSoCRunMatchesUntraced(t *testing.T) {
-	base := runCase(t, Tests()[0], DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.Trace = true
-	traced := runCase(t, Tests()[0], cfg)
-	if base != traced {
-		t.Fatalf("cycle count diverged: untraced %d vs traced %d", base, traced)
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"tlm", func(*Config) {}},
+		{"stall", func(c *Config) { c.StallP, c.StallSeed = 0.1, 1 }},
+		{"gals-stall", func(c *Config) { c.GALS, c.StallP, c.StallSeed = true, 0.1, 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(trace bool) (uint64, string) {
+				cfg := DefaultConfig()
+				c.edit(&cfg)
+				cfg.Trace = trace
+				s, verify := Tests()[0].Build(cfg)
+				cycles, err := s.Run(maxCycles)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.RV.ExitCode != 0 {
+					t.Fatalf("firmware exit code %d", s.RV.ExitCode)
+				}
+				if err := verify(s); err != nil {
+					t.Fatal(err)
+				}
+				return cycles, metricsHash(t, s)
+			}
+			base, baseHash := run(false)
+			traced, tracedHash := run(true)
+			if base != traced {
+				t.Fatalf("cycle count diverged: untraced %d vs traced %d", base, traced)
+			}
+			if baseHash != tracedHash {
+				t.Fatalf("metrics hash diverged: untraced %s vs traced %s", baseHash, tracedHash)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,9 @@ fi
 (cd "$tmp/base" && go build -o "$tmp/socsim.base" ./cmd/socsim) || exit 1
 (cd "$root" && go build -o "$tmp/socsim.work" ./cmd/socsim) || exit 1
 
-# name|flags: the channel models and clockings, with and without stalls.
+# name|flags: the channel models and clockings, with and without stalls;
+# stall-trace arms the channels, which then never sleep, so its snapshot
+# also carries the trace analysis of every handshake.
 settings=(
 	"tlm|"
 	"gals|-gals"
@@ -37,6 +39,9 @@ settings=(
 	"rtl-stall|-mode rtl -stall 0.1"
 	"gals-stall-seed3|-gals -stall 0.1 -seed 3"
 	"rtl-shadow|-mode rtl -shadow"
+	"stall|-stall 0.05 -seed 7"
+	"gals-stall|-gals -stall 0.05"
+	"stall-trace|-stall 0.1 -trace"
 )
 tests=$("$tmp/socsim.work" -test all | awk '{print $1}')
 if [ -z "$tests" ]; then
