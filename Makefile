@@ -13,8 +13,8 @@ test: build
 # concurrency the kernel refactor touches (plus the campaign runner's
 # worker pool and the tracing layer), run the full SoC suite with channel
 # tracing armed, enforce the disarmed tracing overhead budget (<= 2%
-# over the untraced primitives), and hold the compiled RTL backend's
-# throughput floor over the interpreter. The decoders of outside bytes
+# over the untraced primitives), and hold the compiled RTL evaluator's
+# throughput floor over its test oracle. The decoders of outside bytes
 # (wire frames, job specs, metrics dumps) and the HLS-to-gates compiler
 # (random bounded designs checked stage by stage against the golden
 # model) are fuzzed for a fixed budget, every analysis pass must pass
@@ -31,7 +31,7 @@ check: vet
 	$(GO) test -race ./internal/sim ./internal/connections ./internal/gals ./internal/exp ./internal/trace ./internal/serve ./internal/fleet ./internal/fleet/wire ./internal/ratecheck ./internal/mc
 	SOC_TRACE=1 $(GO) test ./internal/soc
 	TRACE_OVERHEAD_GUARD=1 $(GO) test -run TestDisarmedOverheadGuard -v ./internal/connections
-	RTL_PERF_GATE=1 $(GO) test -count=1 -run TestRTLPerfGate -v .
+	RTL_PERF_GATE=1 $(GO) test -count=1 -run TestRTLPerfGate -v ./internal/rtl
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMsg$$' -fuzztime 10s ./internal/fleet/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSON$$' -fuzztime 10s ./internal/stats

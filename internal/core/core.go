@@ -71,8 +71,7 @@ func (f *Flow) Run(d *hls.Design, vectors int, seed int64) (Report, error) {
 	}
 
 	// RTL cosimulation doubles as verification and activity capture. It
-	// runs on the simulator's word-slice fast path (compiled backend
-	// when the netlist allows it).
+	// runs on the simulator's word-slice fast path.
 	sim, err := rtl.NewSimulator(nl)
 	if err != nil {
 		return rep, fmt.Errorf("core: %s: %w", d.Name, err)

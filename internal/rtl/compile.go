@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// This file is the compiled backend: a Verilator-style lowering of the
-// levelized netlist into straight-line word-level evaluation.
+// This file is the Simulator's evaluator: a Verilator-style lowering of
+// the levelized netlist into straight-line word-level evaluation.
 //
 // Nets are renumbered into a dense internal layout — input-port bits
 // first, then combinational outputs in execution order, then DFF
@@ -19,15 +19,15 @@ import (
 // against the previous cycle's packed words. Because the layout puts a
 // cell's output at combBase+execIndex, the op stream needs no output
 // array at all, and cells are regrouped by (logic level, kind) so one
-// tight loop per same-kind run replaces the interpreter's per-cell
-// switch. DFF capture is batched: gather every D lane, then block-copy
-// over the Q region, reproducing the interpreter's read-all-then-write
-// semantics for flop-to-flop chains.
+// tight loop per same-kind run replaces a per-cell switch. DFF capture
+// is batched: gather every D lane, then block-copy over the Q region,
+// so flop-to-flop chains read every D before any Q is written.
 //
 // The compiler refuses netlist shapes whose aliasing breaks the dense
-// layout (a net driven twice, or doubling as an input-port bit);
-// NewSimulator then falls back to the interpreter, which remains the
-// reference semantics for every netlist.
+// layout (a net driven twice, or doubling as an input-port bit), and
+// NewSimulator returns the refusal as a construction error. The
+// per-cell reference interpreter that defines these semantics lives in
+// the package's tests (interp_test.go), which compare the two.
 
 type opRun struct {
 	kind       CellKind
@@ -188,8 +188,8 @@ func compile(n *Netlist, order []Cell, inPorts, outPorts []Port) (*program, erro
 }
 
 // step runs one cycle and returns the number of driven-net toggles.
-// Ordering matches the interpreter exactly: settle combinational logic,
-// gather outputs, then clock the flops.
+// Ordering matches the reference interpreter exactly: settle
+// combinational logic, gather outputs, then clock the flops.
 func (p *program) step(in, out []uint64) uint64 {
 	v := p.vals
 

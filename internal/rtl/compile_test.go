@@ -14,7 +14,7 @@ import (
 // far, flops (rewired at the end so D can see any net, including later
 // comb outputs and other Qs), floating nets, and output ports sampling
 // arbitrary nets. Every shape it produces is compilable; aliasing shapes
-// get their own fallback tests.
+// get their own refusal test.
 func genNetlist(r *rand.Rand) *Netlist {
 	n := &Netlist{Name: "fuzz"}
 	var pool []Net
@@ -61,18 +61,15 @@ func genNetlist(r *rand.Rand) *Netlist {
 }
 
 // TestCompiledMatchesInterpreter is the differential gate for the
-// compiled backend: on randomized netlists, outputs every cycle,
+// compiled Simulator: on randomized netlists, outputs every cycle,
 // cumulative Toggles, and VCD bytes must be identical to the reference
 // interpreter.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := genNetlist(r)
-		ref := mustSim(t, n, BackendInterp)
-		cmp := mustSim(t, n, BackendCompiled)
-		if ref.Backend() != "interp" || cmp.Backend() != "compiled" {
-			t.Fatalf("seed %d: backends %s/%s", seed, ref.Backend(), cmp.Backend())
-		}
+		ref := mustRef(t, n)
+		cmp := mustSim(t, n)
 		var refVCD, cmpVCD strings.Builder
 		ref.AttachVCD(trace.NewVCD(&refVCD))
 		cmp.AttachVCD(trace.NewVCD(&cmpVCD))
@@ -115,13 +112,10 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 // the same netlist twice must produce byte-identical VCDs — declaration
 // order no longer depends on map iteration.
 func TestVCDDeterministic(t *testing.T) {
-	dump := func(backend Backend) string {
+	dump := func(build backend) string {
 		r := rand.New(rand.NewSource(11))
 		n := genNetlist(r)
-		sim, err := NewSimulatorBackend(n, backend)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sim := build(t, n)
 		var sb strings.Builder
 		sim.AttachVCD(trace.NewVCD(&sb))
 		for cycle := 0; cycle < 50; cycle++ {
@@ -133,19 +127,18 @@ func TestVCDDeterministic(t *testing.T) {
 		}
 		return sb.String()
 	}
-	a, b := dump(BackendInterp), dump(BackendInterp)
+	a, b := dump(interp), dump(interp)
 	if a != b {
 		t.Fatal("two interpreter runs produced different VCD bytes")
 	}
-	if c := dump(BackendCompiled); c != a {
+	if c := dump(compiled); c != a {
 		t.Fatal("compiled VCD bytes differ from interpreter")
 	}
 }
 
-// TestCompileFallback: netlist shapes the dense layout cannot express
-// must degrade to the interpreter under BackendAuto and error under
-// BackendCompiled.
-func TestCompileFallback(t *testing.T) {
+// TestCompileRefusal: netlist shapes the dense layout cannot express are
+// construction errors that name the netlist and the net.
+func TestCompileRefusal(t *testing.T) {
 	// Input port bit aliased onto a cell output: the net has two writers.
 	n := &Netlist{Name: "alias"}
 	a := n.NewNet()
@@ -154,16 +147,6 @@ func TestCompileFallback(t *testing.T) {
 		PortBit{Name: "a", Bit: 0, Net: a},
 		PortBit{Name: "b", Bit: 0, Net: y})
 	n.Outputs = append(n.Outputs, PortBit{Name: "y", Bit: 0, Net: y})
-	sim, err := NewSimulator(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Backend() != "interp" {
-		t.Fatalf("backend = %s, want interp fallback", sim.Backend())
-	}
-	if _, err := NewSimulatorBackend(n, BackendCompiled); err == nil {
-		t.Fatal("BackendCompiled accepted an aliased netlist")
-	}
 
 	// Two cells driving one net.
 	n2 := &Netlist{Name: "multidrive"}
@@ -174,12 +157,20 @@ func TestCompileFallback(t *testing.T) {
 		Cell{Kind: INV, Out: shared, In: []Net{x}},
 		Cell{Kind: BUF, Out: shared, In: []Net{x}})
 	n2.Outputs = append(n2.Outputs, PortBit{Name: "y", Bit: 0, Net: shared})
-	sim2, err := NewSimulator(n2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim2.Backend() != "interp" {
-		t.Fatalf("backend = %s, want interp fallback", sim2.Backend())
+
+	for _, tc := range []struct {
+		n   *Netlist
+		net Net
+	}{{n, y}, {n2, shared}} {
+		_, err := NewSimulator(tc.n)
+		if err == nil {
+			t.Fatalf("%s: NewSimulator accepted the netlist", tc.n.Name)
+		}
+		for _, want := range []string{tc.n.Name, fmt.Sprintf("n%d", tc.net)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: err = %q, want it to name %q", tc.n.Name, err, want)
+			}
+		}
 	}
 }
 
@@ -205,17 +196,17 @@ func TestValidateCells(t *testing.T) {
 
 // TestStepWordsNilOut covers the activity-counting mode soc/pe uses.
 func TestStepWordsNilOut(t *testing.T) {
-	forBothBackends(t, func(t *testing.T, backend Backend) {
+	forBothBackends(t, func(t *testing.T, build backend) {
 		n := &Netlist{Name: "nilout"}
 		a := n.NewNet()
 		n.Inputs = append(n.Inputs, PortBit{Name: "a", Bit: 0, Net: a})
 		q := n.AddCell(DFF, n.AddCell(INV, a))
 		n.Outputs = append(n.Outputs, PortBit{Name: "q", Bit: 0, Net: q})
-		sim := mustSim(t, n, backend)
+		sim := build(t, n)
 		sim.StepWords([]uint64{1}, nil)
 		sim.StepWords([]uint64{0}, nil)
-		if sim.Cycles != 2 || sim.Toggles == 0 {
-			t.Fatalf("cycles %d toggles %d", sim.Cycles, sim.Toggles)
+		if cycles, toggles := sim.counts(); cycles != 2 || toggles == 0 {
+			t.Fatalf("cycles %d toggles %d", cycles, toggles)
 		}
 	})
 }

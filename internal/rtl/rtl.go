@@ -287,7 +287,7 @@ func collectPorts(n *Netlist, ports []PortBit, dir string) ([]Port, error) {
 	return out, nil
 }
 
-// validateCells rejects netlists the evaluators cannot execute safely:
+// validateCells rejects netlists the evaluator cannot execute safely:
 // out-of-range nets, wrong arity, or register cells filed on the wrong
 // bank.
 func validateCells(n *Netlist) error {
@@ -327,36 +327,12 @@ func validateCells(n *Netlist) error {
 	return nil
 }
 
-// Backend selects the evaluation engine behind a Simulator.
-type Backend int
-
-const (
-	// BackendAuto compiles the netlist when its shape allows it and
-	// falls back to the interpreter otherwise — the default.
-	BackendAuto Backend = iota
-	// BackendInterp forces the reference cell-by-cell interpreter.
-	BackendInterp
-	// BackendCompiled forces the compiled word-level program; netlists
-	// the compiler cannot handle return its error.
-	BackendCompiled
-)
-
-// Simulator evaluates a netlist cycle by cycle. Two backends share one
-// contract: the compiled word-level program (see compile.go) when the
-// netlist shape allows it, and the reference interpreter otherwise.
-// Outputs, Toggles, Cycles and VCD bytes are bit-identical between them.
+// Simulator evaluates a netlist cycle by cycle on the compiled
+// word-level program (see compile.go).
 type Simulator struct {
-	n        *Netlist
 	inPorts  []Port // sorted by name
 	outPorts []Port
-
-	// Interpreter backend state.
-	order []Cell
-	vals  []bool
-	next  []bool // DFF capture scratch
-
-	// Compiled backend; nil when interpreting.
-	prog *program
+	prog     *program
 
 	// Toggles counts driven-net transitions per cycle, the switching
 	// activity consumed by the power model.
@@ -370,17 +346,12 @@ type Simulator struct {
 	vcdOut []*trace.Signal // parallel to outPorts
 }
 
-// NewSimulator levelizes, validates and prepares the netlist, selecting
-// the compiled backend automatically when the netlist supports it. It
-// returns a *PortCoverageError for sparse or malformed ports and a
-// *LoopError for combinational cycles.
+// NewSimulator validates, levelizes and compiles the netlist. It
+// returns a *PortCoverageError for sparse or malformed ports, a
+// *LoopError for combinational cycles, and an error naming the net for
+// shapes the compiler refuses: a net with two drivers, or an input-port
+// bit aliased onto a driven net.
 func NewSimulator(n *Netlist) (*Simulator, error) {
-	return NewSimulatorBackend(n, BackendAuto)
-}
-
-// NewSimulatorBackend is NewSimulator with an explicit backend choice,
-// the hook the differential tests and benchmarks use.
-func NewSimulatorBackend(n *Netlist, b Backend) (*Simulator, error) {
 	if err := validateCells(n); err != nil {
 		return nil, err
 	}
@@ -396,72 +367,35 @@ func NewSimulatorBackend(n *Netlist, b Backend) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{
-		n:        n,
+	prog, err := compile(n, order, inPorts, outPorts)
+	if err != nil {
+		return nil, err
+	}
+	return &Simulator{
 		inPorts:  inPorts,
 		outPorts: outPorts,
-		order:    order,
-		vals:     make([]bool, n.NumNets),
-		next:     make([]bool, len(n.DFFs)),
+		prog:     prog,
 		inBuf:    make([]uint64, len(inPorts)),
 		outBuf:   make([]uint64, len(outPorts)),
-	}
-	if b != BackendInterp {
-		prog, cerr := compile(n, order, inPorts, outPorts)
-		if cerr != nil && b == BackendCompiled {
-			return nil, cerr
-		}
-		s.prog = prog // nil on fallback
-	}
-	return s, nil
+	}, nil
 }
 
-// Backend reports the selected engine: "compiled" or "interp".
-func (s *Simulator) Backend() string {
-	if s.prog != nil {
-		return "compiled"
-	}
-	return "interp"
-}
+// Deprecated: Backend, BackendCompiled and NewSimulatorBackend remain
+// for the benchmark module's rtl probe. There is one evaluator: call
+// NewSimulator.
+type Backend int
+
+// Deprecated: call NewSimulator.
+const BackendCompiled Backend = 0
+
+// Deprecated: NewSimulatorBackend is NewSimulator.
+func NewSimulatorBackend(n *Netlist, _ Backend) (*Simulator, error) { return NewSimulator(n) }
 
 // InputPorts returns the input ports in StepWords order (sorted by name).
 func (s *Simulator) InputPorts() []Port { return s.inPorts }
 
 // OutputPorts returns the output ports in StepWords order (sorted by name).
 func (s *Simulator) OutputPorts() []Port { return s.outPorts }
-
-func (s *Simulator) eval(c Cell) bool {
-	v := s.vals
-	switch c.Kind {
-	case INV:
-		return !v[c.In[0]]
-	case BUF:
-		return v[c.In[0]]
-	case NAND2:
-		return !(v[c.In[0]] && v[c.In[1]])
-	case NOR2:
-		return !(v[c.In[0]] || v[c.In[1]])
-	case AND2:
-		return v[c.In[0]] && v[c.In[1]]
-	case OR2:
-		return v[c.In[0]] || v[c.In[1]]
-	case XOR2:
-		return v[c.In[0]] != v[c.In[1]]
-	case XNOR2:
-		return v[c.In[0]] == v[c.In[1]]
-	case MUX2:
-		if v[c.In[0]] {
-			return v[c.In[1]]
-		}
-		return v[c.In[2]]
-	case TIE0:
-		return false
-	case TIE1:
-		return true
-	default:
-		panic(fmt.Sprintf("rtl: cannot evaluate %v", c.Kind))
-	}
-}
 
 // AttachVCD declares the netlist's ports on v and samples them after
 // every Step. Declaration order is the sorted port order (inputs first,
@@ -487,11 +421,7 @@ func (s *Simulator) StepWords(in, out []uint64) {
 	if out == nil {
 		out = s.outBuf
 	}
-	if s.prog != nil {
-		s.Toggles += s.prog.step(in, out)
-	} else {
-		s.interpStep(in, out)
-	}
+	s.Toggles += s.prog.step(in, out)
 	if s.vcd != nil {
 		for i := range s.vcdIn {
 			s.vcdIn[i].Set(in[i])
@@ -517,43 +447,6 @@ func (s *Simulator) Step(inputs map[string]uint64) map[string]uint64 {
 		out[s.outPorts[i].Name] = s.outBuf[i]
 	}
 	return out
-}
-
-// interpStep is the reference backend: evaluate the levelized cells one
-// by one over a []bool net image.
-func (s *Simulator) interpStep(in, out []uint64) {
-	for pi := range s.inPorts {
-		w := in[pi]
-		for i, net := range s.inPorts[pi].Bits {
-			s.vals[net] = w>>uint(i)&1 == 1
-		}
-	}
-	for _, c := range s.order {
-		nv := s.eval(c)
-		if nv != s.vals[c.Out] {
-			s.Toggles++
-		}
-		s.vals[c.Out] = nv
-	}
-	for pi := range s.outPorts {
-		var w uint64
-		for i, net := range s.outPorts[pi].Bits {
-			if s.vals[net] {
-				w |= 1 << uint(i)
-			}
-		}
-		out[pi] = w
-	}
-	// Rising edge: flops capture D.
-	for i, d := range s.n.DFFs {
-		s.next[i] = s.vals[d.In[0]]
-	}
-	for i, d := range s.n.DFFs {
-		if s.vals[d.Out] != s.next[i] {
-			s.Toggles++
-		}
-		s.vals[d.Out] = s.next[i]
-	}
 }
 
 // Verilog renders the netlist as structural Verilog-2001.

@@ -8,22 +8,54 @@ import (
 	"repro/internal/trace"
 )
 
-// mustSim builds a simulator on the given backend, failing the test on
+// mustSim builds the compiled Simulator, failing the test on
 // construction errors.
-func mustSim(t *testing.T, n *Netlist, b Backend) *Simulator {
+func mustSim(t *testing.T, n *Netlist) *Simulator {
 	t.Helper()
-	s, err := NewSimulatorBackend(n, b)
+	s, err := NewSimulator(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// forBothBackends runs a subtest against the interpreter and the
-// compiled backend: both must satisfy the same contract.
-func forBothBackends(t *testing.T, f func(t *testing.T, b Backend)) {
-	t.Run("interp", func(t *testing.T) { f(t, BackendInterp) })
-	t.Run("compiled", func(t *testing.T) { f(t, BackendCompiled) })
+// mustRef builds the reference interpreter, failing the test on
+// construction errors.
+func mustRef(t *testing.T, n *Netlist) *refSim {
+	t.Helper()
+	s, err := newRefSim(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// evaluator is the contract the compiled Simulator and the reference
+// interpreter share.
+type evaluator interface {
+	InputPorts() []Port
+	AttachVCD(*trace.VCD)
+	Step(map[string]uint64) map[string]uint64
+	StepWords(in, out []uint64)
+	counts() (cycles, toggles uint64)
+}
+
+type compiledSim struct{ *Simulator }
+
+func (s compiledSim) counts() (uint64, uint64) { return s.Cycles, s.Toggles }
+func (s *refSim) counts() (uint64, uint64)     { return s.Cycles, s.Toggles }
+
+// backend builds one evaluator for a netlist: interp or compiled.
+type backend func(*testing.T, *Netlist) evaluator
+
+func interp(t *testing.T, n *Netlist) evaluator   { return mustRef(t, n) }
+func compiled(t *testing.T, n *Netlist) evaluator { return compiledSim{mustSim(t, n)} }
+
+// forBothBackends runs a subtest against the reference interpreter and
+// the compiled Simulator: both must satisfy the same contract.
+func forBothBackends(t *testing.T, f func(t *testing.T, build backend)) {
+	t.Run("interp", func(t *testing.T) { f(t, interp) })
+	t.Run("compiled", func(t *testing.T) { f(t, compiled) })
 }
 
 func TestAttachVCD(t *testing.T) {
@@ -31,7 +63,7 @@ func TestAttachVCD(t *testing.T) {
 	a := n.NewNet()
 	n.Inputs = append(n.Inputs, PortBit{Name: "a", Bit: 0, Net: a})
 	n.Outputs = append(n.Outputs, PortBit{Name: "y", Bit: 0, Net: n.AddCell(INV, a)})
-	sim := mustSim(t, n, BackendAuto)
+	sim := mustSim(t, n)
 	var sb strings.Builder
 	v := trace.NewVCD(&sb)
 	sim.AttachVCD(v)
@@ -53,7 +85,7 @@ func TestCellEvaluation(t *testing.T) {
 	forBothBackends(t, testCellEvaluation)
 }
 
-func testCellEvaluation(t *testing.T, backend Backend) {
+func testCellEvaluation(t *testing.T, build backend) {
 	n := &Netlist{Name: "cells"}
 	a := n.NewNet()
 	b := n.NewNet()
@@ -76,7 +108,7 @@ func testCellEvaluation(t *testing.T, backend Backend) {
 	for name, net := range outs {
 		n.Outputs = append(n.Outputs, PortBit{Name: name, Bit: 0, Net: net})
 	}
-	sim := mustSim(t, n, backend)
+	sim := build(t, n)
 	for av := uint64(0); av < 2; av++ {
 		for bv := uint64(0); bv < 2; bv++ {
 			got := sim.Step(map[string]uint64{"a": av, "b": bv})
@@ -110,7 +142,7 @@ func TestDFFOneCycleDelay(t *testing.T) {
 	forBothBackends(t, testDFFOneCycleDelay)
 }
 
-func testDFFOneCycleDelay(t *testing.T, backend Backend) {
+func testDFFOneCycleDelay(t *testing.T, build backend) {
 	n := &Netlist{Name: "dff"}
 	d := n.NewNet()
 	n.Inputs = append(n.Inputs, PortBit{Name: "d", Bit: 0, Net: d})
@@ -119,7 +151,7 @@ func testDFFOneCycleDelay(t *testing.T, backend Backend) {
 	n.Outputs = append(n.Outputs,
 		PortBit{Name: "q", Bit: 0, Net: q},
 		PortBit{Name: "q2", Bit: 0, Net: q2})
-	sim := mustSim(t, n, backend)
+	sim := build(t, n)
 	seq := []uint64{1, 0, 1, 1, 0}
 	var qs, q2s []uint64
 	for _, v := range seq {
@@ -225,7 +257,7 @@ func TestLevelizeDeepChainIterative(t *testing.T) {
 	if len(order) != depth {
 		t.Fatalf("order len = %d", len(order))
 	}
-	sim := mustSim(t, n, BackendAuto)
+	sim := mustSim(t, n)
 	out := sim.Step(map[string]uint64{"a": 1})
 	if out["y"] != 1 { // even number of inversions
 		t.Fatalf("y = %d", out["y"])
@@ -283,7 +315,7 @@ func TestVerilogTestbench(t *testing.T) {
 }
 
 func TestMultiBitPorts(t *testing.T) {
-	forBothBackends(t, func(t *testing.T, backend Backend) {
+	forBothBackends(t, func(t *testing.T, build backend) {
 		n := &Netlist{Name: "wide"}
 		var bits []Net
 		for i := 0; i < 4; i++ {
@@ -294,7 +326,7 @@ func TestMultiBitPorts(t *testing.T) {
 		for i, b := range bits {
 			n.Outputs = append(n.Outputs, PortBit{Name: "y", Bit: i, Net: n.AddCell(INV, b)})
 		}
-		sim := mustSim(t, n, backend)
+		sim := build(t, n)
 		out := sim.Step(map[string]uint64{"x": 0b1010})
 		if out["y"] != 0b0101 {
 			t.Fatalf("y = %#b", out["y"])

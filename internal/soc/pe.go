@@ -59,8 +59,8 @@ func newPE(clk *sim.Clock, name string, id, scratchWords, lanes int, mode connec
 		// Two of the vector unit's MAC lanes are cosimulated at gate
 		// level (a 4× sampling of the 8-lane datapath, documented in
 		// EXPERIMENTS.md); each lane is an independent netlist instance
-		// stepped on the word-slice fast path (compiled backend), since
-		// this per-edge hook is the SoC's gate-level hot loop.
+		// stepped on the word-slice fast path, since this per-edge hook
+		// is the SoC's gate-level hot loop.
 		lane0, err := rtl.NewSimulator(shadowNetlist())
 		if err != nil {
 			panic("soc: shadow MAC netlist rejected: " + err.Error())
