@@ -48,7 +48,7 @@ func TestCrossClockNotifyWakesAsleepClock(t *testing.T) {
 			}
 		})
 		s.Run(6000)
-		return seen, b.skipped
+		return seen, b.skippedEdges()
 	}
 	parked, skipped := run(true)
 	polled, _ := run(false)
@@ -101,7 +101,7 @@ func TestAsleepClockKeepsTime(t *testing.T) {
 			}
 		})
 		s.Run(2000)
-		return seen, b.skipped
+		return seen, b.skippedEdges()
 	}
 	asleep, skipped := run(true)
 	awake, _ := run(false)
@@ -125,7 +125,7 @@ func TestLateRegistrationIsServiced(t *testing.T) {
 		th.WaitOn(func() bool { return false }, evs...)
 	})
 	s.RunCycles(clk, 5)
-	if clk.skipped == 0 {
+	if clk.skippedEdges() == 0 {
 		t.Fatal("no edge skipped before the late registrations")
 	}
 	var threadAt, methodAt, hookAt uint64
@@ -139,9 +139,9 @@ func TestLateRegistrationIsServiced(t *testing.T) {
 	if threadAt != 6 || methodAt != 6 || hookAt != 6 {
 		t.Fatalf("late thread ran at %d, method at %d, hook at %d; want all at 6", threadAt, methodAt, hookAt)
 	}
-	before := clk.skipped
+	before := clk.skippedEdges()
 	s.RunCycles(clk, 5)
-	if clk.skipped <= before {
+	if clk.skippedEdges() <= before {
 		t.Fatal("the clock did not skip again once its late processes slept")
 	}
 }
@@ -166,10 +166,10 @@ func TestPanickedMethodStaysAsleep(t *testing.T) {
 	// Stop ended the run at the panicking edge. Clear the stop flag to
 	// look at the edges a longer run would have had after it.
 	s.stopped.Store(false)
-	before := clk.skipped
+	before := clk.skippedEdges()
 	s.RunCycles(clk, 4)
-	if clk.Cycle() != 7 || clk.skipped != before+4 {
-		t.Fatalf("after the panic: cycle %d with %d edges skipped, want cycle 7 with %d", clk.Cycle(), clk.skipped, before+4)
+	if clk.Cycle() != 7 || clk.skippedEdges() != before+4 {
+		t.Fatalf("after the panic: cycle %d with %d edges skipped, want cycle 7 with %d", clk.Cycle(), clk.skippedEdges(), before+4)
 	}
 }
 
@@ -184,11 +184,11 @@ func TestSkipCount(t *testing.T) {
 		th.WaitOn(func() bool { return false }, &Event{})
 	})
 	s.RunCycles(clk, 5)
-	if clk.skipped != 0 {
-		t.Fatalf("%d edges skipped during WaitN, want 0", clk.skipped)
+	if clk.skippedEdges() != 0 {
+		t.Fatalf("%d edges skipped during WaitN, want 0", clk.skippedEdges())
 	}
 	s.RunCycles(clk, 10)
-	if clk.skipped != 9 {
-		t.Fatalf("%d edges skipped, want 9", clk.skipped)
+	if clk.skippedEdges() != 9 {
+		t.Fatalf("%d edges skipped, want 9", clk.skippedEdges())
 	}
 }

@@ -158,3 +158,67 @@ func TestColdSimStallPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestFirmwareThatNeverExitsPinned pins GALS runs whose firmware never
+// writes the exit register, so Run ends on its cycle bound. Each starts
+// memcpy's first phase, sixteen DMA reads through the mesh. In "halts"
+// the hart waits for the reads, then executes ECALL and parks for good,
+// so every clock of the chip falls idle long before the bound; in
+// "spins" it polls a done count that never arrives, so the controller's
+// clock stays busy while the other nineteen fall idle. In the "cut"
+// rows the hart halts right after issuing the reads and the bound falls
+// while they are still in flight, where the controller's clock sleeps
+// between done messages. Each row pins the elapsed cycles, the error,
+// the kernel's final instant and total edges, and the metrics hash: a
+// scheduler that let an idle clock's edges drift, or ended the run on
+// another edge, shows here.
+func TestFirmwareThatNeverExitsPinned(t *testing.T) {
+	type pin struct {
+		cycles, edges, now uint64
+		err, hash          string
+	}
+	rows := []struct {
+		name  string
+		bound uint64
+		want  pin
+	}{
+		{"halts", 20000, pin{20000, 400506, 18259655, "soc: firmware did not exit within 20000 cycles", "825a905bae7d38fb"}},
+		{"spins", 20000, pin{20000, 400506, 18259655, "soc: firmware did not exit within 20000 cycles", "daf4216fc85adc8c"}},
+		{"cut", 300, pin{300, 6001, 273555, "soc: firmware did not exit within 300 cycles", "1761b44b1201866b"}},
+		{"cut", 400, pin{400, 8005, 364855, "soc: firmware did not exit within 400 cycles", "dfcad4e6f722e542"}},
+		{"cut", 500, pin{500, 10007, 456155, "soc: firmware did not exit within 500 cycles", "9554711771611000"}},
+		{"cut", 600, pin{600, 12011, 547455, "soc: firmware did not exit within 600 cycles", "0a26a333c1152dd1"}},
+		{"cut", 700, pin{700, 14011, 638755, "soc: firmware did not exit within 700 cycles", "b8567743c2b418bd"}},
+	}
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("%s/%d", r.name, r.bound), func(t *testing.T) {
+			fw := NewFirmware()
+			for i := 0; i < NumPEs; i++ {
+				fw.Send(NodeGML, ReadMsg(i*peTile, peTile, i, 0, NodeRV))
+			}
+			switch r.name {
+			case "halts":
+				fw.WaitDone(NumPEs)
+				fw.P.ECALL()
+			case "spins":
+				fw.WaitDone(NumPEs + 1)
+			case "cut":
+				fw.P.ECALL()
+			}
+			cfg := DefaultConfig()
+			cfg.GALS = true
+			s := New(cfg, fw.Assemble())
+			cycles, err := s.Run(r.bound)
+			if err == nil {
+				t.Fatal("a firmware that never exits ran without an error")
+			}
+			if halted := s.RV.CPU.Halted; halted != (r.name != "spins") {
+				t.Fatalf("hart halted = %v", halted)
+			}
+			got := pin{cycles, s.Sim.TotalEdges(), uint64(s.Sim.Now()), err.Error(), metricsHash(t, s)}
+			if got != r.want {
+				t.Errorf("got %+v, want %+v", got, r.want)
+			}
+		})
+	}
+}
