@@ -53,8 +53,20 @@
 // A clock whose every thread and method is finished or parked on an
 // unnotified predicate, with no commit listed and no monitor, skips its
 // edge's phases and only counts the edge; a notify from any clock wakes
-// it. The multi-clock step finds the earliest edge and the clocks due at
-// it in one pass over the clocks, in name order.
+// it. Under several clocks such a clock, with no pause pending, sleeps:
+// it leaves the due scan, and its Cycle, Committed, Now and NextEdge are
+// computed from the edge it fell asleep on. An edge (time, name) of a
+// sleeping clock has fired iff it is at or before (the current instant,
+// the name of the last clock that ran at it), time first; a completed
+// step covers its whole instant, and a Stop mid-step leaves the
+// later-named edges at that instant unfired. A Notify of one of its
+// parked slots (once the running edge ends), a Touch, Pause, SetPeriod
+// or a late Spawn, Method or monitor wakes it at its first unfired edge,
+// joining the current step when that edge is now and sorts after the
+// running clock. The
+// multi-clock step finds the earliest edge of the awake clocks and the
+// clocks due at it in one pass over them, in name order; an idle edge is
+// not a step.
 // All of these are execution optimizations only — a parked thread
 // observes exactly the cycle it would have observed by polling, provided
 // every change to its predicate notifies one of its events.

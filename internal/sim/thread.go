@@ -58,6 +58,9 @@ func (c *Clock) Spawn(name string, body func(*Thread)) {
 	mustName("thread", name)
 	th := &thread{name: name, clock: c, body: body}
 	th.self.t = th
+	if c.sleeping {
+		c.wake()
+	}
 	c.threads = append(c.threads, th)
 }
 
@@ -86,6 +89,9 @@ func (c *Clock) Method(name string, step func(*Thread)) {
 	// coroutine for Close to stop.
 	th.yield = func(struct{}) bool { panic(fmt.Sprintf("sim: Wait in method %q", name)) }
 	th.stop = func() {}
+	if c.sleeping {
+		c.wake()
+	}
 	c.threads = append(c.threads, th)
 }
 

@@ -255,11 +255,8 @@ func New(cfg Config, firmware []uint32) *SoC {
 func (s *SoC) Run(maxCycles uint64) (uint64, error) {
 	defer s.Sim.Close()
 	start := s.RVClk.Cycle()
-	for !s.RV.Exited && s.RVClk.Cycle()-start < maxCycles {
-		if !s.Sim.Step() {
-			break
-		}
-	}
+	// The hart stops the simulator on the edge the firmware exits.
+	s.Sim.RunCycles(s.RVClk, maxCycles)
 	if err := s.Sim.Err(); err != nil {
 		return s.RVClk.Cycle() - start, err
 	}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -83,14 +83,21 @@ func (r *Registry) Snapshot() []Metric {
 // value, so the order is total and the rendered bytes never depend on
 // registration order.
 func SortMetrics(ms []Metric) {
-	sort.SliceStable(ms, func(i, j int) bool {
-		if c := naturalCmp(ms[i].Path, ms[j].Path); c != 0 {
-			return c < 0
+	slices.SortStableFunc(ms, func(a, b Metric) int {
+		if c := naturalCmp(a.Path, b.Path); c != 0 {
+			return c
 		}
-		if c := naturalCmp(ms[i].Name, ms[j].Name); c != 0 {
-			return c < 0
+		if c := naturalCmp(a.Name, b.Name); c != 0 {
+			return c
 		}
-		return ms[i].Value < ms[j].Value
+		// Not cmp.Compare: a NaN must tie with every value, as under <.
+		switch {
+		case a.Value < b.Value:
+			return -1
+		case a.Value > b.Value:
+			return 1
+		}
+		return 0
 	})
 }
 

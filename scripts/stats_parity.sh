@@ -28,8 +28,8 @@ fi
 (cd "$root" && go build -o "$tmp/socsim.work" ./cmd/socsim) || exit 1
 
 # name|flags: the channel models and clockings, with and without stalls;
-# stall-trace arms the channels, which then never sleep, so its snapshot
-# also carries the trace analysis of every handshake.
+# stall-trace and gals-trace arm the channels, which then never sleep, so
+# their snapshots also carry the trace analysis of every handshake.
 settings=(
 	"tlm|"
 	"gals|-gals"
@@ -42,6 +42,8 @@ settings=(
 	"stall|-stall 0.05 -seed 7"
 	"gals-stall|-gals -stall 0.05"
 	"stall-trace|-stall 0.1 -trace"
+	"gals-trace|-gals -stall 0.1 -trace"
+	"gals-rtl|-gals -mode rtl -stall 0.1"
 )
 tests=$("$tmp/socsim.work" -test all | awk '{print $1}')
 if [ -z "$tests" ]; then
