@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/mc"
 	"repro/internal/soc"
 )
 
@@ -53,5 +54,38 @@ func TestPassTable(t *testing.T) {
 	}
 	if _, ok := analysis.Lookup("sim"); ok {
 		t.Error("sim is not an analysis pass")
+	}
+}
+
+// TestVerifyDecidesEveryDesign: the breadth-first search alone decides
+// both properties on every design soc.Lookup can name, on one clock and
+// under GALS — each verdict is proved or violated at mc.DefaultDepth,
+// never bounded or inconclusive, and no component runs out of budget or
+// falls back to the partial stall adversary. A design that needs a
+// cheaper search lane fails here first.
+func TestVerifyDecidesEveryDesign(t *testing.T) {
+	p, _ := analysis.Lookup("verify")
+	designs := append(soc.Tests(), soc.ExtraTests()...)
+	for _, f := range soc.Fixtures() {
+		designs = append(designs, f.TestCase)
+	}
+	for _, gals := range []bool{false, true} {
+		for _, tc := range designs {
+			cfg := soc.DefaultConfig()
+			cfg.GALS = gals
+			s, _ := tc.Build(cfg)
+			r := p.Run(s.Sim, analysis.Options{Depth: mc.DefaultDepth}).(*mc.Result)
+			for _, v := range []string{r.Deadlock.Verdict, r.Equivalence.Verdict} {
+				if v != mc.VerdictProved && v != mc.VerdictViolated {
+					t.Errorf("%s (gals=%v): %s", tc.Name, gals, r.Summary())
+					break
+				}
+			}
+			for _, n := range r.Notes {
+				if strings.Contains(n, "search budget exhausted") || strings.Contains(n, "MaxChoice") {
+					t.Errorf("%s (gals=%v): note %q", tc.Name, gals, n)
+				}
+			}
+		}
 	}
 }
