@@ -23,8 +23,8 @@ type Options struct {
 	Context context.Context
 	// Depth is the unroll bound in cycles (default DefaultDepth).
 	Depth int
-	// MaxStates caps the states visited across all components, directed
-	// trajectories included (default 32768).
+	// MaxStates caps the states visited across all components (default
+	// 32768).
 	MaxStates int
 	// MaxSteps caps successor computations across all components
 	// (default 262144), the actual work bound on models whose choice
@@ -203,12 +203,9 @@ func check(m *Model, opt Options) *Result {
 			}
 		}
 		if !sr.ended() {
-			sr.directed()
-			if sr.foundDL == nil || sr.foundEQ == nil {
-				sr.run()
-			}
+			sr.run()
 		}
-		r.States += sr.dirStates + len(sr.entries)
+		r.States += len(sr.entries)
 		r.Steps += sr.steps
 		truncated = truncated || sr.truncated
 		budget = budget || sr.budget
@@ -345,7 +342,6 @@ type search struct {
 	clipped   bool // a state at the depth bound was left unexpanded
 	steps     int
 	maxDepth  int
-	dirStates int // directed-trajectory states visited
 
 	foundDL *Counterexample
 	foundEQ *Counterexample
@@ -355,47 +351,9 @@ func (s *search) key(st state) string {
 	return string(bitvec.FromWords(st, s.m.StateBits).Bytes())
 }
 
-// directed runs the deterministic maximal-firing trajectory up to the
-// depth bound, checking both properties along the way. On models too
-// large to exhaust it is the cheap lane that still reaches deep
-// fill-type witnesses (every producer pushing as fast as back-pressure
-// allows); on small models it merely duplicates a BFS prefix. The
-// trajectory is deterministic, so it stops at the first state it
-// revisits: nothing new can follow.
-func (s *search) directed() {
-	m := s.m
-	traj := []frame{{st: m.newState()}}
-	visited := map[string]bool{s.key(traj[0].st): true}
-	for d := 0; ; d++ {
-		if s.full() {
-			return
-		}
-		s.dirStates = d + 1
-		cur := traj[d].st
-		dl, eq := m.violations(cur, s.foundDL == nil, s.foundEQ == nil)
-		s.record(dl, eq, traj)
-		if d >= s.opt.Depth || (s.foundDL != nil && s.foundEQ != nil) || s.ended() {
-			return
-		}
-		fire := make([]bool, len(m.Nodes))
-		for u := range m.Nodes {
-			if m.enabled(cur, u) {
-				fire[u] = true
-			}
-		}
-		ns := m.step(cur, fire)
-		k := s.key(ns)
-		if visited[k] {
-			return
-		}
-		visited[k] = true
-		traj = append(traj, frame{st: ns, fired: fire})
-	}
-}
-
-// run is the exhaustive lane: breadth-first search over every firing
-// subset with explicit-state hashing. BFS order makes the first
-// counterexample per property a shallowest one.
+// run is the breadth-first search over every firing subset with
+// explicit-state hashing. BFS order makes the first counterexample per
+// property a shallowest one.
 func (s *search) run() {
 	s.seen = make(map[string]int32, 1024)
 	if s.full() {
@@ -414,7 +372,7 @@ func (s *search) run() {
 			if s.ended() {
 				return
 			}
-			s.progress(d, s.dirStates+len(s.entries))
+			s.progress(d, len(s.entries))
 			reported = d + 1
 		}
 		s.checkState(int32(qi), e)
@@ -434,7 +392,7 @@ func (s *search) run() {
 // full reports whether this component's share of the budget is spent,
 // marking the search budget-bound if so.
 func (s *search) full() bool {
-	if s.dirStates+len(s.entries) >= s.maxStates || s.steps >= s.maxSteps {
+	if len(s.entries) >= s.maxStates || s.steps >= s.maxSteps {
 		s.budget = true
 		return true
 	}
@@ -513,9 +471,11 @@ func (s *search) expand(qi int32, e *entry) bool {
 }
 
 // checkState evaluates both properties on a reached state and records
-// the first (hence shallowest, by BFS order) counterexample of each.
+// the first (hence shallowest, by BFS order) counterexample of each,
+// traced back along the parent links.
 func (s *search) checkState(qi int32, e *entry) {
-	dl, eq := s.m.violations(e.st, s.foundDL == nil, s.foundEQ == nil)
+	m := s.m
+	dl, eq := m.violations(e.st, s.foundDL == nil, s.foundEQ == nil)
 	if dl == nil && eq == nil {
 		return
 	}
@@ -523,13 +483,6 @@ func (s *search) checkState(qi int32, e *entry) {
 	for i := qi; i >= 0; i = s.entries[i].parent {
 		path[s.entries[i].depth] = s.entries[i].frame
 	}
-	s.record(dl, eq, path)
-}
-
-// record attaches a counterexample to each violation found on the last
-// state of path.
-func (s *search) record(dl *dlHit, eq *eqHit, path []frame) {
-	m := s.m
 	if dl != nil {
 		cx := s.counterexample(path)
 		cx.Property = "deadlock"

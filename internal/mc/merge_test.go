@@ -160,10 +160,10 @@ func TestMergeStarvedComponentIsInconclusive(t *testing.T) {
 	}
 }
 
-// The directed lane is deterministic, so it stops at the first state it
-// revisits: a free-running pair on a 1-slot channel alternates between
-// two states and must not walk to the depth bound.
-func TestDirectedLaneStopsOnRevisit(t *testing.T) {
+// The breadth-first search stops at its fixpoint, not at the depth
+// bound: a free-running pair on a 1-slot channel reaches only a few
+// states, so a bound of 100000 still proves it in at most four.
+func TestSearchReachesFixpointOnPipe(t *testing.T) {
 	r := check(handModel(pipe("p")...), Options{Depth: 100000}.withDefaults())
 	if !r.Proved() || r.States > 4 {
 		t.Fatalf("pipe at depth 100000: %s", r.Summary())
