@@ -24,8 +24,8 @@ func TestCheckBodiesPinned(t *testing.T) {
 		{`{"kind":"rateck","test":"memcpy","gals":true}`, "e3ad19196a339acc"},
 		{`{"kind":"rateck","test":"badrate"}`, "bc54566ab97b995f"},
 		{`{"kind":"rateck","test":"badbuf"}`, "04527be8e59b1baf"},
-		{`{"kind":"verify","test":"mcserdes"}`, "1706f4108ad07113"},
-		{`{"kind":"verify","test":"mcdeadlock","depth":8}`, "75b7a16ba25b0593"},
+		{`{"kind":"verify","test":"mcserdes"}`, "e575512d3ffb85c4"},
+		{`{"kind":"verify","test":"mcdeadlock","depth":8}`, "bb41639189ee4a6e"},
 	}
 	for _, tc := range cases {
 		spec, err := ParseSpec([]byte(tc.spec))
