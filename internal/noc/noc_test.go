@@ -298,59 +298,76 @@ func TestLoadLatencyCurveShape(t *testing.T) {
 }
 
 // Ablation: store-and-forward latency grows with packet length faster
-// than wormhole cut-through... SF must at minimum deliver correctly.
+// than wormhole cut-through... SF must at minimum deliver correctly, on
+// sim-accurate links (the router parks while idle) and on
+// signal-accurate ones (it polls, as each attempt charges a handshake
+// wait). Each row pins the cycle of the last delivery.
 func TestSFRouterDelivery(t *testing.T) {
-	s := sim.New()
-	clk := s.AddClock("clk", 1000, 0)
-	// 2-router line: src NI -> r0 -> r1 -> sink NI, local ports 0.
-	route0 := func(dst int) int {
-		if dst == 0 {
-			return 0
-		}
-		return 1
+	cases := []struct {
+		name string
+		opts []connections.Option
+		done uint64 // cycle of the last tail flit's delivery
+	}{
+		{"sim", nil, 31},
+		{"signal", []connections.Option{connections.WithMode(connections.ModeSignalAccurate)}, 84},
 	}
-	route1 := func(dst int) int {
-		if dst == 1 {
-			return 0
-		}
-		return 1
-	}
-	r0 := NewSFRouter(clk, "r0", 2, 2, route0)
-	r1 := NewSFRouter(clk, "r1", 2, 2, route1)
-	connections.Buffer(clk, "link", 2, r0.Out[1], r1.In[1])
-	terminatePort(clk, "r1term", []*connections.Out[Flit]{r1.Out[1]}, []*connections.In[Flit]{r1.In[0]})
-	terminatePort(clk, "r0term", []*connections.Out[Flit]{r0.Out[0]}, []*connections.In[Flit]{r0.In[1]})
-
-	src := connections.NewOut[Flit]()
-	connections.Buffer(clk, "src", 2, src, r0.In[0])
-	sink := connections.NewIn[Flit]()
-	connections.Buffer(clk, "sink", 2, r1.Out[0], sink)
-
-	const pkts = 8
-	clk.Spawn("gen", func(th *sim.Thread) {
-		for k := 0; k < pkts; k++ {
-			p := Packet{Src: 0, Dst: 1, ID: uint64(k), Payload: []uint64{uint64(k), uint64(k * 2)}}
-			for _, f := range p.Flits(0) {
-				src.Push(th, f)
-				th.Wait()
-			}
-		}
-	})
-	got := 0
-	clk.Spawn("sink", func(th *sim.Thread) {
-		for {
-			if f, ok := sink.PopNB(th); ok && f.Tail {
-				got++
-				if got == pkts {
-					th.Sim().Stop()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := sim.New()
+			clk := s.AddClock("clk", 1000, 0)
+			// 2-router line: src NI -> r0 -> r1 -> sink NI, local ports 0.
+			route0 := func(dst int) int {
+				if dst == 0 {
+					return 0
 				}
+				return 1
 			}
-			th.Wait()
-		}
-	})
-	s.Run(10_000_000)
-	if got != pkts {
-		t.Fatalf("SF delivered %d/%d", got, pkts)
+			route1 := func(dst int) int {
+				if dst == 1 {
+					return 0
+				}
+				return 1
+			}
+			r0 := NewSFRouter(clk, "r0", 2, 2, route0)
+			r1 := NewSFRouter(clk, "r1", 2, 2, route1)
+			connections.Buffer(clk, "link", 2, r0.Out[1], r1.In[1], c.opts...)
+			terminatePort(clk, "r1term", []*connections.Out[Flit]{r1.Out[1]}, []*connections.In[Flit]{r1.In[0]})
+			terminatePort(clk, "r0term", []*connections.Out[Flit]{r0.Out[0]}, []*connections.In[Flit]{r0.In[1]})
+
+			src := connections.NewOut[Flit]()
+			connections.Buffer(clk, "src", 2, src, r0.In[0], c.opts...)
+			sink := connections.NewIn[Flit]()
+			connections.Buffer(clk, "sink", 2, r1.Out[0], sink, c.opts...)
+
+			const pkts = 8
+			clk.Spawn("gen", func(th *sim.Thread) {
+				for k := 0; k < pkts; k++ {
+					p := Packet{Src: 0, Dst: 1, ID: uint64(k), Payload: []uint64{uint64(k), uint64(k * 2)}}
+					for _, f := range p.Flits(0) {
+						src.Push(th, f)
+						th.Wait()
+					}
+				}
+			})
+			got := 0
+			var done uint64
+			clk.Spawn("sink", func(th *sim.Thread) {
+				for {
+					if f, ok := sink.PopNB(th); ok && f.Tail {
+						got++
+						if got == pkts {
+							done = clk.Cycle()
+							th.Sim().Stop()
+						}
+					}
+					th.Wait()
+				}
+			})
+			s.Run(10_000_000)
+			if got != pkts || done != c.done {
+				t.Fatalf("SF delivered %d/%d by cycle %d, want all by cycle %d", got, pkts, done, c.done)
+			}
+		})
 	}
 }
 
