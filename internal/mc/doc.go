@@ -43,9 +43,8 @@
 //
 // The search is compositional. The model splits into its weakly
 // connected components (union-find over edge endpoints, ordered by
-// first edge), and each component is searched on its own, with its own
-// state layout: a directed maximal-firing lane that stops at its first
-// revisited state, then the breadth-first search. Both properties are
+// first edge), and each component is searched on its own by the
+// breadth-first search, with its own state layout. Both properties are
 // local to one component and firing is never compulsory, so a product
 // state is reachable within a depth exactly when each of its component
 // states is. The merge follows: a property is violated if any component
