@@ -15,10 +15,12 @@ test: build
 # tracing armed, enforce the disarmed tracing overhead budget (<= 2%
 # over the untraced primitives), and hold the compiled RTL evaluator's
 # throughput floor over its test oracle. The decoders of outside bytes
-# (wire frames, job specs, metrics dumps) and the HLS-to-gates compiler
+# (wire frames, job specs, metrics dumps), the HLS-to-gates compiler
 # (random bounded designs checked stage by stage against the golden
-# model) are fuzzed for a fixed budget, every analysis pass must pass
-# the shipped designs and catch its seeded-bug fixtures, and the
+# model) and the channels' stall-injection stream (checked against
+# math/rand's draws from the same seed) are fuzzed for a fixed budget,
+# every analysis pass must pass the shipped designs and catch its
+# seeded-bug fixtures, and the
 # benchmark module's golden cycle, instret, edge and pause counts (the
 # determinism guard) must hold, every SoC test must pass with
 # signal-accurate channels under stall injection in both clockings, on
@@ -38,6 +40,7 @@ check: vet inline
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseJSON$$' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/synth
+	$(GO) test -run '^$$' -fuzz '^FuzzStallStream$$' -fuzztime 10s ./internal/connections
 	cd bench && $(GO) test .
 	$(MAKE) analysis
 	$(GO) run ./cmd/socsim -test all -mode signal -stall 0.1
@@ -81,8 +84,9 @@ vet:
 
 # The compiler must inline the kernel's hot entry points (Event.Notify,
 # the Clock and Thread cycle accessors) and inline Notify into the
-# channel push and pop and In.Peek into the WHVC router's input scan;
-# matched by enclosing function, from go build -gcflags=-m.
+# channel push and pop, In.Peek into the WHVC router's input scan and
+# the stall stream's per-draw step into its roll loop; matched by
+# enclosing function, from go build -gcflags=-m.
 inline:
 	GO=$(GO) bash scripts/inline_check.sh
 

@@ -32,7 +32,7 @@ func main() {
 	mode := flag.String("mode", "tlm", "channel model: tlm (sim-accurate) | signal | rtl")
 	galsOn := flag.Bool("gals", false, "fine-grained GALS: one clock generator per partition")
 	shadow := flag.Bool("shadow", false, "gate-level shadow cosimulation of PE datapaths (rtl mode)")
-	stall := flag.Float64("stall", 0, "stall-injection probability on every channel")
+	stall := flag.Float64("stall", 0, "stall-injection probability on every channel, in [0,1)")
 	seed := flag.Int64("seed", 1, "stall-injection seed")
 	statsF := flag.Bool("stats", false, "dump the full per-component metrics tree")
 	statsJSON := flag.String("statsjson", "", "write the metrics snapshot as JSON to this file; needs -test to name one test")
@@ -49,6 +49,11 @@ func main() {
 	var ok bool
 	if cfg.Mode, ok = connections.ParseMode(*mode); !ok {
 		fmt.Fprintf(os.Stderr, "socsim: unknown mode %q\n", *mode)
+		os.Exit(2)
+	}
+	// The domain serve's job specs accept; NaN fails both comparisons.
+	if !(*stall >= 0 && *stall < 1) {
+		fmt.Fprintf(os.Stderr, "socsim: stall probability %v out of [0,1)\n", *stall)
 		os.Exit(2)
 	}
 	cfg.GALS = *galsOn

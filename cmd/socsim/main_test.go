@@ -3,8 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -136,5 +141,52 @@ func TestSimOutputsNeedOneTest(t *testing.T) {
 	}
 	if err := json.Unmarshal(data, &snap); err != nil || len(snap.Metrics) == 0 {
 		t.Errorf("memcpy snapshot has %d metrics (%v)", len(snap.Metrics), err)
+	}
+}
+
+// TestMain runs the command itself instead of the tests when
+// SOCSIM_RUN_MAIN is set, so that a test can drive main's flag handling
+// in a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("SOCSIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs socsim with args in a child process and returns its exit
+// code and standard error.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SOCSIM_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("socsim %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestStallOutOfRangeRefused: -stall takes a probability in [0,1), the
+// domain serve's job specs accept. At 1 or above every edge stalls and
+// a run spins to its cycle budget; below 0 or NaN no edge would stall.
+// Each is refused with exit 2 before anything runs, in serve's words.
+// An in-range stall with an unknown test fails on the test instead.
+func TestStallOutOfRangeRefused(t *testing.T) {
+	for _, p := range []string{"1.5", "1", "-0.2", "NaN", "+Inf"} {
+		code, stderr := runMain(t, "-test", "memcpy", "-stall", p)
+		v, _ := strconv.ParseFloat(p, 64)
+		want := fmt.Sprintf("socsim: stall probability %v out of [0,1)\n", v)
+		if code != 2 || stderr != want {
+			t.Errorf("-stall %s: exit %d, stderr %q; want exit 2, %q", p, code, stderr, want)
+		}
+	}
+	code, stderr := runMain(t, "-test", "nope", "-stall", "0.999")
+	if code != 2 || !strings.Contains(stderr, `unknown test "nope"`) {
+		t.Errorf("-test nope -stall 0.999: exit %d, stderr %q; want exit 2 on the test name", code, stderr)
 	}
 }

@@ -2,8 +2,6 @@ package connections
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 
 	"repro/internal/bitvec"
 	"repro/internal/sim"
@@ -146,9 +144,15 @@ func WithLatency(n int) Option {
 
 // WithStall enables random stall injection: each cycle, valid is withheld
 // from the consumer with probability p and, independently, ready is
-// withheld from the producer with probability p. The seed keeps runs
-// reproducible: a channel's stalls are the stream of math/rand seeded
-// with seed ^ FNV-64a(name), two draws per edge (valid, then ready).
+// withheld from the producer with probability p. p is meant to lie in
+// [0,1), the range socsim and serve accept: at 1 or above every edge
+// stalls and no message ever moves, and at 0, below it or NaN no edge
+// does. The seed keeps runs reproducible: a channel's stalls are the
+// stream of math/rand seeded with seed ^ FNV-64a(name), two draws per
+// edge (valid, then ready), each a stall when Rand.Float64() < p. The
+// channel draws them from stallStream, a copy of math/rand's source
+// that gives the same values and compares each draw with an integer
+// threshold.
 //
 // A stalled channel sleeps while no port can see its stalls: while it
 // holds no message and no producer waits on a refused push. It then
@@ -197,8 +201,9 @@ type core[T any] struct {
 	inflightBuf []inflight[T]
 
 	// Stall injection; stalledValid and stalledReady above are its
-	// current roll. The stream is seeded on first use (see roll).
-	rng       *rand.Rand
+	// current roll. The stream, which holds the threshold that pStall
+	// sets, is seeded on first use (see roll).
+	rng       *stallStream
 	pStall    float64
 	stallSeed int64
 
@@ -657,20 +662,16 @@ func (c *core[T]) catchUp() {
 
 // roll advances the stall stream by n edges, as n commits do: each
 // counts a stall cycle when the current roll withholds valid or ready,
-// then draws the next roll, seeding the stream on first use.
+// then draws the next roll. It seeds the stream on first use; the loop
+// over the edges runs in stallStream.roll, with the stall bits in
+// locals.
 func (c *core[T]) roll(n uint64) {
 	if c.rng == nil {
-		h := fnv.New64a()
-		h.Write([]byte(c.name))
-		c.rng = rand.New(rand.NewSource(c.stallSeed ^ int64(h.Sum64())))
+		c.rng = newStallStream(c.stallSeed^int64(fnv64a(c.name)), c.pStall)
 	}
-	for ; n > 0; n-- {
-		if c.stalledValid || c.stalledReady {
-			c.stats.StallCycles++
-		}
-		c.stalledValid = c.rng.Float64() < c.pStall
-		c.stalledReady = c.rng.Float64() < c.pStall
-	}
+	var stalls uint64
+	c.stalledValid, c.stalledReady, stalls = c.rng.roll(n, c.stalledValid, c.stalledReady)
+	c.stats.StallCycles += stalls
 }
 
 // shift drops the first n entries of s, moving the rest to the front so

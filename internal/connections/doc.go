@@ -37,6 +37,11 @@
 // perturb inter-unit timing without changing design or testbench code,
 // reproducing the paper's verification aid. A channel's stalls are a
 // math/rand stream seeded with its seed and name, two draws per edge.
+// The channel draws them from an in-package copy of math/rand's source
+// that yields the same values: its seeding runs math/rand's Park–Miller
+// steps as three independent chains, and each draw is compared with an
+// integer threshold computed once from the probability, so a draw costs
+// an add, a store and a compare.
 // A stalled channel commits, rolls and notifies on every edge only while
 // a port can see its stalls: while it holds a message, or while a
 // producer whose push was refused waits on it. Otherwise it sleeps. An

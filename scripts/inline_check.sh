@@ -9,7 +9,9 @@
 #   - (*Event).Notify, (*Clock).Cycle, (*Clock).Committed,
 #     (*Clock).NextEdge, (*Clock).Now and (*Thread).Cycle can inline;
 #   - Notify is inlined into the channel core's tryPush and tryPop;
-#   - In[...].Peek is inlined into WHVCRouter.snapshot.
+#   - In[...].Peek is inlined into WHVCRouter.snapshot;
+#   - the stall stream's per-draw step, (*stallStream).draw, is inlined
+#     into its roll loop, which every stalled channel runs each edge.
 # Call sites are matched by the enclosing function's line range in its
 # source, never by a fixed line number. (*OnTouch).Touch is left out: it
 # does not inline. A statement added to one of these functions can push
@@ -70,6 +72,7 @@ done
 inlined_into internal/connections/channel.go tryPush 'sim.(*Event).Notify'
 inlined_into internal/connections/channel.go tryPop 'sim.(*Event).Notify'
 inlined_into internal/noc/whvc.go snapshot 'connections.(*In[...]).Peek'
+inlined_into internal/connections/stall.go roll '(*stallStream).draw'
 
 if [ "$bad" -ne 0 ]; then
 	echo "inline-check: $bad hot entry point(s) not inlined" >&2
