@@ -157,22 +157,80 @@ func (s *stallStream) draw(tap, feed int) (uint64, int, int) {
 // roll advances the stream by n edges from the stall bits valid and
 // ready: each edge counts a stall cycle when either bit is set, then
 // draws the next valid and ready bits. It returns the final bits and the
-// stall cycles counted.
+// stall cycles counted. A catch-up over many edges runs in blocks (see
+// block); the rest, and a block that holds a draw Float64 resamples,
+// goes one edge at a time.
 func (s *stallStream) roll(n uint64, valid, ready bool) (bool, bool, uint64) {
 	tap, feed, t := s.tap, s.feed, s.thresh
 	var stalls uint64
-	for ; n > 0; n-- {
-		if valid || ready {
-			stalls++
+	for n > 0 {
+		// The edges before tap or feed wraps, up to a block.
+		k := min(n, uint64(min(tap, feed)/2), maxBlock)
+		if k >= minBlock {
+			if v, r, st, ok := s.block(tap, feed, int(k), valid, ready); ok {
+				valid, ready, stalls = v, r, stalls+st
+				tap, feed, n = tap-2*int(k), feed-2*int(k), n-k
+				continue
+			}
 		}
-		var x uint64
-		x, tap, feed = s.draw(tap, feed)
-		valid = x < t
-		x, tap, feed = s.draw(tap, feed)
-		ready = x < t
+		for k = max(k, 1); k > 0; k-- {
+			if valid || ready {
+				stalls++
+			}
+			var x uint64
+			x, tap, feed = s.draw(tap, feed)
+			valid = x < t
+			x, tap, feed = s.draw(tap, feed)
+			ready = x < t
+			n--
+		}
 	}
 	s.tap, s.feed = tap, feed
 	return valid, ready, stalls
+}
+
+// Blocks span minBlock to maxBlock edges. tap runs rngTap words ahead of
+// feed (mod rngLen), so up to rngTap steps that do not wrap read no word
+// they write: the block's two windows of the register are disjoint.
+const (
+	minBlock = 4
+	maxBlock = rngTap / 2
+)
+
+// block rolls k edges, 2k steps, from tap and feed, neither of which the
+// steps wrap, as roll does one edge at a time, but without a branch per
+// edge. It reports false and leaves the register as it was when a step
+// gives a draw that Float64 resamples: that moves every later draw to
+// another edge.
+func (s *stallStream) block(tap, feed, k int, valid, ready bool) (bool, bool, uint64, bool) {
+	m := 2 * k
+	fv, tv := s.vec[feed-m:feed], s.vec[tap-m:tap]
+	t := s.thresh
+	var cur uint64 // 1 when the current roll stalls
+	if valid || ready {
+		cur = 1
+	}
+	// Step j (from 1) writes fv[m−j]. x and y are below 2⁶³, so the top
+	// bit of x−t is set exactly when x < t, and that of keepLimit−1−x
+	// exactly when x ≥ keepLimit.
+	var stalls, over, x, y uint64
+	for i := m - 1; i > 0; i -= 2 {
+		x = fv[i] + tv[i]
+		fv[i] = x
+		y = fv[i-1] + tv[i-1]
+		fv[i-1] = y
+		x, y = x&rngMask, y&rngMask
+		over |= (keepLimit - 1 - x) | (keepLimit - 1 - y)
+		stalls += cur
+		cur = ((x - t) | (y - t)) >> 63
+	}
+	if over>>63 != 0 {
+		for i := range fv {
+			fv[i] -= tv[i]
+		}
+		return valid, ready, 0, false
+	}
+	return x < t, y < t, stalls, true
 }
 
 // fnv64a is FNV-1a's 64-bit hash of name, as hash/fnv's New64a computes

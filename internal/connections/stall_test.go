@@ -125,6 +125,38 @@ func TestStallStreamResamples(t *testing.T) {
 	}
 }
 
+// TestStallBlockResamples crafts a register whose ninth step, inside
+// the first block of a long roll, gives a draw Float64 resamples. The
+// long roll must undo that block and end where forty one-edge rolls of
+// the same register end: the same stall bits, stall cycles, indices and
+// register.
+func TestStallBlockResamples(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	a := &stallStream{feed: rngLen - rngTap, thresh: stallThreshold(0.3)}
+	for i := range a.vec {
+		a.vec[i] = r.Uint64()
+	}
+	// Step j from tap 0 and feed 334 sums words 334−j and 607−j.
+	const j = 9
+	a.vec[rngLen-rngTap-j] = keepLimit - a.vec[rngLen-j]
+	b := *a
+	va, ra, sa := a.roll(40, false, false)
+	var vb, rb bool
+	var sb uint64
+	for e := 0; e < 40; e++ {
+		var st uint64
+		vb, rb, st = b.roll(1, vb, rb)
+		sb += st
+	}
+	if va != vb || ra != rb || sa != sb || a.tap != b.tap || a.feed != b.feed || a.vec != b.vec {
+		t.Errorf("roll(40): valid %v ready %v stalls %d tap %d feed %d; 40×roll(1): %v %v %d %d %d (registers equal: %v)",
+			va, ra, sa, a.tap, a.feed, vb, rb, sb, b.tap, b.feed, a.vec == b.vec)
+	}
+	if a.tap != rngLen-81 {
+		t.Errorf("tap %d after 81 steps, want %d", a.tap, rngLen-81)
+	}
+}
+
 // TestFNV64aMatchesHashFNV checks the inline name hash against hash/fnv.
 func TestFNV64aMatchesHashFNV(t *testing.T) {
 	for _, name := range []string{"", "a", "soc/pe[3]/inject", "soc/noc/lnk[0,1]/tx", "\xff\x00é"} {
