@@ -20,15 +20,15 @@ test: build
 # model) and the channels' stall-injection stream (checked against
 # math/rand's draws from the same seed) are fuzzed for a fixed budget,
 # every analysis pass must pass the shipped designs and catch its
-# seeded-bug fixtures, and the
-# benchmark module's golden cycle, instret, edge and pause counts (the
-# determinism guard) must hold, every SoC test must pass with
-# signal-accurate channels under stall injection in both clockings, on
-# one clock with the sim-accurate and RTL-cosim channels (whose NIs and
-# hart are methods that park on blocked port operations) under stall
-# injection and, under GALS, with the default channels (whose CDC relays
-# are methods) under stall injection, and a short run of every benchmark
-# workload must finish clean.
+# seeded-bug fixtures, and the benchmark module's golden cycle,
+# instret, edge and pause counts (the determinism guard) must hold,
+# every SoC test must pass with signal-accurate channels under stall
+# injection in both clockings, on one clock with the sim-accurate and
+# RTL-cosim channels (whose NIs and hart are methods that park on
+# blocked port operations) under stall injection and, under GALS, with
+# the default channels (whose CDC relays are methods) under stall
+# injection, and a short run of every benchmark workload must finish
+# clean.
 # Before the tests, the kernel's hot entry points must inline where the
 # channels and routers call them (see inline below).
 check: vet inline

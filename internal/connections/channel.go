@@ -150,9 +150,8 @@ func WithLatency(n int) Option {
 // does. The seed keeps runs reproducible: a channel's stalls are the
 // stream of math/rand seeded with seed ^ FNV-64a(name), two draws per
 // edge (valid, then ready), each a stall when Rand.Float64() < p. The
-// channel draws them from stallStream, a copy of math/rand's source
-// that gives the same values and compares each draw with an integer
-// threshold.
+// channel draws them from an in-package copy of math/rand's source that
+// gives the same values.
 //
 // A stalled channel sleeps while no port can see its stalls: while it
 // holds no message and no producer waits on a refused push. It then

@@ -41,7 +41,8 @@
 // that yields the same values: its seeding runs math/rand's Park–Miller
 // steps as three independent chains, and each draw is compared with an
 // integer threshold computed once from the probability, so a draw costs
-// an add, a store and a compare.
+// an add, a store and a compare. A long catch-up runs in blocks of edges
+// with no branch per edge.
 // A stalled channel commits, rolls and notifies on every edge only while
 // a port can see its stalls: while it holds a message, or while a
 // producer whose push was refused waits on it. Otherwise it sleeps. An

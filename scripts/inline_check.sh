@@ -11,7 +11,7 @@
 #   - Notify is inlined into the channel core's tryPush and tryPop;
 #   - In[...].Peek is inlined into WHVCRouter.snapshot;
 #   - the stall stream's per-draw step, (*stallStream).draw, is inlined
-#     into its roll loop, which every stalled channel runs each edge.
+#     into its roll loop, which an awake stalled channel runs every edge.
 # Call sites are matched by the enclosing function's line range in its
 # source, never by a fixed line number. (*OnTouch).Touch is left out: it
 # does not inline. A statement added to one of these functions can push
