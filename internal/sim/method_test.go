@@ -165,22 +165,32 @@ func TestProcessesListsMethodsInSlotOrder(t *testing.T) {
 }
 
 // An edge that runs methods — re-running, parking on a countdown and
-// parking on an event — allocates nothing.
+// parking on an event — allocates nothing, on a clock with a few slots
+// and on one with more slots than a word of its ready set, where the
+// notify crosses words.
 func TestMethodEdgeAllocatesNothing(t *testing.T) {
-	s := New()
-	clk := s.AddClock("clk", 1000, 0)
-	var ev Event
-	evs := []*Event{&ev}
-	flag := false
-	ready := func() bool { return flag }
-	clk.Method("rerun", func(th *Thread) {
-		flag = !flag
-		ev.Notify()
-	})
-	clk.Method("waitn", func(th *Thread) { th.WaitN(2) })
-	clk.Method("waiton", func(th *Thread) { th.WaitOn(ready, evs...) })
-	s.Step()
-	if n := testing.AllocsPerRun(100, func() { s.Step() }); n != 0 {
-		t.Fatalf("%v allocations per edge, want 0", n)
+	for _, idle := range []int{0, 64} {
+		s := New()
+		clk := s.AddClock("clk", 1000, 0)
+		var ev Event
+		evs := []*Event{&ev}
+		flag := false
+		ready := func() bool { return flag }
+		clk.Method("rerun", func(th *Thread) {
+			flag = !flag
+			ev.Notify()
+		})
+		never := func() bool { return false }
+		for i := 0; i < idle; i++ {
+			var idleEv Event
+			idleEvs := []*Event{&idleEv}
+			clk.Method(fmt.Sprintf("idle%d", i), func(th *Thread) { th.WaitOn(never, idleEvs...) })
+		}
+		clk.Method("waitn", func(th *Thread) { th.WaitN(2) })
+		clk.Method("waiton", func(th *Thread) { th.WaitOn(ready, evs...) })
+		s.Step()
+		if n := testing.AllocsPerRun(100, func() { s.Step() }); n != 0 {
+			t.Fatalf("%d slots: %v allocations per edge, want 0", idle+3, n)
+		}
 	}
 }

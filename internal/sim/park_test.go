@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 // Parking is an execution optimization only: a thread using WaitOn must
 // observe exactly the cycle the equivalent polling loop observes, when
@@ -213,5 +217,88 @@ func TestCoincidentEdgesWithParkedThreads(t *testing.T) {
 				t.Fatalf("run %d: order %v, first run %v", i, got, first)
 			}
 		}
+	}
+}
+
+// A notify wakes a parked slot on the edge it is sent when the slot comes
+// after the notifier in the walk, and on the next edge when it comes
+// before, wherever the two slots sit among a clock's slots: within one
+// 64-slot word of the ready set or across words. A slot registered
+// mid-edge first runs on the next edge, even when it lands in the word
+// being walked.
+func TestNotifyOrderAcrossSlotWords(t *testing.T) {
+	const slots = 130
+	s := New()
+	clk := s.AddClock("clk", 1000, 0)
+	// At cycle at, slot from notifies slot to, which runs at cycle want.
+	type send struct {
+		at        uint64
+		from, to  int
+		want      uint64
+		direction string
+	}
+	sends := []send{
+		{5, 3, 40, 5, "ahead, same word"},
+		{6, 10, 100, 6, "ahead, next word"},
+		{7, 60, 129, 7, "ahead, two words on"},
+		{8, 64, 125, 8, "ahead, from a word's first slot"},
+		{9, 120, 5, 10, "behind, two words back"},
+		{10, 70, 65, 11, "behind, same word"},
+		{11, 127, 126, 12, "behind, adjacent slot"},
+	}
+	flags := make([]bool, slots)
+	evs := make([][]*Event, slots)
+	ran := make([][]uint64, slots)
+	for i := range evs {
+		evs[i] = []*Event{new(Event)}
+	}
+	// The senders, and the slot that registers a late one, run on every
+	// edge; every other slot parks on its own event.
+	senders := map[int]bool{2: true}
+	for _, sd := range sends {
+		senders[sd.from] = true
+	}
+	var lateRan []uint64
+	for i := 0; i < slots; i++ {
+		i := i
+		ready := func() bool { return flags[i] }
+		clk.Method(fmt.Sprintf("slot%d", i), func(th *Thread) {
+			if flags[i] {
+				flags[i] = false
+				ran[i] = append(ran[i], th.Cycle())
+			}
+			for _, sd := range sends {
+				if sd.from == i && sd.at == th.Cycle() {
+					flags[sd.to] = true
+					evs[sd.to][0].Notify()
+				}
+			}
+			if i == 2 && th.Cycle() == 12 {
+				// Slot 130 shares the walk's last word with slots 128
+				// and 129.
+				clk.Method("late", func(th *Thread) { lateRan = append(lateRan, th.Cycle()) })
+			}
+			if !senders[i] {
+				th.WaitOn(ready, evs[i]...)
+			}
+		})
+	}
+	s.RunCycles(clk, 14)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sd := range sends {
+		if got := ran[sd.to]; !slices.Equal(got, []uint64{sd.want}) {
+			t.Errorf("%s: slot %d notified by slot %d at cycle %d ran at %v, want [%d]", sd.direction, sd.to, sd.from, sd.at, got, sd.want)
+		}
+		ran[sd.to] = nil
+	}
+	for i, got := range ran {
+		if got != nil {
+			t.Errorf("slot %d, never notified, ran at %v", i, got)
+		}
+	}
+	if !slices.Equal(lateRan, []uint64{13, 14}) {
+		t.Errorf("slot registered at cycle 12 ran at %v, want [13 14]", lateRan)
 	}
 }
