@@ -84,7 +84,7 @@ vet:
 
 # The compiler must inline the kernel's hot entry points (Event.Notify,
 # the Clock and Thread cycle accessors) and inline Notify into the
-# channel push and pop, In.Peek into the WHVC router's input scan and
+# channel push, pop and commit, In.Peek into the WHVC router's input scan and
 # the stall stream's per-draw step into its roll loop; matched by
 # enclosing function, from go build -gcflags=-m.
 inline:

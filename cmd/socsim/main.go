@@ -31,7 +31,7 @@ func main() {
 	testName := flag.String("test", "all", "SoC test: memcpy|vecadd|dot|conv1d|kmeans|maxpool|matvec|f16dot|all; with -check, also any analysis fixture")
 	mode := flag.String("mode", "tlm", "channel model: tlm (sim-accurate) | signal | rtl")
 	galsOn := flag.Bool("gals", false, "fine-grained GALS: one clock generator per partition")
-	shadow := flag.Bool("shadow", false, "gate-level shadow cosimulation of PE datapaths (rtl mode)")
+	shadow := flag.Bool("shadow", false, "gate-level shadow cosimulation of PE datapaths; needs -mode rtl")
 	stall := flag.Float64("stall", 0, "stall-injection probability on every channel, in [0,1)")
 	seed := flag.Int64("seed", 1, "stall-injection seed")
 	statsF := flag.Bool("stats", false, "dump the full per-component metrics tree")
@@ -49,6 +49,12 @@ func main() {
 	var ok bool
 	if cfg.Mode, ok = connections.ParseMode(*mode); !ok {
 		fmt.Fprintf(os.Stderr, "socsim: unknown mode %q\n", *mode)
+		os.Exit(2)
+	}
+	// Only the RTL-cosim PEs carry a shadow netlist: elsewhere the flag
+	// would run without one.
+	if *shadow && cfg.Mode != connections.ModeRTLCosim {
+		fmt.Fprintf(os.Stderr, "socsim: -shadow needs -mode rtl, not %s\n", *mode)
 		os.Exit(2)
 	}
 	// The domain serve's job specs accept; NaN fails both comparisons.

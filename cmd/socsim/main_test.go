@@ -171,6 +171,22 @@ func runMain(t *testing.T, args ...string) (int, string) {
 	return cmd.ProcessState.ExitCode(), stderr.String()
 }
 
+// TestShadowOutsideRTLRefused: only the RTL-cosim PEs carry the shadow
+// gate-level netlist, so -shadow in any other mode is refused with exit 2
+// before anything runs, rather than running without one.
+func TestShadowOutsideRTLRefused(t *testing.T) {
+	for _, mode := range []string{"tlm", "signal"} {
+		code, stderr := runMain(t, "-test", "memcpy", "-mode", mode, "-shadow")
+		want := "socsim: -shadow needs -mode rtl, not " + mode + "\n"
+		if code != 2 || stderr != want {
+			t.Errorf("-mode %s -shadow: exit %d, stderr %q; want exit 2, %q", mode, code, stderr, want)
+		}
+	}
+	if code, stderr := runMain(t, "-test", "memcpy", "-mode", "rtl", "-shadow"); code != 0 {
+		t.Errorf("-mode rtl -shadow: exit %d, stderr %q; want exit 0", code, stderr)
+	}
+}
+
 // TestStallOutOfRangeRefused: -stall takes a probability in [0,1), the
 // domain serve's job specs accept. At 1 or above every edge stalls and
 // a run spins to its cycle budget; below 0 or NaN no edge would stall.

@@ -233,6 +233,11 @@ type core[T any] struct {
 	ev    sim.Event
 	evs   [1]*sim.Event
 
+	// watch, when set (In.Watch), gets watchBit at every notifying
+	// commit: the consumer's mark that what peek returns may have changed.
+	watch    *uint64
+	watchBit uint64
+
 	// synced is the clock's completed-commit count that stats.Cycles,
 	// stats.OccupancySum and the stall stream cover. The edges since
 	// were idle — the channel was not listed, so its committed queue
@@ -637,6 +642,9 @@ func (c *core[T]) commit() (again bool) {
 	}
 	if moved > 0 {
 		c.ev.Notify()
+		if c.watch != nil {
+			*c.watch |= c.watchBit
+		}
 	}
 	return c.runsEachEdge() || len(c.skid) > 0 || len(c.inflightBuf) > 0 ||
 		c.sleeps && (len(c.queue) > 0 || c.pushWait)

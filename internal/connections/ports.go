@@ -160,6 +160,17 @@ func (p *In[T]) Mode() Mode { return p.need().mode }
 // Empty. Components with their own scan loops park on it.
 func (p *In[T]) Event() *sim.Event { return &p.need().ev }
 
+// Watch has the bound channel set bit in *mask at every commit that
+// notifies Event, which includes every commit that changes what Peek
+// returns. A pop changes it too, before the commit that retires it; a
+// consumer that peeks on its own schedule, like a router re-peeking only
+// the inputs whose bits are set, accounts for its own pops. One watcher
+// per channel: a later Watch replaces the earlier one.
+func (p *In[T]) Watch(mask *uint64, bit uint64) {
+	c := p.need()
+	c.watch, c.watchBit = mask, bit
+}
+
 // Stats returns the bound channel's counters.
 func (p *In[T]) Stats() Stats { return p.need().Stats() }
 

@@ -30,17 +30,22 @@ type WHVCRouter struct {
 
 	// step's state, allocated with the router so that an edge allocates
 	// nothing. ins is In flattened to [port*vc]; heads[k] is the head
-	// flit of ins[k] wherever bit k of have is set, as peeked on cycle
-	// seen, and outs[k] its output port when it is a head flit; inEvs are
-	// the input channels' events (filled at the first edge, once the
-	// ports are bound); ready is snapshot as the park predicate.
-	ins   []*connections.In[Flit]
-	heads []Flit
-	outs  []int
-	have  uint64
-	seen  uint64
-	inEvs []*sim.Event
-	ready func() bool
+	// flit of ins[k] wherever bit k of have is set, and outs[k] its
+	// output port when it is a head flit. Bit k of marked is set when
+	// ins[k]'s head may have changed since it was peeked: by its
+	// channel's commit (In.Watch) or, at the first edge, for every input.
+	// inEvs are the input channels' events (filled at the first edge,
+	// once the ports are bound); ready is snapshot as the park predicate;
+	// signal is set when the channels are signal-accurate and step runs
+	// in a thread.
+	ins    []*connections.In[Flit]
+	heads  []Flit
+	outs   []int
+	have   uint64
+	marked uint64
+	inEvs  []*sim.Event
+	ready  func() bool
+	signal bool
 
 	name string
 	clk  *sim.Clock
@@ -75,6 +80,7 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 		heads:  make([]Flit, nPorts*nVCs),
 		outs:   make([]int, nPorts*nVCs),
 		inEvs:  make([]*sim.Event, 0, nPorts*nVCs),
+		signal: mode == connections.ModeSignalAccurate,
 		name:   name,
 		clk:    clk,
 		sub:    clk.Sim().Tracer().Subject(name),
@@ -100,27 +106,30 @@ func NewWHVCRouter(clk *sim.Clock, name string, nPorts, nVCs int, route RouteFun
 	return r
 }
 
-// snapshot peeks every input VC's head into heads and have, as of the
-// current cycle, and reports whether any input has a flit. It is the
-// router's park predicate: with every input VC empty a step is a no-op
-// (req stays zero for every output, so neither the arbiter state nor the
-// counters are touched), so the router parks until a flit is peekable,
-// on the input channels' events, which notify whenever a head can
-// appear. Peek never charges a wait in any cost model, so the predicate
-// is the same under ModeSignalAccurate. The kernel evaluates it at the
-// router's slot right before the step it admits, so that step finds the
-// snapshot already taken: one scan of the inputs per active edge.
+// snapshot brings heads and have up to date, as of the current cycle,
+// by re-peeking the marked input VCs, and reports whether any input has
+// a flit. It is the router's park predicate: with every input VC empty a
+// step is a no-op (req stays zero for every output, so neither the
+// arbiter state nor the counters are touched), so the router parks until
+// a flit is peekable, on the input channels' events, which notify
+// whenever a head can appear. Peek never charges a wait in any cost
+// model, so the predicate is the same under ModeSignalAccurate. The
+// kernel evaluates it at the router's slot right before the step it
+// admits, so that step finds the snapshot already taken.
 func (r *WHVCRouter) snapshot() bool {
-	r.have, r.seen = 0, r.clk.Cycle()
-	for k, in := range r.ins {
-		if f, ok := in.Peek(); ok {
+	for m := r.marked; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		if f, ok := r.ins[k].Peek(); ok {
 			r.heads[k] = f
 			r.have |= 1 << uint(k)
 			if f.Head {
 				r.outs[k] = r.route(f.Dst)
 			}
+		} else {
+			r.have &^= 1 << uint(k)
 		}
 	}
+	r.marked = 0
 	return r.have != 0
 }
 
@@ -132,23 +141,26 @@ func (r *WHVCRouter) snapshot() bool {
 // crossbar input per port), so once one has, used masks its VCs out of
 // the snapshot for the outputs after it.
 //
-// The heads are peeked once per edge rather than once per output:
-// forward pops at most one flit per input port, and used excludes that
-// port from the outputs after it, so the rest of the snapshot is what
-// Peek would return. The snapshot is retaken whenever the cycle has
-// changed: at the first output of an edge the park predicate did not
-// already scan, and after a port operation that charged a Wait
-// (ModeSignalAccurate, where step runs in a thread).
+// The heads are peeked only when their channels' commits mark them,
+// not once per output or per edge: forward pops at most one flit per
+// input port, and used excludes that port from the outputs after it, so
+// the rest of the snapshot is what Peek would return; the commit that
+// retires the pop marks the input for the next snapshot. The snapshot is
+// retaken mid-step only when an input is marked: at the first edge, and
+// after a port operation that charged a Wait (ModeSignalAccurate, where
+// step runs in a thread) during which a commit changed a head.
 func (r *WHVCRouter) step(th *sim.Thread) {
 	if len(r.inEvs) == 0 {
-		for _, in := range r.ins {
+		for k, in := range r.ins {
 			r.inEvs = append(r.inEvs, in.Event())
+			in.Watch(&r.marked, 1<<uint(k))
+			r.marked |= 1 << uint(k)
 		}
 	}
 	portVCs := uint64(1)<<uint(r.nVCs) - 1 // the bits of one input port's VCs
 	var used uint64                        // the bits of every used input port's VCs
 	for o := 0; o < r.nPorts; o++ {
-		if th.Cycle() != r.seen {
+		if r.marked != 0 {
 			r.snapshot()
 		}
 		var req uint64
@@ -183,10 +195,14 @@ func (r *WHVCRouter) step(th *sim.Thread) {
 // forward offers f, the head of In[i][v], to VC v of output o; on
 // acceptance it retires the flit, acquiring the output VC at the head and
 // releasing it at the tail. It reports whether a flit moved. The router
-// is the head's only consumer, so Pop takes f: at once in every mode that
-// does not stall, and under signal-accurate stall injection, where a
-// stall rolled during the Wait that PushNB charged can withhold the head,
-// as soon as the stall lets it go.
+// is the head's only consumer, so the flit is still there to take. In a
+// method (every mode but ModeSignalAccurate) one PopNB takes it, and a
+// failure means the snapshot lost track of the input: the step panics,
+// which stops the run with an error naming the router, port and VC,
+// where a blocking Pop would spin within the step forever. Under
+// ModeSignalAccurate a stall rolled during the Wait that PushNB charged
+// can withhold the head, and the thread's Pop takes it as soon as the
+// stall lets it go.
 func (r *WHVCRouter) forward(th *sim.Thread, o, i, v int, f Flit) bool {
 	if !r.Out[o][v].PushNB(th, f) {
 		r.Stats.Stalls++
@@ -197,7 +213,11 @@ func (r *WHVCRouter) forward(th *sim.Thread, o, i, v int, f Flit) bool {
 		}
 		return false
 	}
-	r.In[i][v].Pop(th)
+	if r.signal {
+		r.In[i][v].Pop(th)
+	} else if _, ok := r.In[i][v].PopNB(th); !ok {
+		panic(fmt.Sprintf("noc: router %s lost the head of in[%d][%d]", r.name, i, v))
+	}
 	r.Stats.FlitsIn++
 	r.Stats.FlitsOut++
 	if f.Head {

@@ -33,7 +33,7 @@ type thread struct {
 	// reads them on every edge, touches few cache lines.
 	finished bool
 	started  bool
-	woken    bool        // an event notified since parkPred last ran
+	slot     uint32      // index in the clock's threads and bit in its ready set
 	parkN    uint64      // countdown parking (WaitN); resumes when it hits 0
 	parkPred func() bool // predicate parking (WaitOn); nil when not parked
 	next     func() (struct{}, bool)
@@ -58,9 +58,19 @@ func (c *Clock) Spawn(name string, body func(*Thread)) {
 	mustName("thread", name)
 	th := &thread{name: name, clock: c, body: body}
 	th.self.t = th
+	c.addSlot(th)
+}
+
+// addSlot appends th to c's slots, runnable, waking c if it sleeps.
+func (c *Clock) addSlot(th *thread) {
 	if c.sleeping {
 		c.wake()
 	}
+	th.slot = uint32(len(c.threads))
+	if th.slot&63 == 0 {
+		c.ready = append(c.ready, 0)
+	}
+	c.ready[th.slot>>6] |= 1 << (th.slot & 63)
 	c.threads = append(c.threads, th)
 }
 
@@ -89,10 +99,7 @@ func (c *Clock) Method(name string, step func(*Thread)) {
 	// coroutine for Close to stop.
 	th.yield = func(struct{}) bool { panic(fmt.Sprintf("sim: Wait in method %q", name)) }
 	th.stop = func() {}
-	if c.sleeping {
-		c.wake()
-	}
-	c.threads = append(c.threads, th)
+	c.addSlot(th)
 }
 
 // Wait suspends the thread until the next rising edge of its clock.
@@ -157,8 +164,9 @@ func (t *Thread) WaitOn(pred func() bool, evs ...*Event) {
 		}
 		th.sens = evs
 	}
+	// The caller's slot is running, so its ready bit is set: the kernel
+	// evaluates pred at the slot on the next edge.
 	th.parkPred = pred
-	th.woken = true
 	if th.step != nil {
 		th.parkN = 0
 		return
@@ -189,7 +197,9 @@ func (th *thread) start() {
 			if r := recover(); r != nil && r != (retired{}) {
 				th.clock.sim.recordPanic(fmt.Errorf("sim: thread %q panicked: %v", th.name, r))
 			}
-			th.finished = true
+			// A finished slot is parked on nothing, so no Notify marks
+			// it runnable again.
+			th.finished, th.parkPred = true, nil
 		}()
 		th.yield = yield
 		th.body(&th.self)
@@ -201,7 +211,7 @@ func (th *thread) start() {
 func (th *thread) runStep() {
 	defer func() {
 		if r := recover(); r != nil {
-			th.finished = true
+			th.finished, th.parkPred = true, nil
 			th.clock.sim.recordPanic(fmt.Errorf("sim: method %q panicked: %v", th.name, r))
 		}
 	}()

@@ -8,7 +8,8 @@
 # -gcflags=-m and fails unless
 #   - (*Event).Notify, (*Clock).Cycle, (*Clock).Committed,
 #     (*Clock).NextEdge, (*Clock).Now and (*Thread).Cycle can inline;
-#   - Notify is inlined into the channel core's tryPush and tryPop;
+#   - Notify is inlined into the channel core's tryPush, tryPop and
+#     commit;
 #   - In[...].Peek is inlined into WHVCRouter.snapshot;
 #   - the stall stream's per-draw step, (*stallStream).draw, is inlined
 #     into its roll loop, which an awake stalled channel runs every edge.
@@ -71,6 +72,7 @@ for f in '(*Event).Notify' '(*Clock).Cycle' '(*Clock).Committed' '(*Clock).NextE
 done
 inlined_into internal/connections/channel.go tryPush 'sim.(*Event).Notify'
 inlined_into internal/connections/channel.go tryPop 'sim.(*Event).Notify'
+inlined_into internal/connections/channel.go commit 'sim.(*Event).Notify'
 inlined_into internal/noc/whvc.go snapshot 'connections.(*In[...]).Peek'
 inlined_into internal/connections/stall.go roll '(*stallStream).draw'
 
