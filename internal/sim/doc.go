@@ -45,15 +45,21 @@
 // thread or method that would otherwise poll an idle latency-insensitive
 // endpoint parks on a countdown (Thread.WaitN) or on a predicate and the
 // events that can change it (Thread.WaitOn). A parked process costs no
-// coroutine switch or step call, and its predicate is evaluated at the thread's scheduling slot
-// only on the first edge after it parks and on edges after one of its
-// events has notified (Event.Notify). A channel likewise commits only on
-// edges where it was pushed or popped, or still has messages in flight;
-// its per-edge counters catch up over the idle gap when next read.
-// A clock whose every thread and method is finished or parked on an
-// unnotified predicate, with no commit listed and no monitor, skips its
-// edge's phases and only counts the edge; a notify from any clock wakes
-// it. Under several clocks such a clock, with no pause pending, sleeps:
+// coroutine switch or step call, and its predicate is evaluated at the
+// thread's scheduling slot only on the first edge after it parks and on
+// edges after one of its events has notified (Event.Notify). The thread
+// phase visits only runnable slots: each clock keeps a bit per slot, set
+// while the slot is unstarted, counting down, running every edge or
+// notified, and cleared when its predicate evaluates false or it
+// finishes; a notify of a slot still ahead in the walk runs it on the
+// same edge. A consumer that scans many inputs can likewise follow only
+// the ones that changed: the NoC router re-peeks only the inputs whose
+// channels' commits marked them (connections.In.Watch). A channel
+// commits only on edges where it was pushed or popped, or still has
+// messages in flight; its per-edge counters catch up over the idle gap
+// when next read. A clock with no runnable slot, no commit listed and no
+// monitor skips its edge's phases and only counts the edge; a notify
+// from any clock wakes it. Under several clocks such a clock, with no pause pending, sleeps:
 // it leaves the due scan, and its Cycle, Committed, Now and NextEdge are
 // computed from the edge it fell asleep on. An edge (time, name) of a
 // sleeping clock has fired iff it is at or before (the current instant,
